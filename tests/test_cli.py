@@ -240,3 +240,111 @@ def test_cli_help_lists_subcommands():
     for command in ("synth", "adapt-wesad", "adapt-case", "extract", "variance",
                     "train-eval", "importance", "report"):
         assert command in result.output
+
+
+FLAG_SPEC = dict(SYNTH_SPEC, duration_s=30.0, states=[
+    {"label": "baseline", "mean_bpm": 65.0, "bpm_jitter_ms": 10.0, "duration_s": 15.0},
+    {"label": "stress", "mean_bpm": 90.0, "bpm_jitter_ms": 10.0, "duration_s": 15.0},
+])
+
+# (flags, config path the value must land at, expected value, base-config overlay)
+FLAG_CASES = [
+    (["--seed", "42"], ("seed",), 42, {}),
+    (["--box-feature", "ibi"], ("box_feature",), "ibi", {}),
+    (["--window-len-s", "8"], ("window", "window_len_s"), 8.0, {}),
+    (["--overlap-s", "2"], ("window", "overlap_s"), 2.0, {}),
+    (["--ecg-order", "2"], ("ecg_filter", "order"), 2, {}),
+    (["--ecg-low-hz", "1.0"], ("ecg_filter", "low_cut_hz"), 1.0, {}),
+    (["--ecg-high-hz", "30"], ("ecg_filter", "high_cut_hz"), 30.0, {}),
+    (["--ecg-causal"], ("ecg_filter", "zero_phase"), False, {}),
+    (["--ecg-zero-phase"], ("ecg_filter", "zero_phase"), True,
+     {"ecg_filter": {"zero_phase": False}}),
+    (["--ppg-order", "2"], ("ppg_filter", "order"), 2, {}),
+    (["--ppg-low-hz", "0.6"], ("ppg_filter", "low_cut_hz"), 0.6, {}),
+    (["--ppg-high-hz", "6"], ("ppg_filter", "high_cut_hz"), 6.0, {}),
+    (["--ppg-causal"], ("ppg_filter", "zero_phase"), False, {}),
+    (["--ppg-zero-phase"], ("ppg_filter", "zero_phase"), True,
+     {"ppg_filter": {"zero_phase": False}}),
+    (["--n-trees", "9"], ("learn", "n_trees"), 9, {}),
+    (["--k-features", "3"], ("learn", "k_features"), 3, {}),
+    (["--min-samples-leaf", "3"], ("learn", "min_samples_leaf"), 3, {}),
+    (["--knn-k", "4"], ("learn", "knn_k"), 4, {}),
+    (["--cv-folds", "3"], ("learn", "cv_folds"), 3, {}),
+    (["--holdout-fraction", "0.3"], ("learn", "holdout_fraction"), 0.3, {}),
+    (["--families", "extra_trees, knn"], ("learn", "families"), ["extra_trees", "knn"], {}),
+    (["--subject-wise"], ("learn", "subject_wise"), True, {}),
+    (["--background-size", "7"], ("explain", "background_size"), 7, {}),
+    (["--max-instances", "4"], ("explain", "max_instances"), 4, {}),
+]
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("flags")
+    (root / "spec.json").write_text(json.dumps(FLAG_SPEC))
+    assert run_cli("synth", "--spec", str(root / "spec.json"),
+                   "--out", str(root / "data")).exit_code == 0
+    return root
+
+
+def _flag_base(root: Path, **overlay) -> dict:
+    doc = {
+        "out_dir": str(root / "run"),
+        "synthetic_spec_path": str(root / "spec.json"),
+        "ecg_filter": {"order": 3, "low_cut_hz": 0.67, "high_cut_hz": 40.0, "zero_phase": True},
+        "ppg_filter": {"order": 3, "low_cut_hz": 0.5, "high_cut_hz": 8.0, "zero_phase": True},
+    }
+    for key, value in overlay.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def _stamp_with_flags(root: Path, base: dict, flags: list[str], out_dir: str | None = None):
+    """Run extract on `base` plus `flags`; returns the stamped config and the
+    config `base` alone would stamp."""
+    config_path = root / "base.json"
+    config_path.write_text(json.dumps(base))
+    result = run_cli("extract", "--config", str(config_path), *flags)
+    assert result.exit_code == 0, result.output
+    stamped = json.loads((Path(out_dir or base["out_dir"]) / "config.json").read_text())
+    return stamped["config"], config_to_dict(config_from_dict(base))
+
+
+@pytest.mark.parametrize(
+    "flags, path, expected, overlay", FLAG_CASES, ids=[" ".join(c[0]) for c in FLAG_CASES]
+)
+def test_config_flag_lands_at_its_field(flag_inputs, tmp_path, flags, path, expected, overlay):
+    base = _flag_base(tmp_path, **overlay)
+    base["synthetic_spec_path"] = str(flag_inputs / "spec.json")
+    stamped, want = _stamp_with_flags(tmp_path, base, flags)
+    section = want
+    for key in path[:-1]:
+        section = section[key]
+    assert section[path[-1]] != expected, "the flag must change its field"
+    section[path[-1]] = expected
+    assert stamped == want
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--manifest", "manifest_path"), ("--synthetic-spec", "synthetic_spec_path"),
+])
+def test_input_flags_land_at_their_field(flag_inputs, tmp_path, flag, key):
+    value = str(flag_inputs / ("data/manifest.json" if key == "manifest_path" else "spec.json"))
+    base = _flag_base(tmp_path, synthetic_spec_path=None)
+    config_path = tmp_path / "base.json"
+    config_path.write_text(json.dumps(base))
+    result = run_cli("extract", "--config", str(config_path), flag, value)
+    assert result.exit_code == 0, result.output
+    stamped = json.loads((tmp_path / "run" / "config.json").read_text())["config"]
+    assert stamped[key] == value
+    assert stamped["manifest_path" if key != "manifest_path" else "synthetic_spec_path"] is None
+
+
+def test_out_flag_lands_at_out_dir(flag_inputs, tmp_path):
+    base = _flag_base(tmp_path)
+    base["synthetic_spec_path"] = str(flag_inputs / "spec.json")
+    elsewhere = str(tmp_path / "elsewhere")
+    stamped, want = _stamp_with_flags(tmp_path, base, ["--out", elsewhere], elsewhere)
+    assert want["out_dir"] != elsewhere
+    want["out_dir"] = elsewhere
+    assert stamped == want
