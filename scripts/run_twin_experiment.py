@@ -18,25 +18,10 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-from hrvaffect.dsp import (
-    DEFAULT_ECG_FILTER,
-    DEFAULT_PPG_FILTER,
-    WindowSpec,
-    filter_signal,
-    segment_windows,
-)
-from hrvaffect.hrv import (
-    FEATURE_NAMES,
-    NoPlausiblePeaksError,
-    TooFewBeatsError,
-    compute_features,
-    detect_beats,
-)
+from hrvaffect.hrv import FEATURE_NAMES
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
 from hrvaffect.learn import ExtraTreesParams, evaluate
-from hrvaffect.variance import inter_signal_variance
+from hrvaffect.pipeline import PipelineConfig, feature_variance, featurize, modality_matrix
 
 STATES = (("baseline", 65.0), ("amusement", 67.0), ("meditation", 69.0), ("stress", 90.0))
 
@@ -59,37 +44,17 @@ def twin_spec(ecg_rate, ppg_rate, noise_std, seed, duration_s, jitter_ms):
 
 def run_twin(spec, n_trees, eval_seed):
     subject, _ = generate_synthetic(spec)
-    ecg = filter_signal(subject.ecg, DEFAULT_ECG_FILTER)
-    ppg = filter_signal(subject.ppg, DEFAULT_PPG_FILTER)
-    pairs = segment_windows(ecg, ppg, subject.annotations, WindowSpec())
-
-    features = {"ECG": {}, "PPG": {}}
-    labels = {}
-    for pair in pairs:
-        for segment in pair:
-            try:
-                fv = compute_features(detect_beats(segment), segment.sample_rate_hz)
-            except (NoPlausiblePeaksError, TooFewBeatsError):
-                continue
-            features[segment.modality.value][segment.window_id] = fv
-            labels[segment.window_id] = segment.label
-
-    variance = inter_signal_variance(features["ECG"], features["PPG"])
+    rows, _ = featurize([subject], PipelineConfig())
     reports = {}
     for modality in ("ECG", "PPG"):
-        X, y = [], []
-        for window_id, fv in sorted(features[modality].items()):
-            row = fv.as_array()
-            if np.isfinite(row).all():
-                X.append(row)
-                y.append(labels[window_id])
+        X, y, _, _, _ = modality_matrix(rows, modality)
         reports[modality], _ = evaluate(
-            np.array(X), np.array(y), FEATURE_NAMES,
+            X, y, FEATURE_NAMES,
             families=("extra_trees",),
             params=ExtraTreesParams(n_trees=n_trees),
             seed=eval_seed,
         )
-    return variance, reports
+    return feature_variance(rows), reports
 
 
 def describe(name, variance, reports):

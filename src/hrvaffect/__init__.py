@@ -23,7 +23,7 @@ from .ingest import (
 from .learn import ExtraTreesParams, evaluate, roc_ovr, train_extra_trees
 from .explain import global_importance, sample_background, shapley_explain
 from .variance import inter_signal_variance, state_feature_stats, state_overlap_score
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, featurize
 
 __version__ = "0.1.0"
 
@@ -48,6 +48,7 @@ __all__ = [
     "design_butterworth_bandpass",
     "detect_beats",
     "evaluate",
+    "featurize",
     "filter_signal",
     "generate_synthetic",
     "global_importance",

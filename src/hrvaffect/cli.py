@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import click
 
@@ -71,37 +74,62 @@ def adapt_case(raw_root, out_dir):
     click.echo(str(manifest))
 
 
+# Flag spellings that are not the field's own name.  A bool field gets one flag
+# that sets it true, or an on/off pair where its spelling holds a "/".
+_FLAG_NAMES = {
+    "out_dir": "out",
+    "manifest_path": "manifest",
+    "synthetic_spec_path": "synthetic-spec",
+    "low_cut_hz": "low-hz",
+    "high_cut_hz": "high-hz",
+    "zero_phase": "zero-phase/causal",
+}
+
+
+def _leaf_fields(cls, path=()):
+    """(path, type) of every non-dataclass field under the dataclass cls."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _leaf_fields(hints[f.name], path + (f.name,))
+        else:
+            yield path + (f.name,), hints[f.name]
+
+
+_CONFIG_FIELDS = tuple(_leaf_fields(pipeline.PipelineConfig))
+_SHARED_NAMES = {
+    name for name, n in Counter(path[-1] for path, _ in _CONFIG_FIELDS).items() if n > 1
+}
+
+
+def _split_commas(ctx, param, value):
+    return None if value is None else [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _config_option(path: tuple[str, ...], hint):
+    """One flag per config field, named after the field.  A field name that
+    several sections share is prefixed with its section's first word, so
+    ecg_filter.order is --ecg-order; every flag defaults to "not given"."""
+    prefix = path[-2].split("_")[0] + "-" if path[-1] in _SHARED_NAMES else ""
+    name = _FLAG_NAMES.get(path[-1], path[-1].replace("_", "-"))
+    decl = "/".join(f"--{prefix}{part}" for part in name.split("/"))
+    dest = "__".join(path)
+    help_text = f"Sets config field {'.'.join(path)}."
+    if type(None) in get_args(hint):
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if hint is bool:
+        return click.option(decl, dest, is_flag=True, default=None, help=help_text)
+    if get_origin(hint) is tuple:
+        return click.option(decl, dest, default=None, callback=_split_commas,
+                            help=f"{help_text} Comma-separated.")
+    return click.option(decl, dest, type=hint, default=None, help=help_text)
+
+
 def _config_options(fn):
     options = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="Pipeline config JSON; flags override its fields."),
-        click.option("--manifest", default=None, help="Canonical dataset manifest path."),
-        click.option("--synthetic-spec", default=None, help="Synthetic spec JSON path."),
-        click.option("--out", "out_dir", default=None, help="Output directory."),
-        click.option("--seed", type=int, default=None, help="Master random seed."),
-        click.option("--window-len-s", type=float, default=None),
-        click.option("--overlap-s", type=float, default=None),
-        click.option("--ecg-order", type=int, default=None),
-        click.option("--ecg-low-hz", type=float, default=None),
-        click.option("--ecg-high-hz", type=float, default=None),
-        click.option("--ecg-zero-phase/--ecg-causal", "ecg_zero_phase", default=None),
-        click.option("--ppg-order", type=int, default=None),
-        click.option("--ppg-low-hz", type=float, default=None),
-        click.option("--ppg-high-hz", type=float, default=None),
-        click.option("--ppg-zero-phase/--ppg-causal", "ppg_zero_phase", default=None),
-        click.option("--n-trees", type=int, default=None),
-        click.option("--k-features", type=int, default=None),
-        click.option("--min-samples-leaf", type=int, default=None),
-        click.option("--knn-k", type=int, default=None),
-        click.option("--cv-folds", type=int, default=None),
-        click.option("--holdout-fraction", type=float, default=None),
-        click.option("--families", default=None,
-                     help="Comma-separated model families to compare."),
-        click.option("--subject-wise", is_flag=True, default=False,
-                     help="Hold out and fold by whole subjects."),
-        click.option("--background-size", type=int, default=None),
-        click.option("--max-instances", type=int, default=None),
-        click.option("--box-feature", default=None),
+        *(_config_option(path, hint) for path, hint in _CONFIG_FIELDS),
         click.option("--force", is_flag=True, default=False,
                      help="Allow writing into a directory stamped with a different config."),
     ]
@@ -118,41 +146,13 @@ def _build_config(config_path, **flags) -> pipeline.PipelineConfig:
                    "input": str(config_path)})
         doc = read_json(config_path)
         doc.pop("config_hash", None)
-    top = {
-        "manifest": "manifest_path",
-        "synthetic_spec": "synthetic_spec_path",
-        "out_dir": "out_dir",
-        "seed": "seed",
-        "box_feature": "box_feature",
-    }
-    for flag, key in top.items():
-        if flags.get(flag) is not None:
-            doc[key] = flags[flag]
-    window = {"window_len_s": "window_len_s", "overlap_s": "overlap_s"}
-    for flag, key in window.items():
-        if flags.get(flag) is not None:
-            doc.setdefault("window", {})[key] = flags[flag]
-    for prefix in ("ecg", "ppg"):
-        section = f"{prefix}_filter"
-        for flag, key in ((f"{prefix}_order", "order"), (f"{prefix}_low_hz", "low_cut_hz"),
-                          (f"{prefix}_high_hz", "high_cut_hz"),
-                          (f"{prefix}_zero_phase", "zero_phase")):
-            if flags.get(flag) is not None:
-                doc.setdefault(section, {})[key] = flags[flag]
-    learn = ("n_trees", "k_features", "min_samples_leaf", "knn_k", "cv_folds",
-             "holdout_fraction")
-    for flag in learn:
-        if flags.get(flag) is not None:
-            doc.setdefault("learn", {})[flag] = flags[flag]
-    if flags.get("families") is not None:
-        doc.setdefault("learn", {})["families"] = [
-            f.strip() for f in flags["families"].split(",") if f.strip()
-        ]
-    if flags.get("subject_wise"):
-        doc.setdefault("learn", {})["subject_wise"] = True
-    for flag in ("background_size", "max_instances"):
-        if flags.get(flag) is not None:
-            doc.setdefault("explain", {})[flag] = flags[flag]
+    for path, _ in _CONFIG_FIELDS:
+        value = flags["__".join(path)]
+        if value is not None:
+            section = doc
+            for key in path[:-1]:
+                section = section.setdefault(key, {})
+            section[path[-1]] = value
     try:
         return pipeline.config_from_dict(doc)
     except pipeline.PipelineError as exc:

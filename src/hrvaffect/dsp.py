@@ -38,9 +38,9 @@ class NoCompleteWindowError(ValueError):
 class FilterSpec:
     """Butterworth band-pass parameters; zero_phase doubles the effective order."""
 
-    order: int = 3
-    low_cut_hz: float = 0.67
-    high_cut_hz: float = 40.0
+    order: int
+    low_cut_hz: float
+    high_cut_hz: float
     zero_phase: bool = True
 
 

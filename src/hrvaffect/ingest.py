@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +32,6 @@ from .core import (
     validate_record,
     validate_track,
 )
-from .dsp import WindowSpec
 
 PPG_TRANSIT_DELAY_S = 0.25
 # Representative normalized arousal/valence values for each bin.
@@ -298,59 +296,6 @@ def generate_synthetic(
         respiratory_rr_modulation_ms=spec.respiratory_rr_modulation_ms,
     )
     return subject, truth
-
-
-def true_window_features(
-    truth: SyntheticGroundTruth, wspec: WindowSpec, covered_s: float
-) -> dict[int, dict[str, float]]:
-    """Per-window feature values computed directly from the exact beat times.
-
-    Coded from the plain defining formulas (no array shortcuts) so it can act
-    as an oracle for the detection-based pipeline.  Breathing rate is the
-    generating respiratory frequency when modulation is present, NaN if not.
-    """
-    wspec.validate()
-    if covered_s < wspec.window_len_s:
-        return {}
-    n_windows = int(math.floor((covered_s - wspec.window_len_s) / wspec.stride_s + 1e-9)) + 1
-    beats = list(truth.beat_times_s)
-    true_br = (
-        truth.respiratory_rate_hz if truth.respiratory_rr_modulation_ms > 0 else math.nan
-    )
-
-    out: dict[int, dict[str, float]] = {}
-    for k in range(n_windows):
-        t0 = k * wspec.stride_s
-        t1 = t0 + wspec.window_len_s
-        in_window = [b for b in beats if t0 <= b < t1]
-        if len(in_window) < 5:
-            continue
-        r = [(b2 - b1) * 1000.0 for b1, b2 in zip(in_window, in_window[1:])]
-        d = [r2 - r1 for r1, r2 in zip(r, r[1:])]
-        ibi = sum(r) / len(r)
-        sdnn = math.sqrt(sum((v - ibi) ** 2 for v in r) / len(r))
-        dmean = sum(d) / len(d)
-        sdsd = math.sqrt(sum((v - dmean) ** 2 for v in d) / len(d))
-        rmssd = math.sqrt(sum(v * v for v in d) / len(d))
-        med = statistics.median(r)
-        sd1 = rmssd / math.sqrt(2.0)
-        sd2 = math.sqrt(max(0.0, 2.0 * sdnn**2 - 0.5 * rmssd**2))
-        out[k] = {
-            "bpm": 60000.0 / ibi,
-            "ibi": ibi,
-            "sdnn": sdnn,
-            "sdsd": sdsd,
-            "rmssd": rmssd,
-            "pnn20": sum(1 for v in d if abs(v) > 20.0) / len(d),
-            "pnn50": sum(1 for v in d if abs(v) > 50.0) / len(d),
-            "mad": statistics.median([abs(v - med) for v in r]),
-            "br": true_br,
-            "sd1": sd1,
-            "sd2": sd2,
-            "s": math.pi * sd1 * sd2,
-            "sd1_sd2": sd1 / sd2 if sd2 > 0 else math.nan,
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------

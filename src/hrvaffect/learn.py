@@ -133,10 +133,6 @@ class ExtraTreesModel:
         """Per tree (leaves, lo, hi): a row reaches leaves[j] iff lo[j] < row <= hi[j]."""
         return tuple(_leaf_boxes(tree, len(self.feature_names)) for tree in self.trees)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        proba = self.predict_proba(X)
-        return np.array([self.classes[i] for i in np.argmax(proba, axis=1)])
-
 
 def _leaf_boxes(tree: Tree, n_features: int):
     lo = np.full((tree.feature.size, n_features), -np.inf)
@@ -593,9 +589,9 @@ def accuracy(y_true, y_pred) -> float:
     return float((y_true == y_pred).mean())
 
 
-def _predict_labels(model, X) -> np.ndarray:
-    proba = model.predict_proba(X)
-    return np.array([model.classes[i] for i in np.argmax(proba, axis=1)])
+def most_probable(classes: tuple[str, ...], proba: np.ndarray) -> np.ndarray:
+    """Label of the most probable class per row of a (n, n_classes) matrix."""
+    return np.array(classes)[np.argmax(proba, axis=1)]
 
 
 def evaluate(
@@ -642,7 +638,8 @@ def evaluate(
                 family, X_train[~val], y_train[~val], feature_names, params,
                 seed=seed * folds + fold, knn_k=knn_k,
             )
-            fold_acc.append(accuracy(y_train[val], _predict_labels(model, X_train[val])))
+            predicted = most_probable(model.classes, model.predict_proba(X_train[val]))
+            fold_acc.append(accuracy(y_train[val], predicted))
         cv_results[family] = FamilyCvResult(
             family=family,
             fold_accuracies=tuple(fold_acc),
@@ -661,7 +658,7 @@ def evaluate(
     }
     best_model = fitted[selected]
     holdout_proba = best_model.predict_proba(X_hold)
-    y_pred = np.array([best_model.classes[i] for i in np.argmax(holdout_proba, axis=1)])
+    y_pred = most_probable(best_model.classes, holdout_proba)
 
     classes = best_model.classes
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)

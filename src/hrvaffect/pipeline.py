@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,7 +29,18 @@ from .hrv import (
     compute_features,
     detect_beats,
 )
-from .learn import ExtraTreesParams, evaluate, model_from_dict, model_to_dict
+from .learn import (
+    DEFAULT_CV_FOLDS,
+    DEFAULT_HOLDOUT_FRACTION,
+    DEFAULT_KNN_K,
+    DEFAULT_MIN_SAMPLES_LEAF,
+    DEFAULT_N_TREES,
+    FAMILY_NAMES,
+    ExtraTreesParams,
+    evaluate,
+    model_from_dict,
+    model_to_dict,
+)
 from .serialize import config_hash, fmt9, read_csv, read_json, write_csv, write_json
 from .variance import flag_overlapping_pairs, inter_signal_variance, state_feature_stats
 
@@ -84,20 +96,20 @@ class ConfigHashMismatchError(PipelineError):
 
 @dataclass(frozen=True)
 class LearnConfig:
-    n_trees: int = 100
+    n_trees: int = DEFAULT_N_TREES
     k_features: int | None = None
-    min_samples_leaf: int = 2
-    knn_k: int = 5
-    cv_folds: int = 5
-    holdout_fraction: float = 0.2
-    families: tuple[str, ...] = ("extra_trees", "knn", "gaussian_nb")
+    min_samples_leaf: int = DEFAULT_MIN_SAMPLES_LEAF
+    knn_k: int = DEFAULT_KNN_K
+    cv_folds: int = DEFAULT_CV_FOLDS
+    holdout_fraction: float = DEFAULT_HOLDOUT_FRACTION
+    families: tuple[str, ...] = FAMILY_NAMES
     subject_wise: bool = False
 
 
 @dataclass(frozen=True)
 class ExplainConfig:
-    background_size: int = 100
-    max_instances: int = 200
+    background_size: int = explain_mod.DEFAULT_BACKGROUND_SIZE
+    max_instances: int = explain_mod.DEFAULT_MAX_INSTANCES
 
 
 @dataclass(frozen=True)
@@ -120,44 +132,31 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return doc
 
 
-_TOP_KEYS = {
-    "out_dir", "manifest_path", "synthetic_spec_path", "window", "ecg_filter",
-    "ppg_filter", "learn", "explain", "seed", "box_feature",
-}
-
-
-def _sub_config(cls, doc: dict, fieldname: str):
-    known = {f for f in cls.__dataclass_fields__}
-    unknown = set(doc) - known
+def _override(default, doc, where: str):
+    """Copy of the dataclass `default` with the fields `doc` names replaced;
+    nested sections recurse, so a partial section keeps its other defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigInvalidError(where, f"{where} must be an object")
+    hints = get_type_hints(type(default))
+    unknown = sorted(set(doc) - set(hints))
     if unknown:
-        raise ConfigInvalidError(fieldname, f"unknown {fieldname} keys: {sorted(unknown)}")
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(fieldname, f"bad {fieldname} section: {exc}") from exc
+        raise ConfigInvalidError(
+            unknown[0] if where == "config" else where, f"unknown {where} keys: {unknown}"
+        )
+    values = {}
+    for name, value in doc.items():
+        if is_dataclass(hints[name]):
+            value = _override(getattr(default, name), value, name)
+        elif get_origin(hints[name]) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigInvalidError(where, f"{name} must be a list")
+            value = tuple(value)
+        values[name] = value
+    return replace(default, **values)
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigInvalidError(sorted(unknown)[0], f"unknown config keys: {sorted(unknown)}")
-    out = dict(doc)
-    if "window" in out:
-        out["window"] = _sub_config(WindowSpec, out["window"], "window")
-    if "ecg_filter" in out:
-        out["ecg_filter"] = _sub_config(FilterSpec, out["ecg_filter"], "ecg_filter")
-    if "ppg_filter" in out:
-        out["ppg_filter"] = _sub_config(FilterSpec, out["ppg_filter"], "ppg_filter")
-    if "learn" in out:
-        learn = dict(out["learn"])
-        if "families" in learn:
-            learn["families"] = tuple(learn["families"])
-        out["learn"] = _sub_config(LearnConfig, learn, "learn")
-    if "explain" in out:
-        out["explain"] = _sub_config(ExplainConfig, out["explain"], "explain")
-    config = _sub_config(PipelineConfig, out, "config")
-    validate_config(config)
-    return config
+    return validate_config(_override(PipelineConfig(), doc, "config"))
 
 
 def validate_config(config: PipelineConfig) -> PipelineConfig:
@@ -180,7 +179,7 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     if not 0 < config.learn.holdout_fraction < 1:
         raise ConfigInvalidError("learn", "holdout_fraction must be in (0, 1)")
     for family in config.learn.families:
-        if family not in ("extra_trees", "knn", "gaussian_nb"):
+        if family not in FAMILY_NAMES:
             raise ConfigInvalidError("learn", f"unknown family {family!r}")
     if config.explain.background_size < 1 or config.explain.max_instances < 1:
         raise ConfigInvalidError("explain", "explain sizes must be >= 1")
@@ -258,13 +257,14 @@ class FeatureRow:
     features: FeatureVector | None  # None when beat detection failed
 
 
-def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
-    """Filter, window and featurize every subject; returns rows plus counters."""
-    subjects, scheme = load_subjects(config)
+def featurize(
+    subjects: list[ingest.SubjectData], config: PipelineConfig
+) -> tuple[list[FeatureRow], dict]:
+    """Filter, window and featurize in-memory subjects; returns rows sorted by
+    (subject, window, modality) plus counters."""
     rows: list[FeatureRow] = []
     stats = {
         "n_subjects": len(subjects),
-        "label_scheme": scheme.value,
         "windows_labeled": 0,
         "modalities": {
             m.value: {"rows": 0, "detect_failures": 0, "too_few_beats": 0}
@@ -297,6 +297,14 @@ def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
                     )
                 )
     rows.sort(key=lambda r: (r.subject_id, r.window_id, r.modality))
+    return rows, stats
+
+
+def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
+    """Featurize the subjects the config names; returns rows plus counters."""
+    subjects, scheme = load_subjects(config)
+    rows, stats = featurize(subjects, config)
+    stats["label_scheme"] = scheme.value
     return rows, stats
 
 
@@ -345,14 +353,19 @@ def read_feature_rows(out_dir: str | Path) -> list[FeatureRow]:
 # variance
 # ---------------------------------------------------------------------------
 
-def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
-    out, h = prepare_out_dir(config, force)
-    rows = read_feature_rows(out)
+def feature_variance(rows: list[FeatureRow]):
+    """Inter-signal variance of the featurized windows, keyed (subject_id, window_id)."""
     by_modality: dict[str, dict] = {"ECG": {}, "PPG": {}}
     for r in rows:
         if r.features is not None:
             by_modality[r.modality][(r.subject_id, r.window_id)] = r.features
-    isv = inter_signal_variance(by_modality["ECG"], by_modality["PPG"])
+    return inter_signal_variance(by_modality["ECG"], by_modality["PPG"])
+
+
+def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
+    out, h = prepare_out_dir(config, force)
+    rows = read_feature_rows(out)
+    isv = feature_variance(rows)
 
     series_rows = []
     summary_rows = []
@@ -452,7 +465,7 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
 # train / evaluate
 # ---------------------------------------------------------------------------
 
-def _modality_matrix(rows: list[FeatureRow], modality: str):
+def modality_matrix(rows: list[FeatureRow], modality: str):
     """Feature matrix for one modality, dropping rows with any missing value."""
     kept_rows, dropped = [], 0
     for r in rows:
@@ -487,7 +500,7 @@ def stage_train_eval(config: PipelineConfig, force: bool = False) -> dict:
     models_doc: dict = {"modalities": {}}
     roc_rows = []
     for modality in ("ECG", "PPG"):
-        X, y, ids, subjects, dropped = _modality_matrix(rows, modality)
+        X, y, ids, subjects, dropped = modality_matrix(rows, modality)
         report, fitted = evaluate(
             X, y, FEATURE_NAMES,
             families=config.learn.families,
@@ -564,7 +577,7 @@ def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
     for modality in ("ECG", "PPG"):
         entry = models_doc["modalities"][modality]
         model = model_from_dict(entry["model"])
-        X, y, ids, _, _ = _modality_matrix(rows, modality)
+        X, y, ids, _, _ = modality_matrix(rows, modality)
         if entry["row_ids"] != ids:
             raise PipelineError(
                 f"{FEATURES_CSV} no longer matches {MODEL_JSON} for {modality}; re-run train-eval"

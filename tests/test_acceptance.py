@@ -26,17 +26,10 @@ from hrvaffect.dsp import (
     segment_windows,
 )
 from hrvaffect.explain import sample_background, shapley_explain
-from hrvaffect.hrv import (
-    FEATURE_NAMES,
-    BeatSeries,
-    NoPlausiblePeaksError,
-    TooFewBeatsError,
-    compute_features,
-    detect_beats,
-)
+from hrvaffect.hrv import FEATURE_NAMES, BeatSeries, compute_features, detect_beats
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
 from hrvaffect.learn import ExtraTreesParams, evaluate, roc_binary, train_extra_trees
-from hrvaffect.variance import inter_signal_variance
+from hrvaffect.pipeline import PipelineConfig, feature_variance, featurize, modality_matrix
 from oracles import oracle_auc, oracle_features, oracle_shapley_permutations, sos_gain
 
 
@@ -387,33 +380,15 @@ def _twin_spec(ecg_rate, ppg_rate, noise_std):
 
 def _run_twin(spec):
     subject, _ = generate_synthetic(spec)
-    ecg = filter_signal(subject.ecg, DEFAULT_ECG_FILTER)
-    ppg = filter_signal(subject.ppg, DEFAULT_PPG_FILTER)
-    pairs = segment_windows(ecg, ppg, subject.annotations, WindowSpec())
-    features = {"ECG": {}, "PPG": {}}
-    labels = {}
-    for pair in pairs:
-        for segment in pair:
-            try:
-                fv = compute_features(detect_beats(segment), segment.sample_rate_hz)
-            except (NoPlausiblePeaksError, TooFewBeatsError):
-                continue
-            features[segment.modality.value][segment.window_id] = fv
-            labels[segment.window_id] = segment.label
-    variance = inter_signal_variance(features["ECG"], features["PPG"])
+    rows, _ = featurize([subject], PipelineConfig())
     reports = {}
     for modality in ("ECG", "PPG"):
-        X, y = [], []
-        for window_id, fv in sorted(features[modality].items()):
-            row = fv.as_array()
-            if np.isfinite(row).all():
-                X.append(row)
-                y.append(labels[window_id])
+        X, y, _, _, _ = modality_matrix(rows, modality)
         reports[modality], _ = evaluate(
-            np.array(X), np.array(y), FEATURE_NAMES,
+            X, y, FEATURE_NAMES,
             families=("extra_trees",), params=ExtraTreesParams(n_trees=100), seed=7,
         )
-    return variance, reports
+    return feature_variance(rows), reports
 
 
 def test_criterion_09_fidelity_twins():

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from hrvaffect.cli import main
+from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER
 from hrvaffect.pipeline import (
     ConfigInvalidError,
     config_from_dict,
@@ -225,6 +227,11 @@ class TestConfigRoundTrip:
                 "manifest_path": "m.json",
                 "out_dir": "x",
             })
+
+    def test_partial_section_keeps_that_sections_defaults(self):
+        config = config_from_dict({"synthetic_spec_path": "s.json", "ppg_filter": {"order": 4}})
+        assert config.ppg_filter == replace(DEFAULT_PPG_FILTER, order=4)
+        assert config.ecg_filter == DEFAULT_ECG_FILTER
 
     def test_flag_override_beats_file(self, tmp_path):
         config_path = write_config(tmp_path, out_name="override")

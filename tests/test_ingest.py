@@ -1,11 +1,9 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
 from hrvaffect.core import LabelScheme
-from hrvaffect.dsp import WindowSpec
 from hrvaffect.ingest import (
     DatasetManifest,
     InvalidSpecError,
@@ -19,7 +17,6 @@ from hrvaffect.ingest import (
     load_dataset,
     load_manifest,
     load_synthetic_spec,
-    true_window_features,
     validate_synthetic_spec,
     write_canonical,
     write_manifest,
@@ -142,15 +139,6 @@ class TestGenerateSynthetic:
         assert ann.scheme is LabelScheme.AROUSAL_VALENCE
         assert tuple(ann.values[0]) == (2.75, 2.75)
         assert tuple(ann.values[-1]) == (7.25, 7.25)
-
-    def test_true_window_features_constant_rr(self):
-        _, truth = generate_synthetic(simple_spec())
-        per_window = true_window_features(truth, WindowSpec(10.0, 1.0), 60.0)
-        assert per_window
-        for features in per_window.values():
-            assert features["bpm"] == pytest.approx(60.0, rel=1e-12)
-            assert features["sdnn"] == 0.0
-            assert math.isnan(features["br"])
 
 
 class TestCanonicalRoundTrip:
