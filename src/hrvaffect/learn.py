@@ -234,21 +234,25 @@ def train_extra_trees(
     feature_names: tuple[str, ...],
     params: ExtraTreesParams = ExtraTreesParams(),
     seed: int = 0,
+    fold: int | None = None,
 ) -> ExtraTreesModel:
-    """Train the ensemble; deterministic given (X, y, params, seed).
+    """Train the ensemble; deterministic given (X, y, params, seed, fold).
 
     Every tree owns an independent random stream derived from the seed and its
-    index, so trees are reproducible regardless of build order.
+    index, so trees are reproducible regardless of build order.  A model for
+    CV fold `fold` keys its streams by the fold as well, so it never shares a
+    stream with the model refit on the whole training partition.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     _check_matrix(X, y)
     classes, y_enc = _encode_labels(y)
     k = params.k_features or math.ceil(math.sqrt(X.shape[1]))
+    stream = (STREAM_TREES,) if fold is None else (STREAM_TREES, fold)
     trees = tuple(
         _build_tree(
             X, y_enc, len(classes), k, params.min_samples_leaf,
-            derive_rng(seed, STREAM_TREES, t),
+            derive_rng(seed, *stream, t),
         )
         for t in range(params.n_trees)
     )
@@ -420,9 +424,12 @@ def train_gaussian_nb(X: np.ndarray, y) -> GaussianNbModel:
     )
 
 
-def train_family(family: str, X, y, feature_names, params, seed: int, knn_k: int = DEFAULT_KNN_K):
+def train_family(
+    family: str, X, y, feature_names, params, seed: int, knn_k: int = DEFAULT_KNN_K,
+    fold: int | None = None,
+):
     if family == "extra_trees":
-        return train_extra_trees(X, y, feature_names, params, seed)
+        return train_extra_trees(X, y, feature_names, params, seed, fold)
     if family == "knn":
         return train_knn(X, y, knn_k)
     if family == "gaussian_nb":
@@ -636,7 +643,7 @@ def evaluate(
             val = fold_of == fold
             model = train_family(
                 family, X_train[~val], y_train[~val], feature_names, params,
-                seed=seed * folds + fold, knn_k=knn_k,
+                seed, knn_k, fold,
             )
             predicted = most_probable(model.classes, model.predict_proba(X_train[val]))
             fold_acc.append(accuracy(y_train[val], predicted))

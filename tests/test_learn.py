@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hrvaffect import learn as learn_mod
+from hrvaffect.core import STREAM_TREES, derive_rng
 from hrvaffect.learn import (
     ClassSmallerThanKError,
     DimensionMismatchError,
@@ -337,3 +339,26 @@ class TestEvaluate:
         per_class = {c: (y[report.holdout_ids] == c).sum() for c in report.confusion_labels}
         for i, c in enumerate(report.confusion_labels):
             assert report.confusion_matrix[i].sum() == per_class[c]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fold_tree_streams_never_reuse_a_refit_stream(self, seed, monkeypatch):
+        """Refit trees draw from (seed, STREAM_TREES, t); no CV fold model may
+        draw from that stream for this seed or any other."""
+        keys = []
+
+        def recording_rng(*key):
+            keys.append(key)
+            return derive_rng(*key)
+
+        monkeypatch.setattr(learn_mod, "derive_rng", recording_rng)
+        X, y = separable_fixture(n=60, n_classes=2)
+        n_trees, folds = 3, 2
+        evaluate(X, y, FEATURES, families=("extra_trees",),
+                 params=ExtraTreesParams(n_trees=n_trees), seed=seed, folds=folds)
+        tree_keys = [k for k in keys if k[1:2] == (STREAM_TREES,)]
+        fold_keys, refit_keys = tree_keys[:-n_trees], tree_keys[-n_trees:]
+        assert refit_keys == [(seed, STREAM_TREES, t) for t in range(n_trees)]
+        assert len(fold_keys) == folds * n_trees
+        any_refit = {(s, STREAM_TREES, t) for s in range(seed * folds + folds) for t in range(n_trees)}
+        assert not any_refit & set(fold_keys)
+        assert len(set(fold_keys)) == len(fold_keys)
