@@ -407,6 +407,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     for s in manifest.subjects:
         if min(s.ecg_rate_hz, s.ppg_rate_hz, s.annotation_rate_hz) <= 0:
             raise ParseError(path, 1, f"non-positive rate for subject {s.subject_id}")
+        if any(ch in s.subject_id for ch in ",\r\n"):
+            # Derived CSVs are unquoted, so such an id would shift their columns.
+            raise ParseError(
+                path, 1, f"subject_id {s.subject_id!r} contains a comma or line break"
+            )
     return manifest
 
 

@@ -174,6 +174,21 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert json.loads(result.output.strip().splitlines()[-1])["error"] == "MissingInput"
 
+    def test_subject_id_with_comma_is_a_parse_error(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FLAG_SPEC))
+        assert run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")).exit_code == 0
+        manifest_path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["subjects"][0]["subject_id"] = "S1,visit2"
+        manifest_path.write_text(json.dumps(manifest))
+        result = run_cli("extract", "--manifest", str(manifest_path), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 1
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "Parse"
+        assert "subject_id" in payload["message"]
+        assert not (tmp_path / "run" / "features.csv").exists()
+
 
 class TestSynthCommand:
     def test_synth_writes_canonical_dataset(self, tmp_path):

@@ -227,6 +227,18 @@ class TestCanonicalRoundTrip:
         with pytest.raises(ParseError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("subject_id", ["s,1", "s\n1", "s\r1"])
+    def test_manifest_rejects_ids_csv_cannot_hold(self, tmp_path, subject_id):
+        manifest = DatasetManifest(
+            "x",
+            LabelScheme.DISCRETE_STATE,
+            (SubjectFiles(subject_id, "a.csv", "b.csv", "c.csv", 700.0, 64.0, 700.0),),
+        )
+        path = tmp_path / "manifest.json"
+        write_manifest(manifest, path)
+        with pytest.raises(ParseError, match="subject_id"):
+            load_manifest(path)
+
 
 def test_load_synthetic_spec_round_trip(tmp_path):
     doc = {
