@@ -52,7 +52,7 @@ def main(argv=None):
     stage_variance(config)
     print("training and evaluating ...")
     metrics = stage_train_eval(config)
-    print("shapley importance (this is the slow stage) ...")
+    print("shapley importance ...")
     stage_importance(config)
     report_path = stage_report(config)
 

@@ -30,15 +30,8 @@ def _run_stage(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except pipeline.PipelineError as exc:
         _fail(exc.payload())
-    except (
-        ingest.MissingFileError,
-        ingest.ParseError,
-        ingest.RateMismatchError,
-        ingest.InvalidSpecError,
-        adapters.UnrecognizedLayoutError,
-    ) as exc:
-        _fail({"error": type(exc).__name__.removesuffix("Error"), "message": str(exc)})
-    except ValueError as exc:
+    except (ingest.MissingFileError, ValueError) as exc:
+        # Parse, RateMismatch, InvalidSpec and UnrecognizedLayout are ValueErrors.
         _fail({"error": type(exc).__name__.removesuffix("Error"), "message": str(exc)})
 
 

@@ -18,6 +18,7 @@ from typing import get_origin, get_type_hints
 import numpy as np
 
 from . import explain as explain_mod
+from . import learn as learn_mod
 from . import ingest, svgplot
 from .core import LabelScheme, Modality
 from .dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, FilterSpec, WindowSpec, filter_signal, segment_windows
@@ -29,18 +30,7 @@ from .hrv import (
     compute_features,
     detect_beats,
 )
-from .learn import (
-    DEFAULT_CV_FOLDS,
-    DEFAULT_HOLDOUT_FRACTION,
-    DEFAULT_KNN_K,
-    DEFAULT_MIN_SAMPLES_LEAF,
-    DEFAULT_N_TREES,
-    FAMILY_NAMES,
-    ExtraTreesParams,
-    evaluate,
-    model_from_dict,
-    model_to_dict,
-)
+from .learn import ExtraTreesParams, evaluate, model_from_dict, model_to_dict
 from .serialize import config_hash, fmt9, read_csv, read_json, write_csv, write_json
 from .variance import flag_overlapping_pairs, inter_signal_variance, state_feature_stats
 
@@ -96,13 +86,13 @@ class ConfigHashMismatchError(PipelineError):
 
 @dataclass(frozen=True)
 class LearnConfig:
-    n_trees: int = DEFAULT_N_TREES
+    n_trees: int = learn_mod.DEFAULT_N_TREES
     k_features: int | None = None
-    min_samples_leaf: int = DEFAULT_MIN_SAMPLES_LEAF
-    knn_k: int = DEFAULT_KNN_K
-    cv_folds: int = DEFAULT_CV_FOLDS
-    holdout_fraction: float = DEFAULT_HOLDOUT_FRACTION
-    families: tuple[str, ...] = FAMILY_NAMES
+    min_samples_leaf: int = learn_mod.DEFAULT_MIN_SAMPLES_LEAF
+    knn_k: int = learn_mod.DEFAULT_KNN_K
+    cv_folds: int = learn_mod.DEFAULT_CV_FOLDS
+    holdout_fraction: float = learn_mod.DEFAULT_HOLDOUT_FRACTION
+    families: tuple[str, ...] = learn_mod.FAMILY_NAMES
     subject_wise: bool = False
 
 
@@ -179,7 +169,7 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     if not 0 < config.learn.holdout_fraction < 1:
         raise ConfigInvalidError("learn", "holdout_fraction must be in (0, 1)")
     for family in config.learn.families:
-        if family not in FAMILY_NAMES:
+        if family not in learn_mod.FAMILY_NAMES:
             raise ConfigInvalidError("learn", f"unknown family {family!r}")
     if config.explain.background_size < 1 or config.explain.max_instances < 1:
         raise ConfigInvalidError("explain", "explain sizes must be >= 1")
