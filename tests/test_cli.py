@@ -309,10 +309,10 @@ def flag_inputs(tmp_path_factory):
     return root
 
 
-def _flag_base(root: Path, **overlay) -> dict:
+def _flag_base(root: Path, spec_path: Path | None, **overlay) -> dict:
     doc = {
         "out_dir": str(root / "run"),
-        "synthetic_spec_path": str(root / "spec.json"),
+        "synthetic_spec_path": str(spec_path) if spec_path else None,
         "ecg_filter": {"order": 3, "low_cut_hz": 0.67, "high_cut_hz": 40.0, "zero_phase": True},
         "ppg_filter": {"order": 3, "low_cut_hz": 0.5, "high_cut_hz": 8.0, "zero_phase": True},
     }
@@ -336,8 +336,7 @@ def _stamp_with_flags(root: Path, base: dict, flags: list[str], out_dir: str | N
     "flags, path, expected, overlay", FLAG_CASES, ids=[" ".join(c[0]) for c in FLAG_CASES]
 )
 def test_config_flag_lands_at_its_field(flag_inputs, tmp_path, flags, path, expected, overlay):
-    base = _flag_base(tmp_path, **overlay)
-    base["synthetic_spec_path"] = str(flag_inputs / "spec.json")
+    base = _flag_base(tmp_path, flag_inputs / "spec.json", **overlay)
     stamped, want = _stamp_with_flags(tmp_path, base, flags)
     section = want
     for key in path[:-1]:
@@ -347,24 +346,24 @@ def test_config_flag_lands_at_its_field(flag_inputs, tmp_path, flags, path, expe
     assert stamped == want
 
 
-@pytest.mark.parametrize("flag, key", [
-    ("--manifest", "manifest_path"), ("--synthetic-spec", "synthetic_spec_path"),
+@pytest.mark.parametrize("flag, key, name, other", [
+    ("--manifest", "manifest_path", "data/manifest.json", "synthetic_spec_path"),
+    ("--synthetic-spec", "synthetic_spec_path", "spec.json", "manifest_path"),
 ])
-def test_input_flags_land_at_their_field(flag_inputs, tmp_path, flag, key):
-    value = str(flag_inputs / ("data/manifest.json" if key == "manifest_path" else "spec.json"))
-    base = _flag_base(tmp_path, synthetic_spec_path=None)
+def test_input_flags_land_at_their_field(flag_inputs, tmp_path, flag, key, name, other):
+    value = str(flag_inputs / name)
+    base = _flag_base(tmp_path, None)
     config_path = tmp_path / "base.json"
     config_path.write_text(json.dumps(base))
     result = run_cli("extract", "--config", str(config_path), flag, value)
     assert result.exit_code == 0, result.output
     stamped = json.loads((tmp_path / "run" / "config.json").read_text())["config"]
     assert stamped[key] == value
-    assert stamped["manifest_path" if key != "manifest_path" else "synthetic_spec_path"] is None
+    assert stamped[other] is None
 
 
 def test_out_flag_lands_at_out_dir(flag_inputs, tmp_path):
-    base = _flag_base(tmp_path)
-    base["synthetic_spec_path"] = str(flag_inputs / "spec.json")
+    base = _flag_base(tmp_path, flag_inputs / "spec.json")
     elsewhere = str(tmp_path / "elsewhere")
     stamped, want = _stamp_with_flags(tmp_path, base, ["--out", elsewhere], elsewhere)
     assert want["out_dir"] != elsewhere
