@@ -141,6 +141,75 @@ class TestExtraTrees:
         assert np.array_equal(restored.predict_proba(X), model.predict_proba(X))
 
 
+def node_rows(tree, X):
+    """Training rows reaching each node, routed as Tree.leaf_ids routes them."""
+    reach = {0: np.arange(X.shape[0])}
+    for node in range(tree.feature.size):  # children follow their parent
+        f = tree.feature[node]
+        if f >= 0:
+            rows = reach[node]
+            go_left = X[rows, f] <= tree.threshold[node]
+            reach[int(tree.left[node])] = rows[go_left]
+            reach[int(tree.right[node])] = rows[~go_left]
+    return reach
+
+
+def tied_fixture(n=90, seed=0):
+    """Three classes on coarse values: many ties, constant nodes and pure runs."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 13)), 1)
+    X[:, 3] = 1.0  # a feature constant everywhere
+    y = np.array([f"c{i % 3}" for i in range(n)])
+    X[y == "c0", 0] += 3.0
+    return X, y
+
+
+class TestBuilderInvariants:
+    CASES = [
+        (separable_fixture, 1, 4),
+        (separable_fixture, 2, 4),
+        (tied_fixture, 1, None),
+        (tied_fixture, 3, 13),
+        (tied_fixture, 7, 2),
+    ]
+
+    @pytest.mark.parametrize("fixture, min_leaf, k", CASES)
+    def test_every_split_obeys_the_split_rules(self, fixture, min_leaf, k):
+        X, y = fixture()
+        model = train_extra_trees(
+            X, y, FEATURES, ExtraTreesParams(n_trees=6, k_features=k, min_samples_leaf=min_leaf),
+            seed=2,
+        )
+        y_enc = np.searchsorted(model.classes, y)
+        for tree in model.trees:
+            reach = node_rows(tree, X)
+            assert sorted(reach) == list(range(tree.feature.size))
+            for node, rows in reach.items():
+                counts = np.bincount(y_enc[rows], minlength=len(model.classes))
+                assert np.array_equal(tree.probs[node], counts / counts.sum())
+                f = tree.feature[node]
+                if np.count_nonzero(counts) == 1 or rows.size < 2 * min_leaf:
+                    assert f == -1
+                if f < 0:
+                    continue
+                col = X[rows, f]
+                assert col.min() < tree.threshold[node] < col.max()
+                assert reach[int(tree.left[node])].size >= min_leaf
+                assert reach[int(tree.right[node])].size >= min_leaf
+
+    @pytest.mark.parametrize("fold", [None, 1])
+    def test_tree_does_not_depend_on_forest_size(self, fold):
+        X, y = tied_fixture()
+        small = train_extra_trees(X, y, FEATURES, ExtraTreesParams(n_trees=3), seed=8, fold=fold)
+        large = train_extra_trees(X, y, FEATURES, ExtraTreesParams(n_trees=10), seed=8, fold=fold)
+        for ts, tl in zip(small.trees, large.trees):
+            assert np.array_equal(ts.feature, tl.feature)
+            assert np.array_equal(ts.threshold, tl.threshold, equal_nan=True)
+            assert np.array_equal(ts.left, tl.left)
+            assert np.array_equal(ts.right, tl.right)
+            assert np.array_equal(ts.probs, tl.probs)
+
+
 def hand_model(trees, n_features=2, classes=("a", "b")):
     return ExtraTreesModel(
         trees=tuple(trees),
