@@ -3,8 +3,10 @@
 The primary model is an extremely-randomized-trees ensemble built here rather
 than borrowed: each tree trains on the full training set (no bootstrap), draws
 k candidate features per node with one uniform threshold each inside that
-feature's node-local range, and keeps the split with the largest Gini decrease.
-Two simple baselines (kNN on z-scored features, Gaussian naive Bayes) share
+feature's node-local range, and keeps the split with the largest Gini decrease
+(Geurts, Ernst & Wehenkel, Mach. Learn. 2006).  All trees of a forest grow
+together, level by level: one numpy pass splits every open node of every tree
+at that depth.  Two simple baselines (kNN on z-scored features, Gaussian naive Bayes) share
 the predict_proba contract for model selection.
 """
 
@@ -153,78 +155,118 @@ def _leaf_boxes(tree: Tree, n_features: int):
     return leaves, lo[leaves], hi[leaves]
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    p = counts / total
-    return 1.0 - float(np.dot(p, p))
-
-
-def _build_tree(
+def _grow_forest(
     X: np.ndarray, y_enc: np.ndarray, n_classes: int, k: int, min_leaf: int,
-    rng: np.random.Generator,
-) -> Tree:
-    n_features = X.shape[1]
-    feature, threshold, left, right, probs = [], [], [], [], []
+    rngs: list[np.random.Generator],
+) -> tuple[Tree, ...]:
+    """Grow one tree per generator, all of them together one depth at a time.
 
-    def new_node(rows: np.ndarray) -> int:
-        idx = len(feature)
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        counts = np.bincount(y_enc[rows], minlength=n_classes).astype(np.float64)
-        probs.append(counts / counts.sum())
-        return idx
+    The open nodes of a depth are held in (tree, node id) order, and the rows
+    that reach the splittable ones are sorted by node, so each node owns one
+    run of `rows`.  Tree t's nodes at a depth draw, in node id order, from
+    rngs[t] alone: a tree never depends on the trees built beside it.
+    """
+    n_rows, n_features = X.shape
+    n_trees = len(rngs)
+    k = min(k, n_features)
+    flat = X.reshape(-1)
+    # The open nodes of the current depth.
+    tree_of = np.arange(n_trees)
+    node_id = np.zeros(n_trees, dtype=np.int64)
+    counts = np.tile(np.bincount(y_enc, minlength=n_classes), (n_trees, 1))
+    rows = np.tile(np.arange(n_rows), n_trees)
+    slot = np.repeat(np.arange(n_trees), n_rows)  # open node of each entry of rows
+    next_id = np.ones(n_trees, dtype=np.int64)
+    depths = []  # (tree_of, node_id, counts, feature, threshold, left) per depth
+    while tree_of.size:
+        feature = np.full(tree_of.size, -1, dtype=np.int64)
+        threshold = np.full(tree_of.size, np.nan)
+        left = np.full(tree_of.size, -1, dtype=np.int64)
+        depths.append((tree_of, node_id, counts, feature, threshold, left))
 
-    # Explicit stack keeps deep trees clear of the recursion limit.
-    root_rows = np.arange(X.shape[0])
-    stack = [(new_node(root_rows), root_rows)]
-    while stack:
-        node_id, rows = stack.pop()
-        labels = y_enc[rows]
-        if labels.size < 2 * min_leaf or (labels == labels[0]).all():
-            continue
-        parent_gini = _gini(np.bincount(labels, minlength=n_classes))
+        sizes = counts.sum(axis=1)
+        splittable = (sizes >= 2 * min_leaf) & ((counts > 0).sum(axis=1) > 1)
+        nodes = np.flatnonzero(splittable)
+        if nodes.size == 0:
+            break
+        keep = splittable[slot]
+        rows, slot = rows[keep], (np.cumsum(splittable) - 1)[slot[keep]]
+        node_counts = counts[nodes]
+        per_tree = np.bincount(tree_of[nodes], minlength=n_trees)
 
-        candidates = rng.choice(n_features, size=min(k, n_features), replace=False)
-        best = None  # (decrease, feature, threshold, left_mask)
-        for f in candidates:
-            col = X[rows, f]
-            lo, hi = float(col.min()), float(col.max())
-            if lo == hi:
-                continue
-            thr = float(rng.uniform(lo, hi))
-            if not lo < thr < hi:
-                continue
-            left_mask = col <= thr
-            n_left = int(left_mask.sum())
-            if n_left < min_leaf or rows.size - n_left < min_leaf:
-                continue
-            gini_left = _gini(np.bincount(labels[left_mask], minlength=n_classes))
-            gini_right = _gini(np.bincount(labels[~left_mask], minlength=n_classes))
-            decrease = parent_gini - (
-                n_left * gini_left + (rows.size - n_left) * gini_right
-            ) / rows.size
-            if best is None or decrease > best[0]:
-                best = (decrease, int(f), thr, left_mask)
-        if best is None:
-            continue
-        _, f, thr, left_mask = best
-        feature[node_id] = f
-        threshold[node_id] = thr
-        left_id = new_node(rows[left_mask])
-        right_id = new_node(rows[~left_mask])
-        left[node_id] = left_id
-        right[node_id] = right_id
-        stack.append((right_id, rows[~left_mask]))
-        stack.append((left_id, rows[left_mask]))
+        # Per node: k distinct features (the first k of a random order) and
+        # one uniform for each candidate's threshold.
+        draws = np.concatenate([
+            rngs[t].random((m, n_features + k)) for t, m in enumerate(per_tree) if m
+        ])
+        candidates = np.argsort(draws[:, :n_features], axis=1, kind="stable")[:, :k]
+        values = flat[rows[:, None] * n_features + candidates[slot]]  # (entries, k)
+        starts = np.concatenate([[0], np.cumsum(sizes[nodes])[:-1]])
+        lo = np.minimum.reduceat(values, starts)
+        hi = np.maximum.reduceat(values, starts)
+        thresholds = lo + draws[:, n_features:] * (hi - lo)
+        goes_left = values <= thresholds[slot]
 
-    return Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        probs=np.array(probs, dtype=np.float64),
+        # Class counts left of each candidate split: one bincount over
+        # (node, candidate, class).
+        key = (slot[:, None] * k + np.arange(k)) * n_classes + y_enc[rows][:, None]
+        left_counts = np.bincount(
+            key[goes_left], minlength=nodes.size * k * n_classes
+        ).reshape(nodes.size, k, n_classes)
+        right_counts = node_counts[:, None, :] - left_counts
+        n_left, n_right = left_counts.sum(axis=2), right_counts.sum(axis=2)
+        valid = (
+            (lo < thresholds) & (thresholds < hi)
+            & (n_left >= min_leaf) & (n_right >= min_leaf)
+        )
+        # The Gini decrease of a split is (this score / node size) plus a
+        # per-node constant, so its largest value picks the same candidate.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = (
+                (left_counts ** 2).sum(axis=2) / n_left
+                + (right_counts ** 2).sum(axis=2) / n_right
+            )
+        best = np.argmax(np.where(valid, score, -np.inf), axis=1)  # first of ties
+        split = np.flatnonzero(valid.any(axis=1))
+        best_split = best[split]
+        parents = nodes[split]
+
+        # Children take the next ids of their tree, in parent order.
+        parent_tree = tree_of[parents]
+        per_tree = np.bincount(parent_tree, minlength=n_trees)
+        rank = np.arange(split.size) - (np.cumsum(per_tree) - per_tree)[parent_tree]
+        left_id = next_id[parent_tree] + 2 * rank
+        next_id += 2 * per_tree
+        feature[parents] = candidates[split, best_split]
+        threshold[parents] = thresholds[split, best_split]
+        left[parents] = left_id
+
+        # Rows move to their children; children of split s sit at 2s and 2s+1.
+        child = np.full(nodes.size, -1)
+        child[split] = 2 * np.arange(split.size)
+        moved = child[slot] >= 0
+        went_right = ~goes_left[np.arange(slot.size), best[slot]]
+        slot = (child[slot] + went_right)[moved]
+        order = np.argsort(slot, kind="stable")
+        rows, slot = rows[moved][order], slot[order]
+        tree_of = np.repeat(parent_tree, 2)
+        node_id = np.stack([left_id, left_id + 1], axis=1).ravel()
+        counts = np.stack(
+            [left_counts[split, best_split], right_counts[split, best_split]], axis=1
+        ).reshape(-1, n_classes)
+
+    tree_of, node_id, counts, feature, threshold, left = (
+        np.concatenate(parts) for parts in zip(*depths)
+    )
+    order = np.lexsort((node_id, tree_of))
+    bounds = np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1]
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    right = np.where(left >= 0, left + 1, -1)
+    return tuple(
+        Tree(feature=f, threshold=thr, left=lft, right=rgt, probs=p)
+        for f, thr, lft, rgt, p in zip(*(
+            np.split(a[order], bounds) for a in (feature, threshold, left, right, probs)
+        ))
     )
 
 
@@ -238,23 +280,23 @@ def train_extra_trees(
 ) -> ExtraTreesModel:
     """Train the ensemble; deterministic given (X, y, params, seed, fold).
 
-    Every tree owns an independent random stream derived from the seed and its
-    index, so trees are reproducible regardless of build order.  A model for
-    CV fold `fold` keys its streams by the fold as well, so it never shares a
-    stream with the model refit on the whole training partition.
+    All trees grow together, one depth at a time (see _grow_forest).  Every
+    tree owns an independent random stream derived from the seed and its
+    index, so a tree is the same however many trees are built beside it.  A
+    model for CV fold `fold` keys its streams by the fold as well, so it never
+    shares a stream with the model refit on the whole training partition.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     _check_matrix(X, y)
+    if params.n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {params.n_trees}")
     classes, y_enc = _encode_labels(y)
     k = params.k_features or math.ceil(math.sqrt(X.shape[1]))
     stream = (STREAM_TREES,) if fold is None else (STREAM_TREES, fold)
-    trees = tuple(
-        _build_tree(
-            X, y_enc, len(classes), k, params.min_samples_leaf,
-            derive_rng(seed, *stream, t),
-        )
-        for t in range(params.n_trees)
+    trees = _grow_forest(
+        X, y_enc, len(classes), k, params.min_samples_leaf,
+        [derive_rng(seed, *stream, t) for t in range(params.n_trees)],
     )
     return ExtraTreesModel(
         trees=trees, params=params, seed=seed, classes=classes,
