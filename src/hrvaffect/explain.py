@@ -61,6 +61,63 @@ def _pair_weights(n_features: int) -> np.ndarray:
     return w
 
 
+def _routable(values: np.ndarray) -> np.ndarray:
+    # As in Tree.leaf_ids, NaN and +inf go right at every finite split, -inf left.
+    return np.nan_to_num(
+        values, nan=np.inf, posinf=np.inf, neginf=np.finfo(np.float64).min
+    )
+
+
+def _background_in(model: ExtraTreesModel, background: np.ndarray) -> list[np.ndarray]:
+    """Per tree, (rows, leaves, features): where each leaf box admits each
+    background row.  It does not depend on the instance explained."""
+    background = np.asarray(background, dtype=np.float64)
+    if background.ndim != 2 or background.shape[0] == 0:
+        raise EmptyBackgroundError("background must be a non-empty (n, features) matrix")
+    if background.shape[1] != len(model.feature_names):
+        raise DimensionMismatchError(
+            f"instance/background must have {len(model.feature_names)} features"
+        )
+    background = _routable(background)[:, None, :]
+    return [(background > lo) & (background <= hi) for _, lo, hi in model.leaf_boxes]
+
+
+def _explain(
+    model: ExtraTreesModel,
+    x: np.ndarray,
+    background_in: list[np.ndarray],
+    class_label: str,
+    instance_id: object,
+) -> ShapExplanation:
+    x = np.asarray(x, dtype=np.float64).ravel()
+    n_features = len(model.feature_names)
+    if x.size != n_features:
+        raise DimensionMismatchError(
+            f"instance/background must have {n_features} features"
+        )
+    class_index = model.classes.index(class_label)
+    x = _routable(x)
+    weights = _pair_weights(n_features)
+    phi = np.zeros(n_features)
+    base_value = 0.0
+    for tree, (leaves, lo, hi), r_in in zip(model.trees, model.leaf_boxes, background_in):
+        x_in = (x > lo) & (x <= hi)  # (leaves, features)
+        rows, cols = np.nonzero((x_in | r_in).all(axis=2))
+        only_x = x_in[cols] & ~r_in[rows, cols]
+        only_r = r_in[rows, cols] & ~x_in[cols]
+        a, b = only_x.sum(axis=1), only_r.sum(axis=1)
+        value = tree.probs[leaves[cols], class_index]
+        base_value += float(value[a == 0].sum())
+        phi += (value * weights[a, b]) @ only_x - (value * weights[b, a]) @ only_r
+    n_pairs = len(model.trees) * background_in[0].shape[0]
+    return ShapExplanation(
+        instance_id=instance_id,
+        class_label=class_label,
+        base_value=base_value / n_pairs,
+        phi=phi / n_pairs,
+    )
+
+
 def shapley_explain(
     model: ExtraTreesModel,
     x: np.ndarray,
@@ -77,42 +134,7 @@ def shapley_explain(
     rows; base_value, v(empty set), is the mean v over the pairs with A empty.
     By the Shapley identity, base_value + sum(phi) equals the probability on x.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    background = np.asarray(background, dtype=np.float64)
-    if background.ndim != 2 or background.shape[0] == 0:
-        raise EmptyBackgroundError("background must be a non-empty (n, features) matrix")
-    n_features = len(model.feature_names)
-    if x.size != n_features or background.shape[1] != n_features:
-        raise DimensionMismatchError(
-            f"instance/background must have {n_features} features"
-        )
-    class_index = model.classes.index(class_label)
-
-    # As in Tree.leaf_ids, NaN and +inf go right at every finite split, -inf left.
-    x, background = (
-        np.nan_to_num(v, nan=np.inf, posinf=np.inf, neginf=np.finfo(np.float64).min)
-        for v in (x, background)
-    )
-    weights = _pair_weights(n_features)
-    phi = np.zeros(n_features)
-    base_value = 0.0
-    for tree, (leaves, lo, hi) in zip(model.trees, model.leaf_boxes):
-        x_in = (x > lo) & (x <= hi)  # (leaves, features)
-        r_in = (background[:, None, :] > lo) & (background[:, None, :] <= hi)
-        rows, cols = np.nonzero((x_in | r_in).all(axis=2))
-        only_x = x_in[cols] & ~r_in[rows, cols]
-        only_r = r_in[rows, cols] & ~x_in[cols]
-        a, b = only_x.sum(axis=1), only_r.sum(axis=1)
-        value = tree.probs[leaves[cols], class_index]
-        base_value += float(value[a == 0].sum())
-        phi += (value * weights[a, b]) @ only_x - (value * weights[b, a]) @ only_r
-    n_pairs = len(model.trees) * background.shape[0]
-    return ShapExplanation(
-        instance_id=instance_id,
-        class_label=class_label,
-        base_value=base_value / n_pairs,
-        phi=phi / n_pairs,
-    )
+    return _explain(model, x, _background_in(model, background), class_label, instance_id)
 
 
 def sample_background(X: np.ndarray, size: int = DEFAULT_BACKGROUND_SIZE, seed: int = 0) -> np.ndarray:
@@ -155,9 +177,10 @@ def global_importance(
     state_sums: dict[str, np.ndarray] = {}
     state_counts: dict[str, int] = {}
     points = []
+    background_in = _background_in(model, background)
     for idx in indices:
-        explanation = shapley_explain(
-            model, X[idx], background, str(y[idx]), instance_id=instance_ids[idx]
+        explanation = _explain(
+            model, X[idx], background_in, str(y[idx]), instance_ids[idx]
         )
         abs_phi = np.abs(explanation.phi)
         abs_sum += abs_phi

@@ -197,6 +197,24 @@ class TestGlobalImportance:
         assert feature == "f0"
         assert isinstance(phi, float) and isinstance(value, float)
 
+    def test_points_equal_per_instance_explanations_exactly(self, fitted):
+        model, X, y = fitted
+        X_nan = X[:20].copy()
+        X_nan[3, 1] = np.nan
+        X_nan[7, 2] = -np.inf
+        report = global_importance(
+            model, X_nan, y[:20], [f"w{i}" for i in range(20)], X[30:60],
+            seed=1, max_instances=9,
+        )
+        by_instance = {}
+        for instance_id, state, feature, phi, value in report.points:
+            by_instance.setdefault(instance_id, {})[feature] = phi
+        assert len(by_instance) == 9
+        for instance_id, phis in by_instance.items():
+            i = int(instance_id[1:])
+            alone = shapley_explain(model, X_nan[i], X[30:60], str(y[i]), instance_id)
+            assert [phis[name] for name in model.feature_names] == alone.phi.tolist()
+
     def test_duplicated_feature_importance_splits_but_sums(self):
         # Duplicating the informative feature should leave the pair's summed
         # importance near the original single-feature importance.  Every
