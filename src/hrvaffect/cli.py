@@ -137,7 +137,14 @@ def _build_config(config_path, **flags) -> pipeline.PipelineConfig:
         if not Path(config_path).exists():
             _fail({"error": "MissingInput", "message": f"config file not found: {config_path}",
                    "input": str(config_path)})
-        doc = read_json(config_path)
+        try:
+            doc = read_json(config_path)
+        except (OSError, ValueError) as exc:
+            _fail(pipeline.ConfigInvalidError(
+                "config", f"cannot read {config_path} as JSON: {exc}"
+            ).payload())
+        if not isinstance(doc, dict):
+            _fail(pipeline.ConfigInvalidError("config", "config must be an object").payload())
         doc.pop("config_hash", None)
     for path, _ in _CONFIG_FIELDS:
         value = flags["__".join(path)]
@@ -145,7 +152,8 @@ def _build_config(config_path, **flags) -> pipeline.PipelineConfig:
             section = doc
             for key in path[:-1]:
                 section = section.setdefault(key, {})
-            section[path[-1]] = value
+            if isinstance(section, dict):  # else config_from_dict names the section
+                section[path[-1]] = value
     try:
         return pipeline.config_from_dict(doc)
     except pipeline.PipelineError as exc:

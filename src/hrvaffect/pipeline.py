@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -122,6 +122,20 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return doc
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated `hint`."""
+    args = get_args(hint)
+    if type(None) in args:
+        return value is None or any(_fits(value, arg) for arg in args if arg is not type(None))
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 def _override(default, doc, where: str):
     """Copy of the dataclass `default` with the fields `doc` names replaced;
     nested sections recurse, so a partial section keeps its other defaults."""
@@ -137,9 +151,14 @@ def _override(default, doc, where: str):
     for name, value in doc.items():
         if is_dataclass(hints[name]):
             value = _override(getattr(default, name), value, name)
+        elif not _fits(value, hints[name]):
+            hint = hints[name]
+            raise ConfigInvalidError(
+                name if where == "config" else where,
+                f"{name} must be {hint.__name__ if isinstance(hint, type) else hint}, "
+                f"got {value!r}",
+            )
         elif get_origin(hints[name]) is tuple:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigInvalidError(where, f"{name} must be a list")
             value = tuple(value)
         values[name] = value
     return replace(default, **values)
@@ -168,9 +187,17 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
         raise ConfigInvalidError("learn", "cv_folds must be >= 2")
     if not 0 < config.learn.holdout_fraction < 1:
         raise ConfigInvalidError("learn", "holdout_fraction must be in (0, 1)")
+    if not config.learn.families:
+        raise ConfigInvalidError("learn", "families must name at least one model family")
     for family in config.learn.families:
         if family not in learn_mod.FAMILY_NAMES:
             raise ConfigInvalidError("learn", f"unknown family {family!r}")
+    if config.learn.n_trees < 1:
+        raise ConfigInvalidError("learn", "n_trees must be >= 1")
+    if config.learn.k_features is not None and config.learn.k_features < 1:
+        raise ConfigInvalidError("learn", "k_features must be >= 1 when set")
+    if config.learn.min_samples_leaf < 1:
+        raise ConfigInvalidError("learn", "min_samples_leaf must be >= 1")
     if config.explain.background_size < 1 or config.explain.max_instances < 1:
         raise ConfigInvalidError("explain", "explain sizes must be >= 1")
     return config

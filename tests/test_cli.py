@@ -155,6 +155,22 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert json.loads(result.output.strip().splitlines()[-1])["error"] == "ConfigInvalid"
 
+    @pytest.mark.parametrize("text, flags, field", [
+        ('{"out_dir": "x",', [], "config"),
+        ("[1]", [], "config"),
+        ('{"synthetic_spec_path": "s.json", "window": {"window_len_s": "abc"}}', [], "window"),
+        ('{"synthetic_spec_path": "s.json", "learn": 5}', ["--n-trees", "3"], "learn"),
+    ], ids=["invalid_json", "not_an_object", "wrong_typed_value", "section_not_an_object"])
+    def test_malformed_config_file(self, tmp_path, text, flags, field):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(text)
+        result = CliRunner().invoke(main, ["extract", "--config", str(config_path), *flags])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigInvalid"
+        assert payload["field"] == field
+
     def test_hash_guard_requires_force(self, tmp_path):
         config_path = write_config(tmp_path, out_name="guarded")
         assert run_cli("extract", "--config", str(config_path)).exit_code == 0
@@ -242,6 +258,18 @@ class TestConfigRoundTrip:
                 "manifest_path": "m.json",
                 "out_dir": "x",
             })
+
+    @pytest.mark.parametrize("learn", [
+        {"families": []},
+        {"n_trees": 0},
+        {"k_features": 0},
+        {"k_features": -1},
+        {"min_samples_leaf": 0},
+    ], ids=["no_families", "no_trees", "zero_k", "negative_k", "zero_min_leaf"])
+    def test_learn_settings_that_break_training_are_rejected(self, learn):
+        with pytest.raises(ConfigInvalidError) as info:
+            config_from_dict({"synthetic_spec_path": "s.json", "learn": learn})
+        assert info.value.fieldname == "learn"
 
     def test_partial_section_keeps_that_sections_defaults(self):
         config = config_from_dict({"synthetic_spec_path": "s.json", "ppg_filter": {"order": 4}})
