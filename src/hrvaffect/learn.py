@@ -163,8 +163,9 @@ def _grow_forest(
 
     The open nodes of a depth are held in (tree, node id) order, and the rows
     that reach the splittable ones are sorted by node, so each node owns one
-    run of `rows`.  Tree t's nodes at a depth draw, in node id order, from
-    rngs[t] alone: a tree never depends on the trees built beside it.
+    run of `rows`.  Node ids are given depth by depth, so they follow that
+    order.  Tree t's nodes at a depth draw, in node id order, from rngs[t]
+    alone: a tree never depends on the trees built beside it.
     """
     n_rows, n_features = X.shape
     n_trees = len(rngs)
@@ -172,17 +173,16 @@ def _grow_forest(
     flat = X.reshape(-1)
     # The open nodes of the current depth.
     tree_of = np.arange(n_trees)
-    node_id = np.zeros(n_trees, dtype=np.int64)
     counts = np.tile(np.bincount(y_enc, minlength=n_classes), (n_trees, 1))
     rows = np.tile(np.arange(n_rows), n_trees)
     slot = np.repeat(np.arange(n_trees), n_rows)  # open node of each entry of rows
     next_id = np.ones(n_trees, dtype=np.int64)
-    depths = []  # (tree_of, node_id, counts, feature, threshold, left) per depth
+    depths = []  # (tree_of, counts, feature, threshold, left) per depth
     while tree_of.size:
         feature = np.full(tree_of.size, -1, dtype=np.int64)
         threshold = np.full(tree_of.size, np.nan)
         left = np.full(tree_of.size, -1, dtype=np.int64)
-        depths.append((tree_of, node_id, counts, feature, threshold, left))
+        depths.append((tree_of, counts, feature, threshold, left))
 
         sizes = counts.sum(axis=1)
         splittable = (sizes >= 2 * min_leaf) & ((counts > 0).sum(axis=1) > 1)
@@ -191,7 +191,6 @@ def _grow_forest(
             break
         keep = splittable[slot]
         rows, slot = rows[keep], (np.cumsum(splittable) - 1)[slot[keep]]
-        node_counts = counts[nodes]
         per_tree = np.bincount(tree_of[nodes], minlength=n_trees)
 
         # Per node: k distinct features (the first k of a random order) and
@@ -213,7 +212,7 @@ def _grow_forest(
         left_counts = np.bincount(
             key[goes_left], minlength=nodes.size * k * n_classes
         ).reshape(nodes.size, k, n_classes)
-        right_counts = node_counts[:, None, :] - left_counts
+        right_counts = counts[nodes][:, None, :] - left_counts
         n_left, n_right = left_counts.sum(axis=2), right_counts.sum(axis=2)
         valid = (
             (lo < thresholds) & (thresholds < hi)
@@ -250,15 +249,14 @@ def _grow_forest(
         order = np.argsort(slot, kind="stable")
         rows, slot = rows[moved][order], slot[order]
         tree_of = np.repeat(parent_tree, 2)
-        node_id = np.stack([left_id, left_id + 1], axis=1).ravel()
         counts = np.stack(
             [left_counts[split, best_split], right_counts[split, best_split]], axis=1
         ).reshape(-1, n_classes)
 
-    tree_of, node_id, counts, feature, threshold, left = (
+    tree_of, counts, feature, threshold, left = (
         np.concatenate(parts) for parts in zip(*depths)
     )
-    order = np.lexsort((node_id, tree_of))
+    order = np.argsort(tree_of, kind="stable")
     bounds = np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1]
     probs = counts / counts.sum(axis=1, keepdims=True)
     right = np.where(left >= 0, left + 1, -1)
