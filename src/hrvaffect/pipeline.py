@@ -149,16 +149,16 @@ def _override(default, doc, where: str):
         )
     values = {}
     for name, value in doc.items():
-        if is_dataclass(hints[name]):
+        hint = hints[name]
+        if is_dataclass(hint):
             value = _override(getattr(default, name), value, name)
-        elif not _fits(value, hints[name]):
-            hint = hints[name]
+        elif not _fits(value, hint):
             raise ConfigInvalidError(
                 name if where == "config" else where,
                 f"{name} must be {hint.__name__ if isinstance(hint, type) else hint}, "
                 f"got {value!r}",
             )
-        elif get_origin(hints[name]) is tuple:
+        elif get_origin(hint) is tuple:
             value = tuple(value)
         values[name] = value
     return replace(default, **values)
