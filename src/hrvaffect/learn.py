@@ -6,8 +6,8 @@ k candidate features per node with one uniform threshold each inside that
 feature's node-local range, and keeps the split with the largest Gini decrease
 (Geurts, Ernst & Wehenkel, Mach. Learn. 2006).  All trees of a forest grow
 together, level by level: one numpy pass splits every open node of every tree
-at that depth.  Two simple baselines (kNN on z-scored features, Gaussian naive Bayes) share
-the predict_proba contract for model selection.
+at that depth.  Two simple baselines (kNN on z-scored features, Gaussian
+naive Bayes) share the predict_proba contract for model selection.
 """
 
 from __future__ import annotations
@@ -232,10 +232,10 @@ def _grow_forest(
 
         # Children take the next ids of their tree, in parent order.
         parent_tree = tree_of[parents]
-        per_tree = np.bincount(parent_tree, minlength=n_trees)
-        rank = np.arange(split.size) - (np.cumsum(per_tree) - per_tree)[parent_tree]
+        splits = np.bincount(parent_tree, minlength=n_trees)
+        rank = np.arange(split.size) - (np.cumsum(splits) - splits)[parent_tree]
         left_id = next_id[parent_tree] + 2 * rank
-        next_id += 2 * per_tree
+        next_id += 2 * splits
         feature[parents] = candidates[split, best_split]
         threshold[parents] = thresholds[split, best_split]
         left[parents] = left_id
