@@ -10,28 +10,12 @@ which makes the Poincare identities exact and testable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import signal as sps
 
 from .core import WindowedSegment
-
-FEATURE_NAMES = (
-    "bpm",
-    "ibi",
-    "sdnn",
-    "sdsd",
-    "rmssd",
-    "pnn20",
-    "pnn50",
-    "mad",
-    "br",
-    "sd1",
-    "sd2",
-    "s",
-    "sd1_sd2",
-)
 
 # Detection ladder and physiological plausibility bounds.
 THRESHOLD_FACTORS = (1.05, 1.10, 1.20, 1.30, 1.50, 2.00, 2.50, 3.00)
@@ -96,6 +80,9 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def _rolling_mean(x: np.ndarray, span: int) -> np.ndarray:

@@ -446,18 +446,21 @@ def _read_annotation_csv(path: Path, scheme: LabelScheme) -> np.ndarray:
         expected = "index,label" if discrete else "index,arousal,valence"
         if header != expected:
             raise ParseError(path, 1, f"expected header {expected!r}, got {header!r}")
+        n_fields = expected.count(",") + 1
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != n_fields:
+                raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
             try:
                 if discrete:
                     rows.append(int(parts[1]))
                 else:
                     rows.append((float(parts[1]), float(parts[2])))
-            except (ValueError, IndexError):
+            except ValueError:
                 raise ParseError(path, lineno, f"malformed annotation row {line!r}") from None
     return np.array(rows, dtype=np.int64 if discrete else np.float64)
 

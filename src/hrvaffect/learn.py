@@ -110,6 +110,14 @@ class ExtraTreesParams:
     k_features: int | None = None  # None -> ceil(sqrt(n_features))
     min_samples_leaf: int = DEFAULT_MIN_SAMPLES_LEAF
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.k_features is not None and self.k_features < 1:
+            raise ValueError(f"k_features must be >= 1 when set, got {self.k_features}")
+        if self.min_samples_leaf < 1:
+            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+
 
 @dataclass(frozen=True)
 class ExtraTreesModel:
@@ -287,10 +295,8 @@ def train_extra_trees(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     _check_matrix(X, y)
-    if params.n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {params.n_trees}")
     classes, y_enc = _encode_labels(y)
-    k = params.k_features or math.ceil(math.sqrt(X.shape[1]))
+    k = params.k_features if params.k_features is not None else math.ceil(math.sqrt(X.shape[1]))
     stream = (STREAM_TREES,) if fold is None else (STREAM_TREES, fold)
     trees = _grow_forest(
         X, y_enc, len(classes), k, params.min_samples_leaf,
@@ -302,48 +308,31 @@ def train_extra_trees(
     )
 
 
-def _tree_to_nested(tree: Tree, node: int = 0) -> dict:
-    if tree.feature[node] < 0:
-        return {"probs": [float(p) for p in tree.probs[node]]}
-    return {
-        "feature": int(tree.feature[node]),
-        "threshold": float(tree.threshold[node]),
-        "left": _tree_to_nested(tree, int(tree.left[node])),
-        "right": _tree_to_nested(tree, int(tree.right[node])),
-    }
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "probs")
 
 
-def _tree_from_nested(doc: dict, n_classes: int) -> Tree:
-    feature, threshold, left, right, probs = [], [], [], [], []
-
-    def add(node_doc: dict) -> int:
-        idx = len(feature)
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        probs.append([0.0] * n_classes)
-        if "probs" in node_doc:
-            probs[idx] = [float(p) for p in node_doc["probs"]]
-        else:
-            feature[idx] = int(node_doc["feature"])
-            threshold[idx] = float(node_doc["threshold"])
-            left[idx] = add(node_doc["left"])
-            right[idx] = add(node_doc["right"])
-        return idx
-
-    add(doc)
-    return Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        probs=np.array(probs, dtype=np.float64),
-    )
+def _tree_from_dict(doc: dict, n_classes: int, n_features: int) -> Tree:
+    """A Tree from its node arrays, checked so that every walk ends at a leaf."""
+    feature, left, right = (np.asarray(doc[k], dtype=np.int64) for k in ("feature", "left", "right"))
+    threshold, probs = (np.asarray(doc[k], dtype=np.float64) for k in ("threshold", "probs"))
+    n = feature.size
+    if any(a.shape != (n,) for a in (feature, threshold, left, right)):
+        raise ValueError("tree node arrays must be one-dimensional and of one length")
+    if probs.shape != (n, n_classes):
+        raise ValueError(f"tree probs must be ({n}, {n_classes}), got {probs.shape}")
+    if ((feature < -1) | (feature >= n_features)).any():
+        raise ValueError(f"tree feature ids must be -1 (leaf) or below {n_features}")
+    # Child ids above their parent's rule out cycles; distinct ones, shared subtrees.
+    parents = np.flatnonzero(feature >= 0)
+    children = np.concatenate([left[parents], right[parents]])
+    misplaced = (children <= np.tile(parents, 2)) | (children >= n)
+    if misplaced.any() or np.unique(children).size != children.size:
+        raise ValueError("tree child ids must be distinct, above their parent's and in range")
+    return Tree(feature=feature, threshold=threshold, left=left, right=right, probs=probs)
 
 
 def model_to_dict(model: ExtraTreesModel) -> dict:
-    """Self-describing JSON-ready document with trees as nested nodes."""
+    """Self-describing JSON-ready document; each tree is its Tree node arrays."""
     return {
         "model_type": "extra_trees",
         "n_trees": model.params.n_trees,
@@ -352,25 +341,25 @@ def model_to_dict(model: ExtraTreesModel) -> dict:
         "seed": model.seed,
         "classes": list(model.classes),
         "feature_names": list(model.feature_names),
-        "trees": [_tree_to_nested(tree) for tree in model.trees],
+        "trees": [{key: getattr(t, key).tolist() for key in _TREE_FIELDS} for t in model.trees],
     }
 
 
 def model_from_dict(doc: dict) -> ExtraTreesModel:
-    if doc.get("model_type") != "extra_trees":
-        raise ValueError(f"unsupported model_type {doc.get('model_type')!r}")
-    classes = tuple(doc["classes"])
-    return ExtraTreesModel(
-        trees=tuple(_tree_from_nested(t, len(classes)) for t in doc["trees"]),
-        params=ExtraTreesParams(
-            n_trees=int(doc["n_trees"]),
-            k_features=doc["k_features"],
-            min_samples_leaf=int(doc["min_samples_leaf"]),
-        ),
-        seed=int(doc["seed"]),
-        classes=classes,
-        feature_names=tuple(doc["feature_names"]),
-    )
+    """Inverse of model_to_dict; ValueError for any malformed document."""
+    if not isinstance(doc, dict) or doc.get("model_type") != "extra_trees":
+        raise ValueError("not an extra_trees model document")
+    try:
+        classes = tuple(doc["classes"])
+        feature_names = tuple(doc["feature_names"])
+        params = ExtraTreesParams(int(doc["n_trees"]), doc["k_features"], int(doc["min_samples_leaf"]))
+        trees = tuple(_tree_from_dict(t, len(classes), len(feature_names)) for t in doc["trees"])
+        seed = int(doc["seed"])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from None
+    if len(trees) != params.n_trees:
+        raise ValueError(f"model has {len(trees)} trees, n_trees says {params.n_trees}")
+    return ExtraTreesModel(trees, params, seed, classes, feature_names)
 
 
 # ---------------------------------------------------------------------------

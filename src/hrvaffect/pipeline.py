@@ -95,6 +95,9 @@ class LearnConfig:
     families: tuple[str, ...] = learn_mod.FAMILY_NAMES
     subject_wise: bool = False
 
+    def tree_params(self) -> ExtraTreesParams:
+        return ExtraTreesParams(self.n_trees, self.k_features, self.min_samples_leaf)
+
 
 @dataclass(frozen=True)
 class ExplainConfig:
@@ -192,12 +195,10 @@ def validate_config(config: PipelineConfig) -> PipelineConfig:
     for family in config.learn.families:
         if family not in learn_mod.FAMILY_NAMES:
             raise ConfigInvalidError("learn", f"unknown family {family!r}")
-    if config.learn.n_trees < 1:
-        raise ConfigInvalidError("learn", "n_trees must be >= 1")
-    if config.learn.k_features is not None and config.learn.k_features < 1:
-        raise ConfigInvalidError("learn", "k_features must be >= 1 when set")
-    if config.learn.min_samples_leaf < 1:
-        raise ConfigInvalidError("learn", "min_samples_leaf must be >= 1")
+    try:
+        config.learn.tree_params()
+    except ValueError as exc:
+        raise ConfigInvalidError("learn", str(exc)) from exc
     if config.explain.background_size < 1 or config.explain.max_instances < 1:
         raise ConfigInvalidError("explain", "explain sizes must be >= 1")
     return config
@@ -508,11 +509,7 @@ def modality_matrix(rows: list[FeatureRow], modality: str):
 def stage_train_eval(config: PipelineConfig, force: bool = False) -> dict:
     out, h = prepare_out_dir(config, force)
     rows = read_feature_rows(out)
-    params = ExtraTreesParams(
-        n_trees=config.learn.n_trees,
-        k_features=config.learn.k_features,
-        min_samples_leaf=config.learn.min_samples_leaf,
-    )
+    params = config.learn.tree_params()
     metrics: dict = {"seed": config.seed, "modalities": {}}
     models_doc: dict = {"modalities": {}}
     roc_rows = []
@@ -580,6 +577,28 @@ def stage_train_eval(config: PipelineConfig, force: bool = False) -> dict:
 # importance
 # ---------------------------------------------------------------------------
 
+def _model_entry(models_doc, modality: str, ids: list[str]):
+    """(model, train_ids, holdout_ids) from the modality's model.json entry,
+    which must have been trained on exactly the rows `ids`."""
+    try:
+        entry = models_doc["modalities"][modality]
+        model = model_from_dict(entry["model"])
+        if entry["row_ids"] != ids:
+            raise PipelineError(
+                f"{FEATURES_CSV} no longer matches {MODEL_JSON} for {modality}; re-run train-eval"
+            )
+        train_ids, holdout_ids = (
+            np.array(entry[key], dtype=np.int64) for key in ("train_ids", "holdout_ids")
+        )
+        if any(r.ndim != 1 or ((r < 0) | (r >= len(ids))).any() for r in (train_ids, holdout_ids)):
+            raise ValueError(f"train_ids and holdout_ids must lie in [0, {len(ids)})")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise PipelineError(
+            f"{MODEL_JSON} has no valid {modality} entry ({type(exc).__name__}: {exc})"
+        ) from exc
+    return model, train_ids, holdout_ids
+
+
 def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
     out, h = prepare_out_dir(config, force)
     rows = read_feature_rows(out)
@@ -592,15 +611,8 @@ def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
     point_rows = []
     summary: dict = {}
     for modality in ("ECG", "PPG"):
-        entry = models_doc["modalities"][modality]
-        model = model_from_dict(entry["model"])
         X, y, ids, _, _ = modality_matrix(rows, modality)
-        if entry["row_ids"] != ids:
-            raise PipelineError(
-                f"{FEATURES_CSV} no longer matches {MODEL_JSON} for {modality}; re-run train-eval"
-            )
-        train_ids = np.array(entry["train_ids"], dtype=np.int64)
-        holdout_ids = np.array(entry["holdout_ids"], dtype=np.int64)
+        model, train_ids, holdout_ids = _model_entry(models_doc, modality, ids)
         background = explain_mod.sample_background(
             X[train_ids], config.explain.background_size, config.seed
         )

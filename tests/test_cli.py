@@ -1,10 +1,15 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import hrvaffect
 from hrvaffect.cli import main
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER
 from hrvaffect.pipeline import (
@@ -45,6 +50,16 @@ def write_config(tmp_path: Path, out_name="run", **overrides) -> Path:
     config_path = tmp_path / f"config_{out_name}.json"
     config_path.write_text(json.dumps(doc))
     return config_path
+
+
+def package_env() -> dict:
+    """Environment whose Python finds the package this process imported."""
+    package_root = str(Path(hrvaffect.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([package_root, inherited]) if inherited else package_root,
+    }
 
 
 def run_cli(*args):
@@ -204,6 +219,47 @@ class TestErrorPaths:
         assert payload["error"] == "Parse"
         assert "subject_id" in payload["message"]
         assert not (tmp_path / "run" / "features.csv").exists()
+
+
+def _ecg(doc):
+    return doc["modalities"]["ECG"]
+
+
+def _tree(doc):
+    return _ecg(doc)["model"]["trees"][0]
+
+
+# Each edit leaves model.json valid JSON that the importance stage cannot use.
+BROKEN_MODEL_JSON = {
+    "missing_modality": lambda doc: doc["modalities"].pop("PPG"),
+    "negative_row_number": lambda doc: _ecg(doc)["holdout_ids"].append(-1),
+    "row_number_past_end": lambda doc: _ecg(doc)["train_ids"].append(10**6),
+    "missing_tree_key": lambda doc: _tree(doc).pop("feature"),
+    "feature_out_of_range": lambda doc: _tree(doc)["feature"].__setitem__(0, 13),
+    "cycle": lambda doc: _tree(doc)["left"].__setitem__(0, 0),
+    "probs_wrong_width": lambda doc: [row.append(0.0) for row in _tree(doc)["probs"]],
+}
+
+
+@pytest.mark.parametrize("mutate", BROKEN_MODEL_JSON.values(), ids=BROKEN_MODEL_JSON.keys())
+def test_broken_model_json_is_one_json_error(full_run, tmp_path, mutate):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    doc = json.loads((run / "model.json").read_text())
+    mutate(doc)
+    (run / "model.json").write_text(json.dumps(doc))
+    # A child process with a time limit, so a tree walk that never ends fails
+    # the test instead of hanging the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrvaffect", "importance",
+         "--config", str(full_run.parent / "config_run.json"), "--out", str(run)],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert "model.json" in payload["message"]
+    assert (run / "importance.csv").read_bytes() == (full_run / "importance.csv").read_bytes()
 
 
 class TestSynthCommand:

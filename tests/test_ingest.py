@@ -186,6 +186,18 @@ class TestCanonicalRoundTrip:
             load_dataset(load_manifest(manifest_path), tmp_path)
         assert err.value.line == 6
 
+    def test_annotation_row_with_extra_fields_is_a_parse_error(self, tmp_path):
+        spec = simple_spec(duration_s=20.0, states=(StateSpec("baseline", 70.0, 0.0, 20.0),))
+        subject, _ = generate_synthetic(spec)
+        manifest_path = write_canonical([subject], "corrupt", tmp_path)
+        path = tmp_path / "synthetic_annotations.csv"
+        lines = path.read_text().splitlines()
+        lines[5] = "4,1,9,9"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(load_manifest(manifest_path), tmp_path)
+        assert err.value.line == 6
+
     def test_rate_mismatch(self, tmp_path):
         spec = simple_spec(duration_s=20.0, states=(StateSpec("baseline", 70.0, 0.0, 20.0),))
         subject, _ = generate_synthetic(spec)
