@@ -2,7 +2,9 @@
 
 The processing order is filter first, then window.  Defaults follow the
 conventional HRV-preserving bands: ECG 0.67-40 Hz, PPG 0.5-8 Hz, third order,
-zero-phase so beat timing survives filtering.
+zero-phase so beat timing survives filtering.  scipy.signal is imported in
+the functions that filter: importing it costs about a second, which the
+stages that never filter should not pay.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as sps
 
 from .core import (
     AV_LOW_MAX,
@@ -84,6 +85,8 @@ def design_butterworth_bandpass(spec: FilterSpec, sample_rate_hz: float) -> np.n
         raise CutoffAboveNyquistError(
             f"high cutoff {spec.high_cut_hz} Hz >= Nyquist {nyquist} Hz"
         )
+    from scipy import signal as sps
+
     return sps.butter(
         spec.order,
         [spec.low_cut_hz, spec.high_cut_hz],
@@ -100,6 +103,8 @@ def filter_signal(record: SignalRecord, spec: FilterSpec) -> SignalRecord:
     response, no phase shift) over an even-reflection padding of 3 x order
     samples per end, with step-matched initial conditions.
     """
+    from scipy import signal as sps
+
     sos = design_butterworth_bandpass(spec, record.sample_rate_hz)
     x = record.samples
     if spec.zero_phase:

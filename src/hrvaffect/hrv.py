@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import signal as sps
 
 from .core import WindowedSegment
 
@@ -183,6 +182,8 @@ def estimate_breathing(rr_ms: np.ndarray) -> float:
     tachogram = tachogram - tachogram.mean()
 
     nperseg = min(int(WELCH_SEGMENT_S * TACHOGRAM_RATE_HZ), n_grid)
+    from scipy import signal as sps  # here, not at import time: see the dsp module
+
     freqs, power = sps.welch(
         tachogram,
         fs=TACHOGRAM_RATE_HZ,

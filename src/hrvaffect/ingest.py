@@ -44,6 +44,7 @@ _MIN_RR_MS = 250.0
 
 BPM_RANGE = (30.0, 220.0)
 RESPIRATORY_RANGE_HZ = (0.1, 0.4)
+_INT64 = np.iinfo(np.int64)
 
 
 class MissingFileError(OSError):
@@ -415,9 +416,37 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     return manifest
 
 
+def _loadtxt_body(path: Path, header: str, dtype) -> np.ndarray | None:
+    """The value columns under `header` in one np.loadtxt call, or None when
+    the line loop must judge the file: a bad header, no rows, a field numpy
+    rejects, or a row with more fields than the header (numpy skips unused
+    columns, so every parsed row must hold exactly the header's commas).
+    One value column gives a 1-D array, more give one row per line."""
+    n_values = header.count(",")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().strip() != header:
+                return None
+            body = fh.tell()
+            commas = sum(chunk.count(",") for chunk in iter(lambda: fh.read(1 << 20), ""))
+            if commas == 0:
+                return None
+            fh.seek(body)
+            rows = np.loadtxt(
+                fh, delimiter=",", usecols=range(1, n_values + 1), dtype=dtype,
+                comments=None, ndmin=1 if n_values == 1 else 2,
+            )
+    except ValueError:
+        return None
+    return rows if commas == n_values * rows.shape[0] else None
+
+
 def _read_signal_csv(path: Path) -> np.ndarray:
     if not path.exists():
         raise MissingFileError(f"signal file not found: {path}")
+    values = _loadtxt_body(path, "index,value", np.float64)
+    if values is not None:
+        return values
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -440,10 +469,13 @@ def _read_signal_csv(path: Path) -> np.ndarray:
 def _read_annotation_csv(path: Path, scheme: LabelScheme) -> np.ndarray:
     if not path.exists():
         raise MissingFileError(f"annotation file not found: {path}")
+    discrete = scheme is LabelScheme.DISCRETE_STATE
+    expected = "index,label" if discrete else "index,arousal,valence"
+    rows = _loadtxt_body(path, expected, np.int64 if discrete else np.float64)
+    if rows is not None:
+        return rows
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        discrete = scheme is LabelScheme.DISCRETE_STATE
-        expected = "index,label" if discrete else "index,arousal,valence"
         if header != expected:
             raise ParseError(path, 1, f"expected header {expected!r}, got {header!r}")
         n_fields = expected.count(",") + 1
@@ -457,7 +489,10 @@ def _read_annotation_csv(path: Path, scheme: LabelScheme) -> np.ndarray:
                 raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
             try:
                 if discrete:
-                    rows.append(int(parts[1]))
+                    label = int(parts[1])
+                    if not _INT64.min <= label <= _INT64.max:
+                        raise ValueError("label outside int64")
+                    rows.append(label)
                 else:
                     rows.append((float(parts[1]), float(parts[2])))
             except ValueError:

@@ -31,7 +31,10 @@ from .hrv import (
     detect_beats,
 )
 from .learn import ExtraTreesParams, evaluate, model_from_dict, model_to_dict
-from .serialize import config_hash, fmt9, read_csv, read_json, write_csv, write_json
+from .serialize import (
+    config_hash, fmt9, read_csv, read_json, round9_array, write_compact_json, write_csv,
+    write_json,
+)
 from .variance import flag_overlapping_pairs, inter_signal_variance, state_feature_stats
 
 FEATURES_CSV = "features.csv"
@@ -548,8 +551,12 @@ def stage_train_eval(config: PipelineConfig, force: bool = False) -> dict:
             },
             "roc_auc": {label: curve.auc for label, curve in sorted(report.roc.items())},
         }
+        model_doc = model_to_dict(fitted["extra_trees"])
+        for tree in model_doc["trees"]:
+            for key in ("threshold", "probs"):
+                tree[key] = round9_array(tree[key])
         models_doc["modalities"][modality] = {
-            "model": model_to_dict(fitted["extra_trees"]),
+            "model": model_doc,
             "selected_family": report.selected_family,
             "train_ids": report.train_ids.tolist(),
             "holdout_ids": report.holdout_ids.tolist(),
@@ -568,7 +575,7 @@ def stage_train_eval(config: PipelineConfig, force: bool = False) -> dict:
             h,
         )
     write_json(out / METRICS_JSON, metrics, h)
-    write_json(out / MODEL_JSON, models_doc, h)
+    write_compact_json(out / MODEL_JSON, models_doc, h)
     write_csv(out / ROC_POINTS_CSV, ["modality", "class", "fpr", "tpr"], roc_rows, h)
     return metrics
 
@@ -607,12 +614,17 @@ def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
         raise MissingInputError(MODEL_JSON)
     models_doc = read_json(model_path)
 
+    # Both entries are checked before any file is written, so a broken one
+    # leaves out_dir as it was.
+    inputs = {}
+    for modality in ("ECG", "PPG"):
+        X, y, ids, _, _ = modality_matrix(rows, modality)
+        inputs[modality] = (X, y, ids, *_model_entry(models_doc, modality, ids))
+
     importance_rows = []
     point_rows = []
     summary: dict = {}
-    for modality in ("ECG", "PPG"):
-        X, y, ids, _, _ = modality_matrix(rows, modality)
-        model, train_ids, holdout_ids = _model_entry(models_doc, modality, ids)
+    for modality, (X, y, ids, model, train_ids, holdout_ids) in inputs.items():
         background = explain_mod.sample_background(
             X[train_ids], config.explain.background_size, config.seed
         )

@@ -2,7 +2,8 @@
 
 Floats in derived outputs are written with 9 significant digits so repeated
 runs produce byte-identical files across platforms; NaN becomes the empty
-field in CSV and null in JSON.
+field in CSV and null in JSON.  JSON a person reads is indented; model.json,
+which only the program reads, is one compact line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import math
 import numbers
 from pathlib import Path
+
+import numpy as np
 
 
 def fmt9(value) -> str:
@@ -47,6 +50,16 @@ def round9(obj):
         return str(obj)
 
 
+def round9_array(values) -> list:
+    """round9 of a 1-D or 2-D float array, as (nested) lists."""
+    a = np.asarray(values, dtype=np.float64)
+    flat = [float(f"{v:.9g}") if math.isfinite(v) else None for v in a.ravel().tolist()]
+    if a.ndim == 1:
+        return flat
+    width = a.shape[1]
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
 def config_hash(config_doc: dict) -> str:
     """Short stable hash of a canonicalized config document."""
     canonical = json.dumps(round9(config_doc), sort_keys=True, separators=(",", ":"))
@@ -80,6 +93,17 @@ def write_json(path: str | Path, doc: dict, cfg_hash: str | None = None):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(round9(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_compact_json(path: str | Path, doc: dict, cfg_hash: str):
+    """write_json's document on one line, for a doc whose floats are already
+    rounded (round9_array): skipping round9 and the indent lets json's C
+    encoder write it."""
+    text = json.dumps(
+        {**doc, "config_hash": cfg_hash}, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
 
 
 def read_json(path: str | Path) -> dict:

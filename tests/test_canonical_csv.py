@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hrvaffect import ingest
 from hrvaffect.core import LabelScheme
 from hrvaffect.ingest import ParseError, _read_annotation_csv, _read_signal_csv
 
@@ -94,3 +95,41 @@ def test_non_numeric_value_is_a_parse_error_on_its_line(tmp_path):
 
 def test_index_field_is_not_read(tmp_path):
     np.testing.assert_array_equal(signal(tmp_path, "a,0.5\n,0.25\n"), [0.5, 0.25])
+
+
+def test_label_outside_int64_is_a_parse_error_on_its_line(tmp_path):
+    with pytest.raises(ParseError, match="malformed annotation row") as err:
+        discrete(tmp_path, "0,1\n1,99999999999999999999999\n")
+    assert err.value.line == 3
+
+
+TRICKY_VALUES = [
+    "1.5", " 1.5 ", "+1.5", ".5", "5.", "1E5", "1e999", "-inf", "Infinity", "nan", "-0",
+    "03", "3.0", "1_0", "0x10", "", "1.5 2", "1,5", "٣", '"1.5"', "1.5\f",
+    "9223372036854775807", "9223372036854775808", "99999999999999999999999",
+]
+READERS = {"signal": signal, "discrete": discrete, "av": arousal_valence}
+
+
+def outcome(read, tmp_path, text):
+    try:
+        values = read(tmp_path, text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", values.dtype, values.shape, values.tolist()
+
+
+@pytest.mark.parametrize("value", TRICKY_VALUES)
+@pytest.mark.parametrize("reader", READERS)
+def test_whole_file_parse_agrees_with_the_line_loop(tmp_path, monkeypatch, reader, value):
+    width = 2 if reader == "av" else 1
+    text = "".join(f"{i},{','.join([v] * width)}\n" for i, v in enumerate(["2", value, "4"]))
+    read = READERS[reader]
+    fast = outcome(read, tmp_path, text)
+    monkeypatch.setattr(ingest, "_loadtxt_body", lambda *args: None)
+    assert repr(fast) == repr(outcome(read, tmp_path, text))
+
+
+def test_well_formed_rows_take_the_whole_file_parse(tmp_path):
+    path = write(tmp_path, "index,value\n0,0.5\n1,-2.25\n")
+    np.testing.assert_array_equal(ingest._loadtxt_body(path, "index,value", np.float64), [0.5, -2.25])

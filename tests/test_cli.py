@@ -16,6 +16,7 @@ from hrvaffect.pipeline import (
     ConfigInvalidError,
     config_from_dict,
     config_to_dict,
+    prepare_out_dir,
     run_hash,
     validate_schema,
 )
@@ -221,12 +222,38 @@ class TestErrorPaths:
         assert not (tmp_path / "run" / "features.csv").exists()
 
 
+    def test_annotation_label_outside_int64_is_a_parse_error(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(FLAG_SPEC))
+        assert run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")).exit_code == 0
+        annotations = tmp_path / "data" / "synthetic_annotations.csv"
+        lines = annotations.read_text().splitlines()
+        lines[3] = "2,99999999999999999999999"
+        annotations.write_text("\n".join(lines) + "\n")
+        result = run_cli(
+            "extract", "--manifest", str(tmp_path / "data" / "manifest.json"),
+            "--out", str(tmp_path / "run"),
+        )
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert payload["error"] == "Parse"
+        assert f"{annotations}:4: malformed annotation row" in payload["message"]
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    probe = "import sys, hrvaffect.cli, hrvaffect.pipeline; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def _ecg(doc):
     return doc["modalities"]["ECG"]
 
 
-def _tree(doc):
-    return _ecg(doc)["model"]["trees"][0]
+def _tree(doc, modality="ECG"):
+    return doc["modalities"][modality]["model"]["trees"][0]
 
 
 # Each edit leaves model.json valid JSON that the importance stage cannot use.
@@ -238,7 +265,9 @@ BROKEN_MODEL_JSON = {
     "feature_out_of_range": lambda doc: _tree(doc)["feature"].__setitem__(0, 13),
     "cycle": lambda doc: _tree(doc)["left"].__setitem__(0, 0),
     "probs_wrong_width": lambda doc: [row.append(0.0) for row in _tree(doc)["probs"]],
+    "ppg_feature_out_of_range": lambda doc: _tree(doc, "PPG")["feature"].__setitem__(0, 13),
 }
+IMPORTANCE_OUTPUTS = ("importance.csv", "shap_points.csv", "importance_ECG.svg", "importance_PPG.svg")
 
 
 @pytest.mark.parametrize("mutate", BROKEN_MODEL_JSON.values(), ids=BROKEN_MODEL_JSON.keys())
@@ -248,6 +277,13 @@ def test_broken_model_json_is_one_json_error(full_run, tmp_path, mutate):
     doc = json.loads((run / "model.json").read_text())
     mutate(doc)
     (run / "model.json").write_text(json.dumps(doc))
+    # Stamp config.json for this out_dir, and let stale outputs stand in for
+    # the last good run, so that any write the failed stage makes shows.
+    config = json.loads((full_run.parent / "config_run.json").read_text())
+    prepare_out_dir(config_from_dict(dict(config, out_dir=str(run))))
+    for name in IMPORTANCE_OUTPUTS:
+        (run / name).write_text("stale\n")
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
     # A child process with a time limit, so a tree walk that never ends fails
     # the test instead of hanging the suite.
     proc = subprocess.run(
@@ -259,7 +295,7 @@ def test_broken_model_json_is_one_json_error(full_run, tmp_path, mutate):
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stderr)
     assert "model.json" in payload["message"]
-    assert (run / "importance.csv").read_bytes() == (full_run / "importance.csv").read_bytes()
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
 class TestSynthCommand:
