@@ -3,8 +3,8 @@
 The processing order is filter first, then window.  Defaults follow the
 conventional HRV-preserving bands: ECG 0.67-40 Hz, PPG 0.5-8 Hz, third order,
 zero-phase so beat timing survives filtering.  scipy.signal is imported in
-the functions that filter: importing it costs about a second, which the
-stages that never filter should not pay.
+the functions that filter: importing it takes several times as long as the
+rest of the package, and the stages that never filter should not pay that.
 """
 
 from __future__ import annotations

@@ -221,7 +221,6 @@ class TestErrorPaths:
         assert "subject_id" in payload["message"]
         assert not (tmp_path / "run" / "features.csv").exists()
 
-
     def test_annotation_label_outside_int64_is_a_parse_error(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(FLAG_SPEC))
