@@ -1,5 +1,7 @@
 """What the canonical signal and annotation readers accept, row by row."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,34 @@ def test_whole_file_parse_agrees_with_the_line_loop(tmp_path, monkeypatch, reade
 def test_well_formed_rows_take_the_whole_file_parse(tmp_path):
     path = write(tmp_path, "index,value\n0,0.5\n1,-2.25\n")
     np.testing.assert_array_equal(ingest._loadtxt_body(path, "index,value", np.float64), [0.5, -2.25])
+
+
+@pytest.mark.parametrize("reader, row, message", [
+    ("signal", "{i},0.5,9", "expected 2 fields, got 3"),
+    ("discrete", "{i},1,9", "expected 2 fields, got 3"),
+    ("av", "{i},2.75,7.25,9", "expected 3 fields, got 4"),
+])
+def test_every_row_with_an_extra_field_is_a_parse_error_on_line_2(tmp_path, reader, row, message):
+    text = "".join(row.format(i=i) + "\n" for i in range(3))
+    with pytest.raises(ParseError, match=message) as err:
+        READERS[reader](tmp_path, text)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_non_numeric_index_loads(tmp_path, reader):
+    width = 2 if reader == "av" else 1
+    text = "".join(f"{i},{','.join(['3'] * width)}\n" for i in ["a", "", "2"])
+    row = [3.0, 3.0] if reader == "av" else 3
+    assert READERS[reader](tmp_path, text).tolist() == [row] * 3
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n \n"], ids=["header_only", "blank", "crlf_space"])
+@pytest.mark.parametrize("reader, dtype", [
+    ("signal", np.float64), ("discrete", np.int64), ("av", np.float64),
+])
+def test_empty_body_loads_empty_without_a_warning(tmp_path, reader, dtype, body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = READERS[reader](tmp_path, body)
+    assert values.size == 0 and values.dtype == dtype

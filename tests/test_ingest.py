@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hrvaffect.core import LabelScheme
+from hrvaffect.core import AnnotationTrack, LabelScheme, Modality, SignalRecord
 from hrvaffect.ingest import (
     DatasetManifest,
     InvalidSpecError,
@@ -11,6 +11,7 @@ from hrvaffect.ingest import (
     ParseError,
     RateMismatchError,
     StateSpec,
+    SubjectData,
     SubjectFiles,
     SyntheticSpec,
     generate_synthetic,
@@ -274,3 +275,46 @@ def test_load_synthetic_spec_round_trip(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(InvalidSpecError):
         load_synthetic_spec(path)
+
+
+# Values whose shortest repr is easy to get wrong: signed zero, the smallest
+# subnormal, an exponent form, and a float that is not what it prints as.
+TINY_VALUES = [-0.0, 5e-324, 1e16, 0.1, -2.5e-10, 1 / 3]
+TINY_ECG = b"index,value\n0,-0.0\n1,5e-324\n2,1e+16\n3,0.1\n4,-2.5e-10\n5,0.3333333333333333\n"
+TINY_PPG = b"index,value\n0,-0.0\n1,1e+16\n2,-2.5e-10\n"
+
+
+def tiny_manifest(scheme, annotation_rate):
+    return (
+        '{\n  "dataset_name": "tiny",\n  "label_scheme": "%s",\n  "subjects": [\n    {\n'
+        '      "annotation_file": "t1_annotations.csv",\n      "annotation_rate_hz": %s,\n'
+        '      "ecg_file": "t1_ecg.csv",\n      "ecg_rate_hz": 6.0,\n'
+        '      "ppg_file": "t1_ppg.csv",\n      "ppg_rate_hz": 3.0,\n'
+        '      "subject_id": "t1"\n    }\n  ]\n}\n' % (scheme, annotation_rate)
+    ).encode()
+
+
+@pytest.mark.parametrize("scheme, rate, values, annotations", [
+    (
+        LabelScheme.DISCRETE_STATE, 6.0, [0, 1, 3, 2, -1, 9223372036854775807],
+        b"index,label\n0,0\n1,1\n2,3\n3,2\n4,-1\n5,9223372036854775807\n",
+    ),
+    (
+        LabelScheme.AROUSAL_VALENCE, 3.0, [[2.75, -0.0], [5e-324, 1e16], [0.1, 7.25]],
+        b"index,arousal,valence\n0,2.75,-0.0\n1,5e-324,1e+16\n2,0.1,7.25\n",
+    ),
+], ids=["discrete", "arousal_valence"])
+def test_write_canonical_bytes(tmp_path, scheme, rate, values, annotations):
+    subject = SubjectData(
+        "t1",
+        SignalRecord("t1", Modality.ECG, 6.0, TINY_VALUES),
+        SignalRecord("t1", Modality.PPG, 3.0, TINY_VALUES[::2]),
+        AnnotationTrack(scheme, rate, values),
+    )
+    write_canonical([subject], "tiny", tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == {
+        "t1_ecg.csv": TINY_ECG,
+        "t1_ppg.csv": TINY_PPG,
+        "t1_annotations.csv": annotations,
+        "manifest.json": tiny_manifest(scheme.value, rate),
+    }
