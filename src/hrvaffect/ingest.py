@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -303,23 +304,24 @@ def generate_synthetic(
 # Canonical on-disk format
 # ---------------------------------------------------------------------------
 
-def _write_signal_csv(path: Path, samples: np.ndarray):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,value\n")
-        for i, v in enumerate(samples):
-            fh.write(f"{i},{float(v)!r}\n")
+# Table headers, keyed by table kind: "signal", or the annotations' scheme.
+_HEADERS = {
+    "signal": "index,value",
+    LabelScheme.DISCRETE_STATE: "index,label",
+    LabelScheme.AROUSAL_VALENCE: "index,arousal,valence",
+}
 
 
-def _write_annotation_csv(path: Path, track: AnnotationTrack):
+def _write_table(path: Path, header: str, values: np.ndarray):
+    """`header`, then one `index,value...` row per entry of `values`.  The repr
+    of a Python float or int reads back as exactly that number."""
+    rows = values.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if track.scheme is LabelScheme.DISCRETE_STATE:
-            fh.write("index,label\n")
-            for i, v in enumerate(track.values):
-                fh.write(f"{i},{int(v)}\n")
+        fh.write(header + "\n")
+        if values.ndim == 1:
+            fh.writelines(f"{i},{v!r}\n" for i, v in enumerate(rows))
         else:
-            fh.write("index,arousal,valence\n")
-            for i, (a, v) in enumerate(track.values):
-                fh.write(f"{i},{float(a)!r},{float(v)!r}\n")
+            fh.writelines(f"{i},{','.join(map(repr, row))}\n" for i, row in enumerate(rows))
 
 
 def write_canonical(
@@ -335,9 +337,11 @@ def write_canonical(
         ecg_file = f"{sid}_ecg.csv"
         ppg_file = f"{sid}_ppg.csv"
         ann_file = f"{sid}_annotations.csv"
-        _write_signal_csv(out_dir / ecg_file, subject.ecg.samples)
-        _write_signal_csv(out_dir / ppg_file, subject.ppg.samples)
-        _write_annotation_csv(out_dir / ann_file, subject.annotations)
+        _write_table(out_dir / ecg_file, _HEADERS["signal"], subject.ecg.samples)
+        _write_table(out_dir / ppg_file, _HEADERS["signal"], subject.ppg.samples)
+        _write_table(
+            out_dir / ann_file, _HEADERS[subject.annotations.scheme], subject.annotations.values
+        )
         entries.append(
             SubjectFiles(
                 subject_id=sid,
@@ -356,24 +360,8 @@ def write_canonical(
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path):
-    doc = {
-        "dataset_name": manifest.dataset_name,
-        "label_scheme": manifest.label_scheme.value,
-        "subjects": [
-            {
-                "subject_id": s.subject_id,
-                "ecg_file": s.ecg_file,
-                "ppg_file": s.ppg_file,
-                "annotation_file": s.annotation_file,
-                "ecg_rate_hz": s.ecg_rate_hz,
-                "ppg_rate_hz": s.ppg_rate_hz,
-                "annotation_rate_hz": s.annotation_rate_hz,
-            }
-            for s in manifest.subjects
-        ],
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -385,17 +373,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    field_types = get_type_hints(SubjectFiles)
     try:
         subjects = tuple(
-            SubjectFiles(
-                subject_id=str(s["subject_id"]),
-                ecg_file=str(s["ecg_file"]),
-                ppg_file=str(s["ppg_file"]),
-                annotation_file=str(s["annotation_file"]),
-                ecg_rate_hz=float(s["ecg_rate_hz"]),
-                ppg_rate_hz=float(s["ppg_rate_hz"]),
-                annotation_rate_hz=float(s["annotation_rate_hz"]),
-            )
+            SubjectFiles(**{name: cast(s[name]) for name, cast in field_types.items()})
             for s in doc["subjects"]
         )
         manifest = DatasetManifest(
@@ -417,69 +398,46 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def _loadtxt_body(path: Path, header: str, dtype) -> np.ndarray | None:
-    """The value columns under `header` in one np.loadtxt call, or None when
-    the line loop must judge the file: a bad header, no rows, a field numpy
-    rejects, or a row with more fields than the header (numpy skips unused
-    columns, so every parsed row must hold exactly the header's commas).
-    One value column gives a 1-D array, more give one row per line."""
-    n_values = header.count(",")
+    """The value columns under `header`, from one np.loadtxt parse of every
+    column, or None when the line loop must judge the file: a bad header, no
+    rows, a field numpy rejects, or rows not all of the header's width.  One
+    value column gives a 1-D array, more give one row per line."""
+    n_fields = header.count(",") + 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            if fh.readline().strip() != header:
+            # numpy warns on a body without rows.
+            if fh.readline().strip() != header or not any(line.strip() for line in fh):
                 return None
-            body = fh.tell()
-            commas = sum(chunk.count(",") for chunk in iter(lambda: fh.read(1 << 20), ""))
-            if commas == 0:
-                return None
-            fh.seek(body)
-            rows = np.loadtxt(
-                fh, delimiter=",", usecols=range(1, n_values + 1), dtype=dtype,
-                comments=None, ndmin=1 if n_values == 1 else 2,
-            )
+        rows = np.loadtxt(
+            path, delimiter=",", dtype=dtype, comments=None, ndmin=2, skiprows=1,
+            encoding="utf-8",
+        )
     except ValueError:
         return None
-    return rows if commas == n_values * rows.shape[0] else None
+    if rows.shape[1] != n_fields:
+        return None
+    return np.ascontiguousarray(rows[:, 1] if n_fields == 2 else rows[:, 1:])
 
 
-def _read_signal_csv(path: Path) -> np.ndarray:
+def _read_table(path: Path, kind) -> np.ndarray:
+    """The canonical table of `kind` at `path`, in one numpy parse or, when
+    that declines, in a line loop that accepts what Python's float and int
+    accept and raises ParseError on the first bad line."""
+    signal = kind == "signal"
     if not path.exists():
-        raise MissingFileError(f"signal file not found: {path}")
-    values = _loadtxt_body(path, "index,value", np.float64)
+        raise MissingFileError(f"{'signal' if signal else 'annotation'} file not found: {path}")
+    expected = _HEADERS[kind]
+    dtype = np.int64 if kind is LabelScheme.DISCRETE_STATE else np.float64
+    values = _loadtxt_body(path, expected, dtype)
     if values is not None:
         return values
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "index,value":
-            raise ParseError(path, 1, f"expected header 'index,value', got {header.strip()!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 2 fields, got {len(parts)}")
-            try:
-                values.append(float(parts[1]))
-            except ValueError:
-                raise ParseError(path, lineno, f"non-numeric value {parts[1]!r}") from None
-    return np.array(values, dtype=np.float64)
-
-
-def _read_annotation_csv(path: Path, scheme: LabelScheme) -> np.ndarray:
-    if not path.exists():
-        raise MissingFileError(f"annotation file not found: {path}")
-    discrete = scheme is LabelScheme.DISCRETE_STATE
-    expected = "index,label" if discrete else "index,arousal,valence"
-    rows = _loadtxt_body(path, expected, np.int64 if discrete else np.float64)
-    if rows is not None:
-        return rows
+    n_fields = expected.count(",") + 1
+    parse = int if dtype is np.int64 else float
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != expected:
             raise ParseError(path, 1, f"expected header {expected!r}, got {header!r}")
-        n_fields = expected.count(",") + 1
-        rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -488,16 +446,24 @@ def _read_annotation_csv(path: Path, scheme: LabelScheme) -> np.ndarray:
             if len(parts) != n_fields:
                 raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
             try:
-                if discrete:
-                    label = int(parts[1])
-                    if not _INT64.min <= label <= _INT64.max:
-                        raise ValueError("label outside int64")
-                    rows.append(label)
-                else:
-                    rows.append((float(parts[1]), float(parts[2])))
+                row = [parse(p) for p in parts[1:]]
+                if parse is int and not _INT64.min <= min(row) <= max(row) <= _INT64.max:
+                    raise ValueError("label outside int64")
             except ValueError:
-                raise ParseError(path, lineno, f"malformed annotation row {line!r}") from None
-    return np.array(rows, dtype=np.int64 if discrete else np.float64)
+                message = (f"non-numeric value {parts[1]!r}" if signal
+                           else f"malformed annotation row {line!r}")
+                raise ParseError(path, lineno, message) from None
+            rows.append(row)
+    values = np.array(rows, dtype=dtype)
+    return values.ravel() if n_fields == 2 else values
+
+
+def _read_signal_csv(path: Path) -> np.ndarray:
+    return _read_table(path, "signal")
+
+
+def _read_annotation_csv(path: Path, scheme: LabelScheme) -> np.ndarray:
+    return _read_table(path, scheme)
 
 
 def load_dataset(
