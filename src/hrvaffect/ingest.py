@@ -520,6 +520,11 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        seed = doc.get("seed", SyntheticSpec.seed)
+        if isinstance(seed, bool) or (isinstance(seed, float) and not seed.is_integer()):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         spec = SyntheticSpec(
             duration_s=float(doc["duration_s"]),
             ecg_rate_hz=float(doc["ecg_rate_hz"]),
@@ -533,10 +538,14 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
                 )
                 for s in doc["states"]
             ),
-            respiratory_rate_hz=float(doc.get("respiratory_rate_hz", 0.25)),
-            respiratory_rr_modulation_ms=float(doc.get("respiratory_rr_modulation_ms", 0.0)),
-            noise_std=float(doc.get("noise_std", 0.0)),
-            seed=int(doc.get("seed", 0)),
+            respiratory_rate_hz=float(
+                doc.get("respiratory_rate_hz", SyntheticSpec.respiratory_rate_hz)
+            ),
+            respiratory_rr_modulation_ms=float(
+                doc.get("respiratory_rr_modulation_ms", SyntheticSpec.respiratory_rr_modulation_ms)
+            ),
+            noise_std=float(doc.get("noise_std", SyntheticSpec.noise_std)),
+            seed=int(seed),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpecError(f"synthetic spec field error: {exc}") from exc

@@ -35,7 +35,9 @@ from .serialize import (
     config_hash, fmt9, read_csv, read_json, round9_array, write_compact_json, write_csv,
     write_json,
 )
-from .variance import flag_overlapping_pairs, inter_signal_variance, state_feature_stats
+from .variance import (
+    OVERLAP_FLAG_THRESHOLD, flag_overlapping_pairs, inter_signal_variance, state_feature_stats,
+)
 
 FEATURES_CSV = "features.csv"
 EXTRACT_STATS_JSON = "extract_stats.json"
@@ -50,6 +52,7 @@ IMPORTANCE_CSV = "importance.csv"
 SHAP_POINTS_CSV = "shap_points.csv"
 REPORT_JSON = "report.json"
 CONFIG_JSON = "config.json"
+FEATURE_COLUMNS = ["window_id", "subject_id", "modality", "label", *FEATURE_NAMES]
 
 
 class PipelineError(Exception):
@@ -227,6 +230,10 @@ def prepare_out_dir(config: PipelineConfig, force: bool = False) -> tuple[Path, 
     cfg_path = out / CONFIG_JSON
     if cfg_path.exists():
         existing = read_json(cfg_path)
+        if not isinstance(existing, dict):
+            raise PipelineError(
+                f"{cfg_path}: expected a JSON object, got {type(existing).__name__}"
+            )
         if existing.get("config_hash") != h and not force:
             raise ConfigHashMismatchError(
                 f"{out} holds outputs for config {existing.get('config_hash')}, "
@@ -339,12 +346,7 @@ def stage_extract(config: PipelineConfig, force: bool = False) -> Path:
             [str(r.window_id), r.subject_id, r.modality, r.label]
             + [fmt9(values.get(name, math.nan)) for name in FEATURE_NAMES]
         )
-    write_csv(
-        out / FEATURES_CSV,
-        ["window_id", "subject_id", "modality", "label", *FEATURE_NAMES],
-        csv_rows,
-        h,
-    )
+    write_csv(out / FEATURES_CSV, FEATURE_COLUMNS, csv_rows, h)
     write_json(out / EXTRACT_STATS_JSON, stats, h)
     return out / FEATURES_CSV
 
@@ -353,16 +355,26 @@ def read_feature_rows(out_dir: str | Path) -> list[FeatureRow]:
     path = Path(out_dir) / FEATURES_CSV
     if not path.exists():
         raise MissingInputError(FEATURES_CSV)
-    _, raw_rows = read_csv(path)
+    try:
+        columns, raw_rows = read_csv(path)
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from exc
+    if columns != FEATURE_COLUMNS:
+        raise PipelineError(f"{path}: expected columns {','.join(FEATURE_COLUMNS)}")
     rows = []
-    for raw in raw_rows:
-        values = {name: float(raw[name]) if raw[name] != "" else math.nan for name in FEATURE_NAMES}
+    for line, raw in raw_rows:
+        try:
+            window_id = int(raw["window_id"])
+            modality = Modality(raw["modality"]).value
+            values = {n: float(raw[n]) if raw[n] != "" else math.nan for n in FEATURE_NAMES}
+        except ValueError as exc:
+            raise PipelineError(f"{path}:{line}: {exc}") from exc
         all_missing = all(math.isnan(v) for v in values.values())
         rows.append(
             FeatureRow(
-                window_id=int(raw["window_id"]),
+                window_id=window_id,
                 subject_id=raw["subject_id"],
-                modality=raw["modality"],
+                modality=modality,
                 label=raw["label"],
                 features=None if all_missing else FeatureVector(**values),
             )
@@ -473,7 +485,7 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
     }
     write_json(
         out / STATE_OVERLAPS_JSON,
-        {"feature": box_feature, "threshold": 0.5, "flagged_pairs": overlaps},
+        {"feature": box_feature, "threshold": OVERLAP_FLAG_THRESHOLD, "flagged_pairs": overlaps},
         h,
     )
     return {
@@ -734,7 +746,7 @@ def stage_report(config: PipelineConfig, force: bool = False) -> Path:
                 float(row["normalized_mean_abs_diff"]) if row["normalized_mean_abs_diff"] else None
             ),
         }
-        for row in summary_rows
+        for _, row in summary_rows
     }
     normalized = [
         v["normalized_mean_abs_diff"] for v in per_feature.values()
@@ -742,7 +754,7 @@ def stage_report(config: PipelineConfig, force: bool = False) -> Path:
     ]
     _, importance_rows = read_csv(out / IMPORTANCE_CSV)
     rankings: dict[str, list[str]] = {}
-    for row in importance_rows:
+    for _, row in importance_rows:
         if row["scope"] == "global":
             rankings.setdefault(row["modality"], [None] * len(FEATURE_NAMES))
             rankings[row["modality"]][int(row["rank"]) - 1] = row["feature"]

@@ -75,14 +75,23 @@ def write_csv(path: str | Path, columns: list[str], rows: list[list], cfg_hash: 
             fh.write(",".join(row) + "\n")
 
 
-def read_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a CSV written by write_csv, skipping comment lines."""
+def read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """Read a CSV written by write_csv, skipping comment and blank lines: the
+    columns, and each row as (line number, {column: cell}).  A row of another
+    width than the header raises ValueError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if not line.startswith("#")]
     if not lines:
         return [], []
-    columns = lines[0].split(",")
-    rows = [dict(zip(columns, line.split(","))) for line in lines[1:] if line]
+    columns = lines[0][1].split(",")
+    rows = []
+    for lineno, line in lines[1:]:
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(cells)}")
+        rows.append((lineno, dict(zip(columns, cells))))
     return columns, rows
 
 

@@ -297,6 +297,51 @@ def test_broken_model_json_is_one_json_error(full_run, tmp_path, mutate):
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
+def _edit_first_row(text, edit):
+    lines = text.splitlines(keepends=True)
+    lines[2] = ",".join(edit(lines[2].rstrip("\n").split(","))) + "\n"
+    return "".join(lines)
+
+
+# Each edit leaves an out_dir input that the variance stage cannot use; the
+# error names the file, and the line where one is at fault.
+CORRUPT_OUT_DIR = {
+    "config_not_an_object": ("config.json", lambda text: "[]\n", ": expected a JSON object"),
+    "feature_row_cut_short": (
+        "features.csv", lambda text: _edit_first_row(text, lambda cells: cells[:5]),
+        ":3: expected 17 fields, got 5",
+    ),
+    "unknown_modality": (
+        "features.csv", lambda text: _edit_first_row(text, lambda c: [*c[:2], "EEG", *c[3:]]),
+        ":3: 'EEG' is not a valid Modality",
+    ),
+    "non_numeric_feature": (
+        "features.csv", lambda text: _edit_first_row(text, lambda c: [*c[:4], "fast", *c[5:]]),
+        ":3: could not convert string to float: 'fast'",
+    ),
+    "renamed_column": (
+        "features.csv", lambda text: text.replace(",ibi,", ",IBI,", 1), ": expected columns",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, edit, where", CORRUPT_OUT_DIR.values(), ids=CORRUPT_OUT_DIR.keys())
+def test_corrupt_out_dir_input_is_one_json_error(full_run, tmp_path, name, edit, where):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    (run / name).write_text(edit((run / name).read_text()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrvaffect", "variance",
+         "--config", str(full_run.parent / "config_run.json"), "--out", str(run)],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "PipelineError"
+    assert f"{run / name}{where}" in payload["message"]
+
+
 class TestSynthCommand:
     def test_synth_writes_canonical_dataset(self, tmp_path):
         spec_path = tmp_path / "spec.json"

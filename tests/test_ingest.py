@@ -318,3 +318,41 @@ def test_write_canonical_bytes(tmp_path, scheme, rate, values, annotations):
         "t1_annotations.csv": annotations,
         "manifest.json": tiny_manifest(scheme.value, rate),
     }
+
+
+SPEC_DOC = {
+    "duration_s": 30.0,
+    "ecg_rate_hz": 700.0,
+    "ppg_rate_hz": 64.0,
+    "states": [{"label": "baseline", "mean_bpm": 65.0, "bpm_jitter_ms": 10.0, "duration_s": 30.0}],
+}
+
+
+def test_spec_without_optional_keys_takes_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_DOC))
+    assert load_synthetic_spec(path) == SyntheticSpec(
+        30.0, 700.0, 64.0, (StateSpec("baseline", 65.0, 10.0, 30.0),)
+    )
+
+
+@pytest.mark.parametrize("seed", [1.5, True, float("inf")], ids=["fraction", "bool", "inf"])
+def test_seed_must_be_an_integer(tmp_path, seed):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC_DOC, seed=seed)))
+    with pytest.raises(InvalidSpecError, match="seed must be an integer"):
+        load_synthetic_spec(path)
+
+
+@pytest.mark.parametrize("seed", [3, 3.0])
+def test_integral_seed_loads(tmp_path, seed):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC_DOC, seed=seed)))
+    assert load_synthetic_spec(path).seed == 3
+
+
+def test_spec_that_is_not_an_object_is_invalid(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text("[]")
+    with pytest.raises(InvalidSpecError, match="expected a JSON object"):
+        load_synthetic_spec(path)
