@@ -419,7 +419,7 @@ def _loadtxt_body(path: Path, header: str, dtype) -> np.ndarray | None:
     return np.ascontiguousarray(rows[:, 1] if n_fields == 2 else rows[:, 1:])
 
 
-def _read_table(path: Path, kind) -> np.ndarray:
+def _read_table(path: Path, kind: str | LabelScheme) -> np.ndarray:
     """The canonical table of `kind` at `path`, in one numpy parse or, when
     that declines, in a line loop that accepts what Python's float and int
     accept and raises ParseError on the first bad line."""
@@ -538,14 +538,11 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
                 )
                 for s in doc["states"]
             ),
-            respiratory_rate_hz=float(
-                doc.get("respiratory_rate_hz", SyntheticSpec.respiratory_rate_hz)
-            ),
-            respiratory_rr_modulation_ms=float(
-                doc.get("respiratory_rr_modulation_ms", SyntheticSpec.respiratory_rr_modulation_ms)
-            ),
-            noise_std=float(doc.get("noise_std", SyntheticSpec.noise_std)),
             seed=int(seed),
+            **{
+                name: float(doc.get(name, getattr(SyntheticSpec, name)))
+                for name in ("respiratory_rate_hz", "respiratory_rr_modulation_ms", "noise_std")
+            },
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpecError(f"synthetic spec field error: {exc}") from exc
