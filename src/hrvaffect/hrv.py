@@ -5,10 +5,24 @@ generated for a ladder of threshold elevation factors and the factor whose
 implied BPM is physiological with the steadiest RR series wins.  Features are
 computed over the accepted RR intervals with population statistics throughout,
 which makes the Poincare identities exact and testable.
+
+Candidates are found for a block of equal-length windows at once
+(threshold_candidates), because numpy's per-call overhead, not arithmetic,
+dominates a single window.  The eight threshold masks are nested: the rolling
+mean r is never negative and rounding is monotone, so for factors f1 < f2,
+fl(f1 * r) <= fl(f2 * r); taking the maximum with the amplitude floor keeps
+that order, and every sample above the higher threshold is above the lower
+one.  Only the lowest factor is therefore compared over the whole block; the
+higher factors are compared on its candidate samples alone, and the runs of
+all factors and their first argmaxes are found in one pass.  The pipeline
+cuts a subject's windows into blocks of at most BLOCK_SAMPLES samples (2^15,
+but at least one window), so the temporaries stay at a few MB at any sample
+rate; detect_beats then chooses each window's factor from its candidates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -19,6 +33,7 @@ from .core import WindowedSegment
 # Detection ladder and physiological plausibility bounds.
 THRESHOLD_FACTORS = (1.05, 1.10, 1.20, 1.30, 1.50, 2.00, 2.50, 3.00)
 ROLLING_MEAN_SPAN_S = 0.75
+BLOCK_SAMPLES = 2**15
 BPM_VALID_RANGE = (40.0, 180.0)
 RR_PLAUSIBLE_MS = (300.0, 2000.0)
 
@@ -85,60 +100,90 @@ FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def _rolling_mean(x: np.ndarray, span: int) -> np.ndarray:
-    """Centered rolling mean, median-padded so edge beats do not inflate it."""
-    span = max(1, min(span, x.size))
+    """Centered rolling mean along each row, median-padded so edge beats do not
+    inflate it."""
+    n = x.shape[1]
+    span = max(1, min(span, n))
     pad_left = span // 2
-    pad_right = span - 1 - pad_left
-    fill = float(np.median(x))
-    padded = np.concatenate([np.full(pad_left, fill), x, np.full(pad_right, fill)])
-    csum = np.cumsum(np.concatenate([[0.0], padded]))
-    return (csum[span:] - csum[:-span]) / span
+    fill = np.median(x, axis=1, keepdims=True)
+    # One leading zero, then the row padded to n + span - 1 samples.
+    csum = np.empty((x.shape[0], n + span), dtype=np.float64)
+    csum[:, :1] = 0.0
+    csum[:, 1 : 1 + pad_left] = fill
+    csum[:, 1 + pad_left : 1 + pad_left + n] = x
+    csum[:, 1 + pad_left + n :] = fill
+    np.cumsum(csum, axis=1, out=csum)
+    return (csum[:, span:] - csum[:, :-span]) / span
 
 
-def _region_peaks(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Argmax of each contiguous True run in mask.
+def _first_argmax_of_runs(position: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the first maximum of each run of consecutive positions."""
+    starts = np.flatnonzero(np.diff(position, prepend=position[0] - 2) != 1)
+    run_max = np.maximum.reduceat(values, starts)
+    at_max = np.flatnonzero(values == np.repeat(run_max, np.diff(starts, append=values.size)))
+    return at_max[np.searchsorted(at_max, starts)]
 
-    Runs clipped by the window boundary whose maximum sits exactly on the
-    boundary sample are truncated bumps from a beat outside the window; they
-    are discarded rather than reported as spurious edge peaks.
+
+def threshold_candidates(windows: np.ndarray, rate: float) -> list[tuple[np.ndarray, ...]]:
+    """Candidate peaks of each window of a (W, N) block, one array per factor.
+
+    Each window is shifted non-negative and compared against every factor of
+    THRESHOLD_FACTORS times its 0.75 s rolling mean, floored at 1e-6 of its
+    peak; each contiguous suprathreshold region yields its first argmax.  A
+    region whose maximum sits on the window's first or last sample is a
+    truncated bump from a beat outside the window and yields nothing.  Only
+    the lowest factor is compared over the whole block: the masks are nested
+    (see the module docstring), so the other factors are compared on its
+    candidate samples alone.  Returns, per window, a tuple of ascending int64
+    sample indices aligned with THRESHOLD_FACTORS.
     """
-    if not mask.any():
-        return np.array([], dtype=np.int64)
-    rising = np.flatnonzero(~mask[:-1] & mask[1:]) + 1
-    falling = np.flatnonzero(mask[:-1] & ~mask[1:]) + 1
-    if mask[0]:
-        rising = np.concatenate([[0], rising])
-    if mask[-1]:
-        falling = np.concatenate([falling, [mask.size]])
-    peaks = []
-    for a, b in zip(rising, falling):
-        peak = a + int(np.argmax(x[a:b]))
-        if (a == 0 and peak == 0) or (b == mask.size and peak == mask.size - 1):
-            continue
-        peaks.append(peak)
-    return np.array(peaks, dtype=np.int64)
-
-
-def detect_beats(window: WindowedSegment) -> BeatSeries:
-    """Locate beats in a filtered window via adaptive threshold selection.
-
-    The window is shifted non-negative and compared against elevation factors
-    times its 0.75 s rolling mean; each contiguous suprathreshold region emits
-    its argmax as a candidate peak.  The factor whose implied BPM falls inside
-    the plausible range with minimal RR standard deviation wins (ties go to
-    the smallest factor).  RR intervals outside 300-2000 ms are rejected but
-    kept visible in the mask.
-    """
-    rate = window.sample_rate_hz
-    x = window.samples - window.samples.min()
+    x = np.asarray(windows)
+    x = x - x.min(axis=1, keepdims=True)
+    w, n = x.shape
     rolling = _rolling_mean(x, int(round(ROLLING_MEAN_SPAN_S * rate)))
     # Amplitude floor so vanishing baselines cannot promote noise-floor
     # wiggles between beats into suprathreshold regions.
-    floor = 1e-6 * float(x.max()) if x.size else 0.0
+    floor = 1e-6 * x.max(axis=1)
+    threshold = THRESHOLD_FACTORS[0] * rolling
+    np.maximum(threshold, floor[:, None], out=threshold)
+    flat = np.flatnonzero(x > threshold)
+    n_factors = len(THRESHOLD_FACTORS)
+    if flat.size == 0:
+        return [(flat,) * n_factors for _ in range(w)]
+    # Every candidate is above the floor, so a factor only needs x > f * rolling.
+    values = x.ravel()[flat]
+    factors = np.array(THRESHOLD_FACTORS)[:, None]
+    factor_index, member = np.nonzero(values > factors * rolling.ravel()[flat])
+
+    # All factors in one sequence: factor k's candidates in flat order, at
+    # positions (k * W + row) * (N + 1) + column, so no run crosses a row or
+    # a factor.
+    position = factor_index * (w * (n + 1)) + (flat + flat // n)[member]
+    position = position[_first_argmax_of_runs(position, values[member])]
+    key, column = np.divmod(position, n + 1)
+    inside = (column != 0) & (column != n - 1)
+    bounds = np.cumsum(np.bincount(key[inside], minlength=n_factors * w))[:-1]
+    per_key = np.split(column[inside], bounds)
+    return [tuple(per_key[k * w + r] for k in range(n_factors)) for r in range(w)]
+
+
+def detect_beats(
+    window: WindowedSegment, candidates: tuple[np.ndarray, ...] | None = None
+) -> BeatSeries:
+    """Locate beats in a filtered window via adaptive threshold selection.
+
+    candidates are the window's per-factor candidate peaks from
+    threshold_candidates; when omitted they are computed for this window
+    alone.  The factor whose implied BPM falls inside the plausible range with
+    minimal RR standard deviation wins (ties go to the smallest factor).  RR
+    intervals outside 300-2000 ms are rejected but kept visible in the mask.
+    """
+    rate = window.sample_rate_hz
+    if candidates is None:
+        (candidates,) = threshold_candidates(window.samples[None, :], rate)
 
     best: tuple[float, float, np.ndarray] | None = None  # (rr_std, factor, peaks)
-    for factor in THRESHOLD_FACTORS:
-        peaks = _region_peaks(x, x > np.maximum(factor * rolling, floor))
+    for factor, peaks in zip(THRESHOLD_FACTORS, candidates):
         if peaks.size < 2:
             continue
         rr_ms = np.diff(peaks) / rate * 1000.0
@@ -157,6 +202,33 @@ def detect_beats(window: WindowedSegment) -> BeatSeries:
     rr_ms = np.diff(peaks) / rate * 1000.0
     accepted = (rr_ms >= RR_PLAUSIBLE_MS[0]) & (rr_ms <= RR_PLAUSIBLE_MS[1])
     return BeatSeries(peak_indices=peaks, rr_ms=rr_ms, accepted=accepted)
+
+
+@functools.lru_cache(maxsize=None)  # one entry per nperseg, at most 32
+def _hann(nperseg: int) -> np.ndarray:
+    """Periodic Hann window, the same values as scipy's get_window("hann")."""
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    window.flags.writeable = False
+    return window
+
+
+def _welch_density(x: np.ndarray, nperseg: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch power spectral density of x at TACHOGRAM_RATE_HZ.
+
+    Hann segments of nperseg samples with 50% overlap, no detrending, each
+    zero-padded to nfft, density-scaled and averaged: what
+    scipy.signal.welch computes, to a relative 1e-9, without importing
+    scipy.signal.
+    """
+    from scipy import fft as sp_fft  # here, not at import time: see the dsp module
+
+    window = _hann(nperseg)
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
+    spectrum = sp_fft.rfft(segments * window, n=nfft)
+    power = (np.conjugate(spectrum) * spectrum).real
+    power *= 1.0 / (TACHOGRAM_RATE_HZ * (window * window).sum())
+    power[:, 1 : (nfft + 1) // 2] *= 2.0  # one-sided: all but DC and Nyquist
+    return sp_fft.rfftfreq(nfft, 1.0 / TACHOGRAM_RATE_HZ), power.mean(axis=0)
 
 
 def estimate_breathing(rr_ms: np.ndarray) -> float:
@@ -182,17 +254,7 @@ def estimate_breathing(rr_ms: np.ndarray) -> float:
     tachogram = tachogram - tachogram.mean()
 
     nperseg = min(int(WELCH_SEGMENT_S * TACHOGRAM_RATE_HZ), n_grid)
-    from scipy import signal as sps  # here, not at import time: see the dsp module
-
-    freqs, power = sps.welch(
-        tachogram,
-        fs=TACHOGRAM_RATE_HZ,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        nfft=max(BREATH_NFFT, nperseg),
-        detrend=False,
-    )
+    freqs, power = _welch_density(tachogram, nperseg, max(BREATH_NFFT, nperseg))
     band = (freqs >= BREATH_BAND_HZ[0]) & (freqs <= BREATH_BAND_HZ[1])
     band_power = power[band]
     if band_power.size == 0 or band_power.max() <= _FLAT_POWER_EPS:

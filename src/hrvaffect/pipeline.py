@@ -23,12 +23,14 @@ from . import ingest, svgplot
 from .core import LabelScheme, Modality
 from .dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, FilterSpec, WindowSpec, filter_signal, segment_windows
 from .hrv import (
+    BLOCK_SAMPLES,
     FEATURE_NAMES,
     FeatureVector,
     NoPlausiblePeaksError,
     TooFewBeatsError,
     compute_features,
     detect_beats,
+    threshold_candidates,
 )
 from .learn import ExtraTreesParams, evaluate, model_from_dict, model_to_dict
 from .serialize import (
@@ -53,6 +55,11 @@ SHAP_POINTS_CSV = "shap_points.csv"
 REPORT_JSON = "report.json"
 CONFIG_JSON = "config.json"
 FEATURE_COLUMNS = ["window_id", "subject_id", "modality", "label", *FEATURE_NAMES]
+VARIANCE_SUMMARY_COLUMNS = [
+    "feature", "n_windows", "mean_abs_diff", "max_abs_diff", "missing_count",
+    "pooled_mean_abs", "normalized_mean_abs_diff",
+]
+IMPORTANCE_COLUMNS = ["modality", "feature", "scope", "mean_abs_shap", "rank"]
 
 
 class PipelineError(Exception):
@@ -218,6 +225,28 @@ def run_hash(config: PipelineConfig) -> str:
     return config_hash(doc)
 
 
+def _read_object(path: Path) -> dict:
+    """The JSON object an out_dir file holds; anything else names the file."""
+    try:
+        doc = read_json(path)
+    except ValueError as exc:
+        raise PipelineError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PipelineError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _read_table(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]]:
+    """The rows, each with its line, of an out_dir CSV with exactly these columns."""
+    try:
+        found, rows = read_csv(path)
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from exc
+    if found != columns:
+        raise PipelineError(f"{path}: expected columns {','.join(columns)}")
+    return rows
+
+
 def prepare_out_dir(config: PipelineConfig, force: bool = False) -> tuple[Path, str]:
     """Create the output directory, guarding against config-hash collisions.
 
@@ -229,11 +258,7 @@ def prepare_out_dir(config: PipelineConfig, force: bool = False) -> tuple[Path, 
     h = run_hash(config)
     cfg_path = out / CONFIG_JSON
     if cfg_path.exists():
-        existing = read_json(cfg_path)
-        if not isinstance(existing, dict):
-            raise PipelineError(
-                f"{cfg_path}: expected a JSON object, got {type(existing).__name__}"
-            )
+        existing = _read_object(cfg_path)
         if existing.get("config_hash") != h and not force:
             raise ConfigHashMismatchError(
                 f"{out} holds outputs for config {existing.get('config_hash')}, "
@@ -285,6 +310,16 @@ class FeatureRow:
     features: FeatureVector | None  # None when beat detection failed
 
 
+def _with_candidates(segments):
+    """Yield each segment with its threshold candidates, computed one block of
+    at most BLOCK_SAMPLES samples at a time so temporaries stay small."""
+    per_block = max(1, BLOCK_SAMPLES // max(1, segments[0].samples.size))
+    for start in range(0, len(segments), per_block):
+        block = segments[start : start + per_block]
+        windows = np.stack([segment.samples for segment in block])
+        yield from zip(block, threshold_candidates(windows, block[0].sample_rate_hz))
+
+
 def featurize(
     subjects: list[ingest.SubjectData], config: PipelineConfig
 ) -> tuple[list[FeatureRow], dict]:
@@ -304,12 +339,13 @@ def featurize(
         ppg = filter_signal(subject.ppg, config.ppg_filter)
         pairs = segment_windows(ecg, ppg, subject.annotations, config.window)
         stats["windows_labeled"] += len(pairs)
-        for pair in pairs:
-            for segment in pair:
+        for segments in zip(*pairs):  # the ECG windows, then the PPG windows
+            for segment, candidates in _with_candidates(segments):
                 counters = stats["modalities"][segment.modality.value]
                 features = None
                 try:
-                    features = compute_features(detect_beats(segment), segment.sample_rate_hz)
+                    beats = detect_beats(segment, candidates)
+                    features = compute_features(beats, segment.sample_rate_hz)
                 except NoPlausiblePeaksError:
                     counters["detect_failures"] += 1
                 except TooFewBeatsError:
@@ -355,14 +391,8 @@ def read_feature_rows(out_dir: str | Path) -> list[FeatureRow]:
     path = Path(out_dir) / FEATURES_CSV
     if not path.exists():
         raise MissingInputError(FEATURES_CSV)
-    try:
-        columns, raw_rows = read_csv(path)
-    except ValueError as exc:
-        raise PipelineError(str(exc)) from exc
-    if columns != FEATURE_COLUMNS:
-        raise PipelineError(f"{path}: expected columns {','.join(FEATURE_COLUMNS)}")
     rows = []
-    for line, raw in raw_rows:
+    for line, raw in _read_table(path, FEATURE_COLUMNS):
         try:
             window_id = int(raw["window_id"])
             modality = Modality(raw["modality"]).value
@@ -421,8 +451,7 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
     write_csv(out / VARIANCE_CSV, ["window_id", "subject_id", "feature", "abs_diff"], series_rows, h)
     write_csv(
         out / VARIANCE_SUMMARY_CSV,
-        ["feature", "n_windows", "mean_abs_diff", "max_abs_diff", "missing_count",
-         "pooled_mean_abs", "normalized_mean_abs_diff"],
+        VARIANCE_SUMMARY_COLUMNS,
         summary_rows,
         h,
     )
@@ -676,7 +705,7 @@ def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
         }
     write_csv(
         out / IMPORTANCE_CSV,
-        ["modality", "feature", "scope", "mean_abs_shap", "rank"],
+        IMPORTANCE_COLUMNS,
         importance_rows,
         h,
     )
@@ -730,42 +759,52 @@ def validate_schema(doc, schema, path="$") -> list[str]:
     return problems
 
 
+def _optional_float(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
 def stage_report(config: PipelineConfig, force: bool = False) -> Path:
     out, h = prepare_out_dir(config, force)
     for name in (EXTRACT_STATS_JSON, VARIANCE_SUMMARY_CSV, METRICS_JSON, IMPORTANCE_CSV):
         if not (out / name).exists():
             raise MissingInputError(name)
 
-    _, summary_rows = read_csv(out / VARIANCE_SUMMARY_CSV)
-    per_feature = {
-        row["feature"]: {
-            "mean_abs_diff": float(row["mean_abs_diff"]) if row["mean_abs_diff"] else None,
-            "max_abs_diff": float(row["max_abs_diff"]) if row["max_abs_diff"] else None,
-            "missing_count": int(row["missing_count"]),
-            "normalized_mean_abs_diff": (
-                float(row["normalized_mean_abs_diff"]) if row["normalized_mean_abs_diff"] else None
-            ),
-        }
-        for _, row in summary_rows
-    }
+    per_feature = {}
+    path = out / VARIANCE_SUMMARY_CSV
+    for line, row in _read_table(path, VARIANCE_SUMMARY_COLUMNS):
+        try:
+            per_feature[row["feature"]] = {
+                "mean_abs_diff": _optional_float(row["mean_abs_diff"]),
+                "max_abs_diff": _optional_float(row["max_abs_diff"]),
+                "missing_count": int(row["missing_count"]),
+                "normalized_mean_abs_diff": _optional_float(row["normalized_mean_abs_diff"]),
+            }
+        except ValueError as exc:
+            raise PipelineError(f"{path}:{line}: {exc}") from exc
     normalized = [
         v["normalized_mean_abs_diff"] for v in per_feature.values()
         if v["normalized_mean_abs_diff"] is not None
     ]
-    _, importance_rows = read_csv(out / IMPORTANCE_CSV)
     rankings: dict[str, list[str]] = {}
-    for _, row in importance_rows:
+    path = out / IMPORTANCE_CSV
+    for line, row in _read_table(path, IMPORTANCE_COLUMNS):
         if row["scope"] == "global":
-            rankings.setdefault(row["modality"], [None] * len(FEATURE_NAMES))
-            rankings[row["modality"]][int(row["rank"]) - 1] = row["feature"]
+            try:
+                rank = int(row["rank"])
+            except ValueError as exc:
+                raise PipelineError(f"{path}:{line}: {exc}") from exc
+            if not 1 <= rank <= len(FEATURE_NAMES):
+                raise PipelineError(f"{path}:{line}: rank {rank} outside 1-{len(FEATURE_NAMES)}")
+            ranking = rankings.setdefault(row["modality"], [None] * len(FEATURE_NAMES))
+            ranking[rank - 1] = row["feature"]
 
     overlaps = {}
     if (out / STATE_OVERLAPS_JSON).exists():
-        overlaps = read_json(out / STATE_OVERLAPS_JSON)
+        overlaps = _read_object(out / STATE_OVERLAPS_JSON)
         overlaps.pop("config_hash", None)
     doc = {
         "config": config_to_dict(config),
-        "extract": read_json(out / EXTRACT_STATS_JSON),
+        "extract": _read_object(out / EXTRACT_STATS_JSON),
         "variance": {
             "mean_normalized_variance": (
                 float(np.mean(normalized)) if normalized else None
@@ -773,7 +812,7 @@ def stage_report(config: PipelineConfig, force: bool = False) -> Path:
             "per_feature": per_feature,
             "state_overlaps": overlaps,
         },
-        "metrics": read_json(out / METRICS_JSON),
+        "metrics": _read_object(out / METRICS_JSON),
         "importance": {"rankings": rankings},
     }
     doc["extract"].pop("config_hash", None)

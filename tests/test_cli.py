@@ -342,6 +342,53 @@ def test_corrupt_out_dir_input_is_one_json_error(full_run, tmp_path, name, edit,
     assert f"{run / name}{where}" in payload["message"]
 
 
+# Each edit leaves an input of the report stage that it cannot use.
+CORRUPT_REPORT_INPUT = {
+    "overlaps_not_an_object": ("state_overlaps.json", lambda text: "[]\n", ": expected a JSON object"),
+    "metrics_not_an_object": ("metrics.json", lambda text: "[]\n", ": expected a JSON object"),
+    "extract_stats_not_json": ("extract_stats.json", lambda text: "{\n", ": Expecting"),
+    "summary_non_numeric": (
+        "variance_summary.csv", lambda text: _edit_first_row(text, lambda c: [c[0], c[1], "x", *c[3:]]),
+        ":3: could not convert string to float: 'x'",
+    ),
+    "summary_row_cut_short": (
+        "variance_summary.csv", lambda text: _edit_first_row(text, lambda cells: cells[:3]),
+        ":3: expected 7 fields, got 3",
+    ),
+    "summary_renamed_column": (
+        "variance_summary.csv", lambda text: text.replace(",max_abs_diff,", ",max,", 1),
+        ": expected columns",
+    ),
+    "rank_not_an_integer": (
+        "importance.csv", lambda text: _edit_first_row(text, lambda c: [*c[:4], "first"]),
+        ":3: invalid literal for int() with base 10: 'first'",
+    ),
+    "rank_out_of_range": (
+        "importance.csv", lambda text: _edit_first_row(text, lambda c: [*c[:4], "0"]),
+        ":3: rank 0 outside 1-13",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, edit, where", CORRUPT_REPORT_INPUT.values(), ids=CORRUPT_REPORT_INPUT.keys()
+)
+def test_corrupt_report_input_is_one_json_error(full_run, tmp_path, name, edit, where):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    (run / name).write_text(edit((run / name).read_text()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrvaffect", "report",
+         "--config", str(full_run.parent / "config_run.json"), "--out", str(run)],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "PipelineError"
+    assert f"{run / name}{where}" in payload["message"]
+
+
 class TestSynthCommand:
     def test_synth_writes_canonical_dataset(self, tmp_path):
         spec_path = tmp_path / "spec.json"
