@@ -2,7 +2,9 @@
 
 The oracle below is the detector as it ran one window at a time: one full
 threshold mask per factor, and a Python loop over the mask's runs.
-threshold_candidates must give, for every factor, exactly its peaks.
+threshold_candidates must give, for every factor, exactly its peaks.  The
+breathing spectrum, which replaced scipy.signal.welch, is checked against it
+at the end.
 """
 
 import re
