@@ -108,9 +108,6 @@ class SignalRecord:
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
 
-    def time_at(self, index: int) -> float:
-        return self.start_time_s + index / self.sample_rate_hz
-
 
 @dataclass(frozen=True, eq=False)
 class AnnotationTrack:

@@ -156,9 +156,13 @@ def resolve_label_av(values: np.ndarray) -> str:
     return av_quadrant(arousal_mean <= AV_LOW_MAX, valence_mean <= AV_LOW_MAX)
 
 
+def _sample_count(length_s: float, rate_hz: float) -> int:
+    return int(np.floor(length_s * rate_hz + 1e-9))
+
+
 def _slice_bounds(offset_s: float, length_s: float, rate_hz: float, n_total: int):
     start = int(round(offset_s * rate_hz))
-    count = int(np.floor(length_s * rate_hz + 1e-9))
+    count = _sample_count(length_s, rate_hz)
     if start < 0 or start + count > n_total:
         return None
     return start, start + count
@@ -184,6 +188,12 @@ def segment_windows(
         raise NoCompleteWindowError(
             f"recording covers {covered_s:.3f} s < window {wspec.window_len_s} s"
         )
+    for name, stream in (("ECG", ecg), ("PPG", ppg), ("annotations", annotations)):
+        if _sample_count(wspec.window_len_s, stream.sample_rate_hz) == 0:
+            raise NoCompleteWindowError(
+                f"a {wspec.window_len_s} s window holds no {name} sample at "
+                f"{stream.sample_rate_hz} Hz"
+            )
     n_windows = int(np.floor((covered_s - wspec.window_len_s) / wspec.stride_s + 1e-9)) + 1
 
     pairs: list[tuple[WindowedSegment, WindowedSegment]] = []

@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .core import (
     validate_record,
     validate_track,
 )
+from .serialize import DecodeError, decode
 
 PPG_TRANSIT_DELAY_S = 0.25
 # Representative normalized arousal/valence values for each bin.
@@ -365,26 +365,21 @@ def write_manifest(manifest: DatasetManifest, path: str | Path):
         fh.write("\n")
 
 
-def load_manifest(path: str | Path) -> DatasetManifest:
+def _read_document(path: str | Path, what: str):
+    """The JSON value a user-written file holds."""
     path = Path(path)
     if not path.exists():
-        raise MissingFileError(f"manifest not found: {path}")
+        raise MissingFileError(f"{what} not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    field_types = get_type_hints(SubjectFiles)
+
+
+def load_manifest(path: str | Path) -> DatasetManifest:
     try:
-        subjects = tuple(
-            SubjectFiles(**{name: cast(s[name]) for name, cast in field_types.items()})
-            for s in doc["subjects"]
-        )
-        manifest = DatasetManifest(
-            dataset_name=str(doc["dataset_name"]),
-            label_scheme=LabelScheme(doc["label_scheme"]),
-            subjects=subjects,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        manifest = decode(DatasetManifest, _read_document(path, "manifest"))
+    except DecodeError as exc:
         raise ParseError(path, 1, f"manifest field error: {exc}") from exc
     for s in manifest.subjects:
         if min(s.ecg_rate_hz, s.ppg_rate_hz, s.annotation_rate_hz) <= 0:
@@ -512,39 +507,9 @@ def load_dataset(
 
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"synthetic spec not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    try:
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        seed = doc.get("seed", SyntheticSpec.seed)
-        if isinstance(seed, bool) or (isinstance(seed, float) and not seed.is_integer()):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        spec = SyntheticSpec(
-            duration_s=float(doc["duration_s"]),
-            ecg_rate_hz=float(doc["ecg_rate_hz"]),
-            ppg_rate_hz=float(doc["ppg_rate_hz"]),
-            states=tuple(
-                StateSpec(
-                    label=str(s["label"]),
-                    mean_bpm=float(s["mean_bpm"]),
-                    bpm_jitter_ms=float(s["bpm_jitter_ms"]),
-                    duration_s=float(s["duration_s"]),
-                )
-                for s in doc["states"]
-            ),
-            seed=int(seed),
-            **{
-                name: float(doc.get(name, getattr(SyntheticSpec, name)))
-                for name in ("respiratory_rate_hz", "respiratory_rr_modulation_ms", "noise_std")
-            },
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = decode(SyntheticSpec, _read_document(path, "synthetic spec"))
+    except DecodeError as exc:
         raise InvalidSpecError(f"synthetic spec field error: {exc}") from exc
     return validate_synthetic_spec(spec)
 

@@ -616,7 +616,6 @@ class EvalReport:
     n_holdout: int
     train_ids: np.ndarray
     holdout_ids: np.ndarray
-    dropped_rows: int = 0
 
 
 def accuracy(y_true, y_pred) -> float:

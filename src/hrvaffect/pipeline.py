@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,8 +33,8 @@ from .hrv import (
 )
 from .learn import ExtraTreesParams, evaluate, model_from_dict, model_to_dict
 from .serialize import (
-    config_hash, fmt9, read_csv, read_json, round9_array, write_compact_json, write_csv,
-    write_json,
+    DecodeError, config_hash, decode, fmt9, read_csv, read_json, round9_array,
+    write_compact_json, write_csv, write_json,
 )
 from .variance import (
     OVERLAP_FLAG_THRESHOLD, flag_overlapping_pairs, inter_signal_variance, state_feature_stats,
@@ -123,11 +122,11 @@ class PipelineConfig:
     out_dir: str = "out"
     manifest_path: str | None = None
     synthetic_spec_path: str | None = None
-    window: WindowSpec = field(default_factory=WindowSpec)
+    window: WindowSpec = WindowSpec()
     ecg_filter: FilterSpec = DEFAULT_ECG_FILTER
     ppg_filter: FilterSpec = DEFAULT_PPG_FILTER
-    learn: LearnConfig = field(default_factory=LearnConfig)
-    explain: ExplainConfig = field(default_factory=ExplainConfig)
+    learn: LearnConfig = LearnConfig()
+    explain: ExplainConfig = ExplainConfig()
     seed: int = 0
     box_feature: str = "bpm"
 
@@ -138,50 +137,12 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return doc
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value can stand for a field annotated `hint`."""
-    args = get_args(hint)
-    if type(None) in args:
-        return value is None or any(_fits(value, arg) for arg in args if arg is not type(None))
-    if get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, hint)
-
-
-def _override(default, doc, where: str):
-    """Copy of the dataclass `default` with the fields `doc` names replaced;
-    nested sections recurse, so a partial section keeps its other defaults."""
-    if not isinstance(doc, dict):
-        raise ConfigInvalidError(where, f"{where} must be an object")
-    hints = get_type_hints(type(default))
-    unknown = sorted(set(doc) - set(hints))
-    if unknown:
-        raise ConfigInvalidError(
-            unknown[0] if where == "config" else where, f"unknown {where} keys: {unknown}"
-        )
-    values = {}
-    for name, value in doc.items():
-        hint = hints[name]
-        if is_dataclass(hint):
-            value = _override(getattr(default, name), value, name)
-        elif not _fits(value, hint):
-            raise ConfigInvalidError(
-                name if where == "config" else where,
-                f"{name} must be {hint.__name__ if isinstance(hint, type) else hint}, "
-                f"got {value!r}",
-            )
-        elif get_origin(hint) is tuple:
-            value = tuple(value)
-        values[name] = value
-    return replace(default, **values)
-
-
 def config_from_dict(doc: dict) -> PipelineConfig:
-    return validate_config(_override(PipelineConfig(), doc, "config"))
+    try:
+        config = decode(PipelineConfig, doc)
+    except DecodeError as exc:
+        raise ConfigInvalidError(exc.key or "config", str(exc)) from exc
+    return validate_config(config)
 
 
 def validate_config(config: PipelineConfig) -> PipelineConfig:
@@ -492,7 +453,7 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
     )
     box_feature = config.box_feature
     boxes = [
-        (f"{g.state}/{g.modality}", g.minimum, g.q1, g.q2, g.q3, g.maximum, [])
+        (f"{g.state}/{g.modality}", g.minimum, g.q1, g.q2, g.q3, g.maximum)
         for g in stats
         if g.feature == box_feature and not g.insufficient
     ]
@@ -653,7 +614,7 @@ def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
     model_path = out / MODEL_JSON
     if not model_path.exists():
         raise MissingInputError(MODEL_JSON)
-    models_doc = read_json(model_path)
+    models_doc = _read_object(model_path)
 
     # Both entries are checked before any file is written, so a broken one
     # leaves out_dir as it was.

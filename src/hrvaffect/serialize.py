@@ -1,4 +1,4 @@
-"""Deterministic text serialization shared by all report emitters.
+"""Deterministic text serialization, and the one decoder of user-written JSON.
 
 Floats in derived outputs are written with 9 significant digits so repeated
 runs produce byte-identical files across platforms; NaN becomes the empty
@@ -8,11 +8,15 @@ which only the program reads, is one compact line.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import math
 import numbers
+import sys
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -117,3 +121,63 @@ def write_compact_json(path: str | Path, doc: dict, cfg_hash: str):
 
 def read_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+class DecodeError(ValueError):
+    """A JSON document that does not fit its dataclass.  `key` is the
+    top-level key or section at fault, or None for the document itself."""
+
+    def __init__(self, path: tuple, message: str):
+        self.key = path[0] if path else None
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        super().__init__(f"{where.lstrip('.')} {message}" if path else message)
+
+
+def decode(cls, doc, default=None, path: tuple = ()):
+    """The frozen dataclass `cls` from the JSON object `doc`, by the rule in README's
+    "Input documents".  A key `doc` lacks takes `default`'s value, else the field's
+    default (never a default_factory); `path` is where `doc` sits in the document."""
+    if not isinstance(doc, dict):
+        raise DecodeError(path, f"must be a JSON object, got {doc!r}" if path
+                          else f"expected a JSON object, got {type(doc).__name__}")
+    hints = get_type_hints(cls)
+    unknown = sorted(doc.keys() - hints.keys())
+    if unknown:
+        raise DecodeError(path + (unknown[0],), "is not a known key")
+    values = {}
+    for f in fields(cls):
+        fallback = getattr(default, f.name, f.default)
+        if f.name in doc:
+            values[f.name] = _decode_value(hints[f.name], doc[f.name], fallback, path + (f.name,))
+        elif fallback is MISSING:
+            raise DecodeError(path + (f.name,), "is required")
+        else:
+            values[f.name] = fallback
+    return cls(**values)
+
+
+def _decode_value(hint, value, default, path: tuple):
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return decode(hint, value, default, path)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if get_origin(hint) is tuple:
+        kind, fits = "a list", isinstance(value, list)
+    elif isinstance(hint, enum.EnumMeta):
+        allowed = [member.value for member in hint]
+        kind, fits = f"one of {allowed}", value in allowed
+    elif hint is float:
+        kind, fits = "a finite number", number and abs(value) <= sys.float_info.max
+    elif hint is int:
+        kind, fits = "an integer", number and (isinstance(value, int) or value.is_integer())
+    else:
+        kind, fits = f"a {hint.__name__}", isinstance(value, hint)
+    if not fits:
+        raise DecodeError(path, f"must be {kind}, got {value!r}")
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return tuple(_decode_value(item, v, None, path + (i,)) for i, v in enumerate(value))
+    return hint(value)

@@ -103,20 +103,18 @@ def line_chart(
 
 def box_chart(
     path: str | Path,
-    boxes: list[tuple[str, float, float, float, float, float, list[float]]],
+    boxes: list[tuple[str, float, float, float, float, float]],
     title: str,
     y_label: str,
     cfg_hash: str,
 ):
-    """Boxes are (label, min, q1, q2, q3, max, outliers)."""
-    values = _finite(
-        [v for _, mn, q1, q2, q3, mx, outs in boxes for v in (mn, q1, q2, q3, mx, *outs)]
-    )
+    """Boxes are (label, min, q1, q2, q3, max)."""
+    values = _finite([v for _, *stats in boxes for v in stats])
     ys = _Scale(min(values, default=0.0), max(values, default=1.0), HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
     xs = _Scale(0.0, float(len(boxes)), MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
     body = _axes(xs, ys, "", y_label)
     half = 0.3
-    for i, (label, mn, q1, q2, q3, mx, outliers) in enumerate(boxes):
+    for i, (label, mn, q1, q2, q3, mx) in enumerate(boxes):
         cx = i + 0.5
         color = PALETTE[i % len(PALETTE)]
         x0, x1 = fmt9(xs(cx - half)), fmt9(xs(cx + half))
@@ -133,8 +131,6 @@ def box_chart(
                 f'font-size="10">{label}</text>',
             ]
         )
-        for v in outliers:
-            body.append(f'<circle cx="{xc}" cy="{fmt9(ys(v))}" r="2" fill="{color}"/>')
     Path(path).write_text(_document(title, cfg_hash, body), encoding="utf-8")
 
 

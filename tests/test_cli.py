@@ -297,6 +297,33 @@ def test_broken_model_json_is_one_json_error(full_run, tmp_path, mutate):
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
+def test_model_json_that_is_not_json_names_the_file(full_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    (run / "model.json").write_text("{")
+    config = json.loads((full_run.parent / "config_run.json").read_text())
+    prepare_out_dir(config_from_dict(dict(config, out_dir=str(run))))
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    result = run_cli("importance", "--config", str(full_run.parent / "config_run.json"),
+                     "--out", str(run))
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["error"] == "PipelineError"
+    assert f"{run / 'model.json'}: Expecting" in payload["message"]
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+def test_window_that_holds_no_sample_is_no_complete_window(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    result = run_cli("extract", "--synthetic-spec", str(spec_path), "--out", str(tmp_path / "run"),
+                     "--window-len-s", "0.01", "--overlap-s", "0")
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["error"] == "NoCompleteWindow"
+    assert "no PPG sample at 64.0 Hz" in payload["message"]
+
+
 def _edit_first_row(text, edit):
     lines = text.splitlines(keepends=True)
     lines[2] = ",".join(edit(lines[2].rstrip("\n").split(","))) + "\n"

@@ -1,10 +1,18 @@
-"""The compact model.json writer holds the document write_json would, and
-read_csv reports where each row of a derived CSV is."""
+"""The compact model.json writer holds the document write_json would,
+read_csv reports where each row of a derived CSV is, and config.json, the
+synthetic spec and the manifest are decoded under one rule."""
+
+import copy
+import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from hrvaffect.cli import main
+from hrvaffect.ingest import InvalidSpecError, ParseError, load_manifest, load_synthetic_spec
 from hrvaffect.learn import ExtraTreesParams, model_to_dict, train_extra_trees
+from hrvaffect.pipeline import ConfigInvalidError, config_from_dict, run_hash
 from hrvaffect.serialize import (
     read_csv, read_json, round9, round9_array, write_compact_json, write_csv, write_json,
 )
@@ -50,3 +58,135 @@ def test_read_csv_row_of_another_width_names_its_line(tmp_path, row):
     write_csv(path, ["a", "b"], [["1", "x"], row.split(",")], "abc")
     with pytest.raises(ValueError, match=f"t.csv:4: expected 2 fields, got {row.count(',') + 1}"):
         read_csv(path)
+
+
+SPEC = {
+    "duration_s": 30.0,
+    "ecg_rate_hz": 350.0,
+    "ppg_rate_hz": 64.0,
+    "states": [
+        {"label": "baseline", "mean_bpm": 65.0, "bpm_jitter_ms": 10.0, "duration_s": 15.0},
+        {"label": "stress", "mean_bpm": 90.0, "bpm_jitter_ms": 10.0, "duration_s": 15.0},
+    ],
+    "seed": 3,
+}
+MANIFEST = {
+    "dataset_name": "d",
+    "label_scheme": "discrete_state",
+    "subjects": [{
+        "subject_id": "s1", "ecg_file": "e.csv", "ppg_file": "p.csv",
+        "annotation_file": "a.csv", "ecg_rate_hz": 350.0, "ppg_rate_hz": 64.0,
+        "annotation_rate_hz": 350.0,
+    }],
+}
+DROP = object()
+
+# One bad value (or, for DROP, a key taken away) at a path of each loader's
+# valid document: config, spec, manifest; then the field ConfigInvalid names.
+DECODE_CASES = {
+    "bool_for_number": (
+        (("window", "window_len_s"), True), (("states", 0, "bpm_jitter_ms"), True),
+        (("subjects", 0, "ecg_rate_hz"), True), "window",
+    ),
+    "string_for_number": (
+        (("learn", "holdout_fraction"), "0.3"), (("duration_s",), "30"),
+        (("subjects", 0, "ecg_rate_hz"), "350"), "learn",
+    ),
+    "huge_number": (
+        (("window", "overlap_s"), 10**400), (("noise_std",), 10**400),
+        (("subjects", 0, "annotation_rate_hz"), 10**400), "window",
+    ),
+    "number_for_string": (
+        (("box_feature",), 5), (("states", 0, "label"), 5), (("dataset_name",), 5), "box_feature",
+    ),
+    "string_for_list": (
+        (("learn", "families"), "knn"), (("states",), "baseline"), (("subjects",), "s1"), "learn",
+    ),
+    "unknown_key": (
+        (("extra_key",), 1), (("noise_sd",), 0.5), (("subjects", 0, "ecg_rate"), 350.0),
+        "extra_key",
+    ),
+    # Every config key has a default; without its one input, the config is
+    # refused by validate_config instead.
+    "missing_key": (
+        (("synthetic_spec_path",), DROP), (("duration_s",), DROP),
+        (("subjects", 0, "ppg_rate_hz"), DROP), "manifest_path",
+    ),
+    "null_for_a_value": (
+        (("seed",), None), (("noise_std",), None), (("subjects", 0, "ppg_file"), None), "seed",
+    ),
+    "unknown_label_scheme": (
+        (("label_scheme",), "valence"), (("label_scheme",), "valence"),
+        (("label_scheme",), "valence"), "label_scheme",
+    ),
+}
+
+
+def _edited(doc: dict, path: tuple, value) -> dict:
+    doc = copy.deepcopy(doc)
+    section = doc
+    for key in path[:-1]:
+        section = section[key] if isinstance(section, list) else section.setdefault(key, {})
+    if value is DROP:
+        del section[path[-1]]
+    else:
+        section[path[-1]] = value
+    return doc
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("config_edit, spec_edit, manifest_edit, field",
+                         DECODE_CASES.values(), ids=DECODE_CASES.keys())
+def test_every_loader_refuses_a_document_off_the_rule(
+    tmp_path, config_edit, spec_edit, manifest_edit, field
+):
+    config = _edited({"synthetic_spec_path": "spec.json", "out_dir": str(tmp_path / "run")},
+                     *config_edit)
+    with pytest.raises(ConfigInvalidError) as info:
+        config_from_dict(config)
+    assert info.value.fieldname == field
+    spec_path = _write(tmp_path / "spec.json", _edited(SPEC, *spec_edit))
+    with pytest.raises(InvalidSpecError):
+        load_synthetic_spec(spec_path)
+    manifest_path = _write(tmp_path / "manifest.json", _edited(MANIFEST, *manifest_edit))
+    with pytest.raises(ParseError):
+        load_manifest(manifest_path)
+
+    for args, error in [
+        (["extract", "--config", _write(tmp_path / "config.json", config)], "ConfigInvalid"),
+        (["synth", "--spec", spec_path, "--out", str(tmp_path / "data")], "InvalidSpec"),
+        (["extract", "--manifest", manifest_path, "--out", str(tmp_path / "run")], "Parse"),
+    ]:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        payload = json.loads(result.output)
+        assert payload["error"] == error
+        if error == "ConfigInvalid":
+            assert payload["field"] == field
+
+
+def test_integral_number_loads_as_int():
+    config = config_from_dict({"synthetic_spec_path": "s.json", "seed": 3.0,
+                               "learn": {"k_features": 2.0}})
+    assert (config.seed, config.learn.k_features) == (3, 2)
+    assert type(config.seed) is int and type(config.learn.k_features) is int
+
+
+def test_int_for_a_float_field_hashes_as_the_float(tmp_path):
+    def config(window_len_s):
+        return {"synthetic_spec_path": _write(tmp_path / "spec.json", SPEC),
+                "out_dir": str(tmp_path / "run"), "window": {"window_len_s": window_len_s}}
+
+    assert run_hash(config_from_dict(config(10))) == run_hash(config_from_dict(config(10.0)))
+    for args in [
+        ["extract", "--config", _write(tmp_path / "int.json", config(10))],
+        ["variance", "--config", _write(tmp_path / "float.json", config(10.0)),
+         "--window-len-s", "10"],
+    ]:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
