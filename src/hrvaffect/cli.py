@@ -143,9 +143,10 @@ def _build_config(config_path, **flags) -> pipeline.PipelineConfig:
             _fail(pipeline.ConfigInvalidError(
                 "config", f"cannot read {config_path} as JSON: {exc}"
             ).payload())
+        if isinstance(doc, dict) and doc.keys() == {"config", "config_hash"}:
+            doc = doc["config"]  # the config.json a stage stamps into its out_dir
         if not isinstance(doc, dict):
             _fail(pipeline.ConfigInvalidError("config", "config must be an object").payload())
-        doc.pop("config_hash", None)
     for path, _ in _CONFIG_FIELDS:
         value = flags["__".join(path)]
         if value is not None:

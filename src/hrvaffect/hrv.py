@@ -99,13 +99,28 @@ class FeatureVector:
 FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
+def _row_medians(x: np.ndarray) -> np.ndarray:
+    """np.median(x, axis=1, keepdims=True), bit for bit, from one partition.
+
+    An even width takes the lower half's maximum as the other middle value.
+    np.median averages the middle values with a sum that starts at +0.0, so
+    adding 0.0 gives its sign of zero too.
+    """
+    half = x.shape[1] // 2
+    part = np.partition(x, half, axis=1)
+    middle = part[:, half : half + 1]
+    if x.shape[1] % 2 == 0:
+        middle = (part[:, :half].max(axis=1, keepdims=True) + middle) / 2.0
+    return middle + 0.0
+
+
 def _rolling_mean(x: np.ndarray, span: int) -> np.ndarray:
     """Centered rolling mean along each row, median-padded so edge beats do not
     inflate it."""
     n = x.shape[1]
     span = max(1, min(span, n))
     pad_left = span // 2
-    fill = np.median(x, axis=1, keepdims=True)
+    fill = _row_medians(x)
     # One leading zero, then the row padded to n + span - 1 samples.
     csum = np.empty((x.shape[0], n + span), dtype=np.float64)
     csum[:, :1] = 0.0

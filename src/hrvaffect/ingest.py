@@ -6,8 +6,11 @@ The canonical format keeps rates out of the data path: per-signal CSV files
 
 The synthetic generator stands in for access-restricted recordings: beats are
 an inhomogeneous point process with optional Gaussian RR jitter and sinusoidal
-respiratory modulation, rendered through an ECG spike template and a smoother
-delayed PPG pulse template, with exact beat times kept as ground truth.
+respiratory modulation, with exact beat times kept as ground truth.  Each beat
+is rendered as five Gaussian ECG waves (R, Q, S, P, T, in that order) and one
+delayed half-cosine PPG pulse.  Beats are rendered a chunk at a time, but every
+sample sums its terms in beat order, then wave order, so the signals are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .core import (
 from .serialize import DecodeError, decode
 
 PPG_TRANSIT_DELAY_S = 0.25
+_PPG_RISE_S = 0.15
+_PPG_DECAY_S = 0.35
 # Representative normalized arousal/valence values for each bin.
 AV_LOW_VALUE = 2.75
 AV_HIGH_VALUE = 7.25
@@ -46,6 +51,9 @@ _MIN_RR_MS = 250.0
 BPM_RANGE = (30.0, 220.0)
 RESPIRATORY_RANGE_HZ = (0.1, 0.4)
 _INT64 = np.iinfo(np.int64)
+# Beats are rendered in chunks of at most this many (beat, sample) cells, so
+# the grids of one chunk stay at a few MB at any sample rate.
+RENDER_BLOCK_SAMPLES = 2**16
 
 
 class MissingFileError(OSError):
@@ -187,30 +195,69 @@ def _state_at(spans, spec: SyntheticSpec, t: float) -> StateSpec:
     return spec.states[-1]
 
 
-def _add_gaussian(samples: np.ndarray, rate: float, center_s: float, amp: float, sigma_s: float):
-    half = 4.0 * sigma_s
-    i0 = max(0, int(math.ceil((center_s - half) * rate)))
-    i1 = min(samples.size, int(math.floor((center_s + half) * rate)) + 1)
-    if i0 >= i1:
-        return
-    t = np.arange(i0, i1) / rate
-    samples[i0:i1] += amp * np.exp(-0.5 * ((t - center_s) / sigma_s) ** 2)
+def _render(n: int, rate: float, beat_times: np.ndarray, waves) -> np.ndarray:
+    """n samples at rate holding every wave's template around every beat.
+
+    waves holds (offset_s, before_s, after_s, shape): the wave centred offset_s
+    from a beat covers the samples within [center - before_s, center +
+    after_s], and shape maps their times from the center to its values.  Beats
+    go in chunks whose (beat, sample) grids hold at most RENDER_BLOCK_SAMPLES
+    cells.  np.add.at adds in index order, so each sample sums its terms in
+    beat order, then wave order, whatever the chunking.
+    """
+    samples = np.zeros(n)
+    supports = []
+    width = 0
+    for offset, before, after, shape in waves:
+        center = beat_times + offset
+        i0 = np.maximum(np.ceil((center - before) * rate).astype(np.int64), 0)
+        i1 = np.minimum(np.floor((center + after) * rate).astype(np.int64) + 1, n)
+        steps = np.arange(max(0, (i1 - i0).max()))
+        width += steps.size
+        supports.append((center, i0, i1, steps, shape))
+    per_chunk = max(1, RENDER_BLOCK_SAMPLES // max(1, width))
+    for start in range(0, beat_times.size, per_chunk):
+        part = slice(start, start + per_chunk)
+        index, inside, values = [], [], []
+        for center, i0, i1, steps, shape in supports:
+            grid = i0[part, None] + steps
+            index.append(grid)
+            inside.append(grid < i1[part, None])
+            values.append(shape(grid / rate - center[part, None]))
+        inside = np.hstack(inside)
+        np.add.at(samples, np.hstack(index)[inside], np.hstack(values)[inside])
+    return samples
 
 
-def _add_ppg_pulse(samples: np.ndarray, rate: float, peak_s: float, rise_s=0.15, decay_s=0.35):
+def _gaussian(offset_s: float, amp: float, sigma_s: float):
+    """A Gaussian wave of height amp centred offset_s from the beat, cut at 4 sigma."""
+    def shape(t):
+        return amp * np.exp(-0.5 * (t / sigma_s) ** 2)
+
+    return offset_s, 4.0 * sigma_s, 4.0 * sigma_s, shape
+
+
+def _ppg_pulse(t: np.ndarray) -> np.ndarray:
     # Half-cosine rise and decay meet smoothly at the peak and vanish outside
     # [peak - rise, peak + decay], so pulses at short RR do not shift peaks.
-    i0 = max(0, int(math.ceil((peak_s - rise_s) * rate)))
-    i1 = min(samples.size, int(math.floor((peak_s + decay_s) * rate)) + 1)
-    if i0 >= i1:
-        return
-    t = np.arange(i0, i1) / rate - peak_s
-    shape = np.where(
+    return np.where(
         t < 0,
-        0.5 * (1.0 + np.cos(np.pi * np.clip(t / rise_s, -1.0, 0.0))),
-        0.5 * (1.0 + np.cos(np.pi * np.clip(t / decay_s, 0.0, 1.0))),
+        0.5 * (1.0 + np.cos(np.pi * np.clip(t / _PPG_RISE_S, -1.0, 0.0))),
+        0.5 * (1.0 + np.cos(np.pi * np.clip(t / _PPG_DECAY_S, 0.0, 1.0))),
     )
-    samples[i0:i1] += shape
+
+
+# Sharp R-spike flanked by Q/S dips and smaller P/T bumps; the S dip keeps the
+# shifted baseline high enough that adaptive thresholding separates R from T,
+# as it does on real band-passed ECG.
+_ECG_WAVES = (
+    _gaussian(0.0, 1.0, 0.010),
+    _gaussian(-0.030, -0.15, 0.010),
+    _gaussian(0.030, -0.25, 0.012),
+    _gaussian(-0.18, 0.12, 0.025),
+    _gaussian(0.22, 0.25, 0.050),
+)
+_PPG_WAVES = ((PPG_TRANSIT_DELAY_S, _PPG_RISE_S, _PPG_DECAY_S, _ppg_pulse),)
 
 
 def generate_synthetic(
@@ -248,18 +295,8 @@ def generate_synthetic(
 
     n_ecg = int(round(spec.duration_s * spec.ecg_rate_hz))
     n_ppg = int(round(spec.duration_s * spec.ppg_rate_hz))
-    ecg = np.zeros(n_ecg)
-    ppg = np.zeros(n_ppg)
-    for bt in beat_times:
-        # Sharp R-spike flanked by Q/S dips and smaller P/T bumps; the S dip
-        # keeps the shifted baseline high enough that adaptive thresholding
-        # separates R from T, as it does on real band-passed ECG.
-        _add_gaussian(ecg, spec.ecg_rate_hz, bt, 1.0, 0.010)
-        _add_gaussian(ecg, spec.ecg_rate_hz, bt - 0.030, -0.15, 0.010)
-        _add_gaussian(ecg, spec.ecg_rate_hz, bt + 0.030, -0.25, 0.012)
-        _add_gaussian(ecg, spec.ecg_rate_hz, bt - 0.18, 0.12, 0.025)
-        _add_gaussian(ecg, spec.ecg_rate_hz, bt + 0.22, 0.25, 0.050)
-        _add_ppg_pulse(ppg, spec.ppg_rate_hz, bt + PPG_TRANSIT_DELAY_S)
+    ecg = _render(n_ecg, spec.ecg_rate_hz, beat_times, _ECG_WAVES)
+    ppg = _render(n_ppg, spec.ppg_rate_hz, beat_times, _PPG_WAVES)
     ecg += rng_noise.normal(0.0, spec.noise_std, n_ecg)
     ppg += rng_noise.normal(0.0, spec.noise_std, n_ppg)
 

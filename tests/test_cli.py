@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from hrvaffect.pipeline import (
     run_hash,
     validate_schema,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SYNTH_SPEC = {
     "duration_s": 360.0,
@@ -493,6 +496,40 @@ class TestConfigRoundTrip:
         assert result.exit_code == 0
         stamped = json.loads((tmp_path / "elsewhere" / "config.json").read_text())
         assert stamped["config"]["learn"]["n_trees"] == 7
+
+
+def test_stamped_config_json_reruns_a_stage(tmp_path, monkeypatch):
+    """An out_dir's config.json, {"config": ..., "config_hash": ...}, is a
+    valid --config: the stage runs under the same hash, and flags still apply."""
+    spec, config = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[:2]
+    monkeypatch.chdir(tmp_path)
+    Path("synth_spec.json").write_text(spec)
+    Path("config.json").write_text(config)
+    assert run_cli("extract", "--config", "config.json").exit_code == 0
+    stamp = Path("run/config.json").read_text()
+    assert json.loads(stamp)["config_hash"] == run_hash(config_from_dict(json.loads(config)))
+
+    result = run_cli("variance", "--config", "run/config.json")
+    assert result.exit_code == 0, result.output
+    assert Path("run/config.json").read_text() == stamp
+    changed = run_cli("variance", "--config", "run/config.json", "--seed", "99")
+    assert json.loads(changed.output.strip().splitlines()[-1])["error"] == "ConfigHashMismatch"
+
+
+@pytest.mark.parametrize("misspell, field", [
+    (lambda doc: doc["config"].update(sed=doc["config"].pop("seed")), "sed"),
+    (lambda doc: doc.update(config_hsh=doc.pop("config_hash")), "config"),
+], ids=["inner_key", "outer_key"])
+def test_misspelt_key_in_a_stamped_config_is_one_json_error(full_run, tmp_path, misspell, field):
+    doc = json.loads((full_run / "config.json").read_text())
+    misspell(doc)
+    config_path = tmp_path / "stamped.json"
+    config_path.write_text(json.dumps(doc))
+    result = run_cli("variance", "--config", str(config_path))
+    assert result.exit_code == 1
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigInvalid"
+    assert payload["field"] == field
 
 
 def test_cli_help_lists_subcommands():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hrvaffect.core import Modality, WindowedSegment
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, WindowSpec, filter_signal, segment_windows
@@ -22,6 +23,7 @@ from hrvaffect.hrv import (
     THRESHOLD_FACTORS,
     NoPlausiblePeaksError,
     TooFewBeatsError,
+    _row_medians,
     _welch_density,
     compute_features,
     detect_beats,
@@ -145,6 +147,12 @@ class TestRecordings:
             windows = np.stack([s.samples for s in segments])
             assert_block_matches_oracle(windows, segments[0].sample_rate_hz)
 
+    def test_rolling_fill_is_np_median_bit_for_bit(self, recording_windows):
+        for segments in recording_windows:
+            x = np.stack([s.samples for s in segments])
+            x = x - x.min(axis=1, keepdims=True)
+            assert _row_medians(x).tobytes() == np.median(x, axis=1, keepdims=True).tobytes()
+
     def test_detect_beats_with_block_candidates_equals_one_window(self, recording_windows):
         for segments in recording_windows:
             windows = np.stack([s.samples for s in segments])
@@ -155,6 +163,20 @@ class TestRecordings:
                     assert alone == batched
                 else:
                     assert_same_beats(alone, batched)
+
+
+@given(arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 40)),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+))
+def test_row_medians_are_np_median_bit_for_bit(x):
+    """Odd and even widths, ties, signed zeros, negative values, 1-sample rows."""
+    with np.errstate(over="ignore"):
+        assert _row_medians(x).tobytes() == np.median(x, axis=1, keepdims=True).tobytes()
 
 
 def test_featurize_at_one_and_many_windows_per_block():
