@@ -100,7 +100,8 @@ FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def _row_medians(x: np.ndarray) -> np.ndarray:
-    """np.median(x, axis=1, keepdims=True), bit for bit, from one partition.
+    """np.median(x, axis=1, keepdims=True) of a finite x, bit for bit, from one
+    partition.
 
     An even width takes the lower half's maximum as the other middle value.
     np.median averages the middle values with a sum that starts at +0.0, so
