@@ -30,7 +30,7 @@ DISCRETE_CODE_LABELS = {1: "baseline", 2: "stress", 3: "amusement", 4: "meditati
 DISCRETE_LABEL_CODES = {label: code for code, label in DISCRETE_CODE_LABELS.items()}
 DISCRETE_LABELS = tuple(DISCRETE_CODE_LABELS[c] for c in sorted(DISCRETE_CODE_LABELS))
 DISCARDED_CODES = frozenset({0, 5, 6, 7})
-KNOWN_CODES = frozenset(range(8))
+KNOWN_CODES = range(8)
 
 # Arousal/valence axes after normalization; means <= AV_LOW_MAX bin as "low".
 AV_RANGE = (0.5, 9.5)
@@ -188,7 +188,7 @@ def validate_track(track: AnnotationTrack) -> AnnotationTrack:
     if track.n_samples == 0:
         raise EmptySignalError("annotation track has no samples")
     if track.scheme is LabelScheme.DISCRETE_STATE:
-        known = np.isin(track.values, sorted(KNOWN_CODES))
+        known = (track.values >= KNOWN_CODES.start) & (track.values < KNOWN_CODES.stop)
         if not known.all():
             idx = int(np.argmin(known))
             raise ValidationError(f"unknown annotation code {track.values[idx]} at index {idx}")

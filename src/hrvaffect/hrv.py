@@ -299,7 +299,14 @@ def compute_features(beats: BeatSeries, sample_rate_hz: float) -> FeatureVector:
     pnn50 = float(np.mean(np.abs(d) > 50.0))
     mad = float(np.median(np.abs(r - np.median(r))))
     sd1 = math.sqrt(max(0.0, 0.5 * rmssd * rmssd))
-    sd2 = math.sqrt(max(0.0, 2.0 * sdnn * sdnn - 0.5 * rmssd * rmssd))
+    # sd2² = 2·sdnn² − 0.5·rmssd², exact on the RR values as integer multiples of
+    # their finest power of two and rounded once, so a degenerate series gives 0.
+    ratios = [x.as_integer_ratio() for x in r.tolist()]
+    unit = max(den for _, den in ratios)
+    v, n = [num * (unit // den) for num, den in ratios], r.size
+    centred = 4 * (n - 1) * (n * sum(x * x for x in v) - sum(v) ** 2)  # 4n²(n − 1)·sdnn²·unit²
+    steps = n * n * sum((b - a) ** 2 for a, b in zip(v, v[1:]))  # n²(n − 1)·rmssd²·unit²
+    sd2 = math.sqrt(max(0.0, (centred - steps) / (2 * n * n * (n - 1) * unit * unit)))
     s = math.pi * sd1 * sd2
     sd1_sd2 = sd1 / sd2 if sd2 > 0.0 else math.nan
     try:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -33,7 +35,7 @@ from .hrv import (
 )
 from .learn import ExtraTreesParams, evaluate, model_from_dict, model_to_dict
 from .serialize import (
-    DecodeError, config_hash, decode, fmt9, read_csv, read_json, round9_array,
+    DecodeError, config_hash, decode, fmt9, read_csv, read_json, round9, round9_array,
     write_compact_json, write_csv, write_json,
 )
 from .variance import (
@@ -73,9 +75,9 @@ class PipelineError(Exception):
 class MissingInputError(PipelineError):
     code = "MissingInput"
 
-    def __init__(self, name: str, message: str | None = None):
+    def __init__(self, name: str):
         self.name = name
-        super().__init__(message or f"required input {name!r} not found; run the producing stage first")
+        super().__init__(f"required input {name!r} not found; run the producing stage first")
 
     def payload(self) -> dict:
         return {"error": self.code, "message": str(self), "input": self.name}
@@ -186,47 +188,71 @@ def run_hash(config: PipelineConfig) -> str:
     return config_hash(doc)
 
 
-def _read_object(path: Path) -> dict:
-    """The JSON object an out_dir file holds; anything else names the file."""
+def _check_stamp(path: Path, stamp: str | None, h: str):
+    if stamp != h:
+        raise ConfigHashMismatchError(f"{path} holds outputs for config {stamp}, current config is {h}")
+
+
+def _read_object(path: Path, h: str) -> dict:
+    """The JSON object an out_dir file holds, less its config_hash stamp, which
+    must be the run hash h; any other content names the file."""
     try:
         doc = read_json(path)
+    except FileNotFoundError:
+        raise MissingInputError(path.name) from None
     except ValueError as exc:
         raise PipelineError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise PipelineError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    _check_stamp(path, doc.pop("config_hash", None), h)
     return doc
 
 
-def _read_table(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]]:
-    """The rows, each with its line, of an out_dir CSV with exactly these columns."""
+def _read_table(path: Path, columns: list[str], h: str) -> list[tuple[int, dict[str, str]]]:
+    """The rows, each with its line, of an out_dir CSV with these columns and the stamp h."""
     try:
         found, rows = read_csv(path)
+        with open(path, encoding="utf-8") as fh:
+            stamp = fh.readline().rstrip("\n").removeprefix("# config_hash=")
+    except FileNotFoundError:
+        raise MissingInputError(path.name) from None
     except ValueError as exc:
         raise PipelineError(str(exc)) from exc
     if found != columns:
         raise PipelineError(f"{path}: expected columns {','.join(columns)}")
+    _check_stamp(path, stamp, h)
     return rows
 
 
 def prepare_out_dir(config: PipelineConfig, force: bool = False) -> tuple[Path, str]:
-    """Create the output directory, guarding against config-hash collisions.
-
-    A directory already stamped with a different config hash is refused unless
-    force is set; the same hash may be extended/overwritten freely.
-    """
+    """Create the output directory and return it with the run hash.  A directory
+    whose config.json holds another hash is refused unless force is set."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = run_hash(config)
-    cfg_path = out / CONFIG_JSON
-    if cfg_path.exists():
-        existing = _read_object(cfg_path)
-        if existing.get("config_hash") != h and not force:
-            raise ConfigHashMismatchError(
-                f"{out} holds outputs for config {existing.get('config_hash')}, "
-                f"current config is {h}; pass --force to overwrite"
-            )
-    write_json(cfg_path, {"config": config_to_dict(config)}, h)
+    if (out / CONFIG_JSON).exists() and not force:
+        _read_object(out / CONFIG_JSON, h)
     return out, h
+
+
+def _stage(compute):
+    """Wrap compute(config, out, staging, h) as a stage(config, force=False).
+    compute reads out through _read_object and _read_table, which check stamps,
+    and writes its outputs into staging; they move into out, config.json last,
+    only when it returns, so a failed stage leaves out as it was."""
+
+    def run(config: PipelineConfig, force: bool = False):
+        out, h = prepare_out_dir(config, force)
+        with tempfile.TemporaryDirectory(prefix=".stage-", dir=out) as name:
+            staging = Path(name)
+            result = compute(config, out, staging, h)
+            write_json(staging / CONFIG_JSON, {"config": config_to_dict(config)}, h)
+            for path in sorted(staging.iterdir(), key=lambda p: (p.name == CONFIG_JSON, p.name)):
+                os.replace(path, out / path.name)
+        return result
+
+    run.__name__ = run.__qualname__ = compute.__name__
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +359,8 @@ def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
     return rows, stats
 
 
-def stage_extract(config: PipelineConfig, force: bool = False) -> Path:
-    out, h = prepare_out_dir(config, force)
+@_stage
+def stage_extract(config: PipelineConfig, out: Path, staging: Path, h: str) -> Path:
     rows, stats = extract_features(config)
     csv_rows = []
     for r in rows:
@@ -343,17 +369,16 @@ def stage_extract(config: PipelineConfig, force: bool = False) -> Path:
             [str(r.window_id), r.subject_id, r.modality, r.label]
             + [fmt9(values.get(name, math.nan)) for name in FEATURE_NAMES]
         )
-    write_csv(out / FEATURES_CSV, FEATURE_COLUMNS, csv_rows, h)
-    write_json(out / EXTRACT_STATS_JSON, stats, h)
+    write_csv(staging / FEATURES_CSV, FEATURE_COLUMNS, csv_rows, h)
+    write_json(staging / EXTRACT_STATS_JSON, stats, h)
     return out / FEATURES_CSV
 
 
-def read_feature_rows(out_dir: str | Path) -> list[FeatureRow]:
+def read_feature_rows(out_dir: str | Path, h: str) -> list[FeatureRow]:
+    """The rows of out_dir's features.csv, which must be stamped with h."""
     path = Path(out_dir) / FEATURES_CSV
-    if not path.exists():
-        raise MissingInputError(FEATURES_CSV)
     rows = []
-    for line, raw in _read_table(path, FEATURE_COLUMNS):
+    for line, raw in _read_table(path, FEATURE_COLUMNS, h):
         try:
             window_id = int(raw["window_id"])
             modality = Modality(raw["modality"]).value
@@ -386,9 +411,9 @@ def feature_variance(rows: list[FeatureRow]):
     return inter_signal_variance(by_modality["ECG"], by_modality["PPG"])
 
 
-def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
-    out, h = prepare_out_dir(config, force)
-    rows = read_feature_rows(out)
+@_stage
+def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> dict:
+    rows = read_feature_rows(out, h)
     isv = feature_variance(rows)
 
     series_rows = []
@@ -409,13 +434,8 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
             ]
         )
     series_rows.sort(key=lambda r: (r[1], int(r[0]), FEATURE_NAMES.index(r[2])))
-    write_csv(out / VARIANCE_CSV, ["window_id", "subject_id", "feature", "abs_diff"], series_rows, h)
-    write_csv(
-        out / VARIANCE_SUMMARY_CSV,
-        VARIANCE_SUMMARY_COLUMNS,
-        summary_rows,
-        h,
-    )
+    write_csv(staging / VARIANCE_CSV, ["window_id", "subject_id", "feature", "abs_diff"], series_rows, h)
+    write_csv(staging / VARIANCE_SUMMARY_CSV, VARIANCE_SUMMARY_COLUMNS, summary_rows, h)
 
     stats = state_feature_stats(
         [((r.subject_id, r.window_id), r.modality, r.label, r.features)
@@ -427,7 +447,7 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
         for g in stats
     ]
     write_csv(
-        out / STATE_STATS_CSV,
+        staging / STATE_STATS_CSV,
         ["feature", "state", "modality", "n", "min", "q1", "q2", "q3", "max", "mean",
          "std", "outlier_count"],
         stats_rows,
@@ -437,7 +457,7 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
     # Charts: the headline absolute-difference series and one state boxplot.
     chart_features = ("bpm", "ibi", "br")
     svgplot.line_chart(
-        out / "variance_series.svg",
+        staging / "variance_series.svg",
         [
             (
                 feature,
@@ -459,7 +479,7 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
     ]
     if boxes:
         svgplot.box_chart(
-            out / f"state_box_{box_feature}.svg",
+            staging / f"state_box_{box_feature}.svg",
             boxes,
             f"{box_feature} by state and signal",
             box_feature,
@@ -474,7 +494,7 @@ def stage_variance(config: PipelineConfig, force: bool = False) -> dict:
         for modality in ("ECG", "PPG")
     }
     write_json(
-        out / STATE_OVERLAPS_JSON,
+        staging / STATE_OVERLAPS_JSON,
         {"feature": box_feature, "threshold": OVERLAP_FLAG_THRESHOLD, "flagged_pairs": overlaps},
         h,
     )
@@ -511,9 +531,9 @@ def modality_matrix(rows: list[FeatureRow], modality: str):
     return X, y, ids, subjects, dropped
 
 
-def stage_train_eval(config: PipelineConfig, force: bool = False) -> dict:
-    out, h = prepare_out_dir(config, force)
-    rows = read_feature_rows(out)
+@_stage
+def stage_train_eval(config: PipelineConfig, out: Path, staging: Path, h: str) -> dict:
+    rows = read_feature_rows(out, h)
     params = config.learn.tree_params()
     metrics: dict = {"seed": config.seed, "modalities": {}}
     models_doc: dict = {"modalities": {}}
@@ -568,7 +588,7 @@ def stage_train_eval(config: PipelineConfig, force: bool = False) -> dict:
             for fpr, tpr in zip(curve.fpr, curve.tpr):
                 roc_rows.append([modality, label, fmt9(fpr), fmt9(tpr)])
         svgplot.roc_chart(
-            out / f"roc_{modality}.svg",
+            staging / f"roc_{modality}.svg",
             [
                 (label, list(curve.fpr), list(curve.tpr), curve.auc)
                 for label, curve in sorted(report.roc.items())
@@ -576,9 +596,9 @@ def stage_train_eval(config: PipelineConfig, force: bool = False) -> dict:
             f"One-versus-rest ROC ({modality})",
             h,
         )
-    write_json(out / METRICS_JSON, metrics, h)
-    write_compact_json(out / MODEL_JSON, models_doc, h)
-    write_csv(out / ROC_POINTS_CSV, ["modality", "class", "fpr", "tpr"], roc_rows, h)
+    write_json(staging / METRICS_JSON, metrics, h)
+    write_compact_json(staging / MODEL_JSON, models_doc, h)
+    write_csv(staging / ROC_POINTS_CSV, ["modality", "class", "fpr", "tpr"], roc_rows, h)
     return metrics
 
 
@@ -608,25 +628,16 @@ def _model_entry(models_doc, modality: str, ids: list[str]):
     return model, train_ids, holdout_ids
 
 
-def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
-    out, h = prepare_out_dir(config, force)
-    rows = read_feature_rows(out)
-    model_path = out / MODEL_JSON
-    if not model_path.exists():
-        raise MissingInputError(MODEL_JSON)
-    models_doc = _read_object(model_path)
-
-    # Both entries are checked before any file is written, so a broken one
-    # leaves out_dir as it was.
-    inputs = {}
-    for modality in ("ECG", "PPG"):
-        X, y, ids, _, _ = modality_matrix(rows, modality)
-        inputs[modality] = (X, y, ids, *_model_entry(models_doc, modality, ids))
-
+@_stage
+def stage_importance(config: PipelineConfig, out: Path, staging: Path, h: str) -> dict:
+    rows = read_feature_rows(out, h)
+    models_doc = _read_object(out / MODEL_JSON, h)
     importance_rows = []
     point_rows = []
     summary: dict = {}
-    for modality, (X, y, ids, model, train_ids, holdout_ids) in inputs.items():
+    for modality in ("ECG", "PPG"):
+        X, y, ids, _, _ = modality_matrix(rows, modality)
+        model, train_ids, holdout_ids = _model_entry(models_doc, modality, ids)
         background = explain_mod.sample_background(
             X[train_ids], config.explain.background_size, config.seed
         )
@@ -653,7 +664,7 @@ def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
         for instance_id, state, feature, phi, value in report.points:
             point_rows.append([modality, str(instance_id), state, feature, fmt9(phi), fmt9(value)])
         svgplot.bar_chart(
-            out / f"importance_{modality}.svg",
+            staging / f"importance_{modality}.svg",
             list(report.ranking),
             [report.global_mean_abs[FEATURE_NAMES.index(f)] for f in report.ranking],
             f"Mean |SHAP value| ({modality})",
@@ -664,14 +675,9 @@ def stage_importance(config: PipelineConfig, force: bool = False) -> dict:
             "ranking": list(report.ranking),
             "n_explained": report.n_explained,
         }
+    write_csv(staging / IMPORTANCE_CSV, IMPORTANCE_COLUMNS, importance_rows, h)
     write_csv(
-        out / IMPORTANCE_CSV,
-        IMPORTANCE_COLUMNS,
-        importance_rows,
-        h,
-    )
-    write_csv(
-        out / SHAP_POINTS_CSV,
+        staging / SHAP_POINTS_CSV,
         ["modality", "instance_id", "state", "feature", "phi", "feature_value"],
         point_rows,
         h,
@@ -724,15 +730,11 @@ def _optional_float(cell: str) -> float | None:
     return float(cell) if cell else None
 
 
-def stage_report(config: PipelineConfig, force: bool = False) -> Path:
-    out, h = prepare_out_dir(config, force)
-    for name in (EXTRACT_STATS_JSON, VARIANCE_SUMMARY_CSV, METRICS_JSON, IMPORTANCE_CSV):
-        if not (out / name).exists():
-            raise MissingInputError(name)
-
+@_stage
+def stage_report(config: PipelineConfig, out: Path, staging: Path, h: str) -> Path:
     per_feature = {}
     path = out / VARIANCE_SUMMARY_CSV
-    for line, row in _read_table(path, VARIANCE_SUMMARY_COLUMNS):
+    for line, row in _read_table(path, VARIANCE_SUMMARY_COLUMNS, h):
         try:
             per_feature[row["feature"]] = {
                 "mean_abs_diff": _optional_float(row["mean_abs_diff"]),
@@ -748,7 +750,7 @@ def stage_report(config: PipelineConfig, force: bool = False) -> Path:
     ]
     rankings: dict[str, list[str]] = {}
     path = out / IMPORTANCE_CSV
-    for line, row in _read_table(path, IMPORTANCE_COLUMNS):
+    for line, row in _read_table(path, IMPORTANCE_COLUMNS, h):
         if row["scope"] == "global":
             try:
                 rank = int(row["rank"])
@@ -759,29 +761,20 @@ def stage_report(config: PipelineConfig, force: bool = False) -> Path:
             ranking = rankings.setdefault(row["modality"], [None] * len(FEATURE_NAMES))
             ranking[rank - 1] = row["feature"]
 
-    overlaps = {}
-    if (out / STATE_OVERLAPS_JSON).exists():
-        overlaps = _read_object(out / STATE_OVERLAPS_JSON)
-        overlaps.pop("config_hash", None)
-    doc = {
+    doc = round9({
         "config": config_to_dict(config),
-        "extract": _read_object(out / EXTRACT_STATS_JSON),
+        "config_hash": h,
+        "extract": _read_object(out / EXTRACT_STATS_JSON, h),
         "variance": {
-            "mean_normalized_variance": (
-                float(np.mean(normalized)) if normalized else None
-            ),
+            "mean_normalized_variance": float(np.mean(normalized)) if normalized else None,
             "per_feature": per_feature,
-            "state_overlaps": overlaps,
+            "state_overlaps": _read_object(out / STATE_OVERLAPS_JSON, h),
         },
-        "metrics": _read_object(out / METRICS_JSON),
+        "metrics": _read_object(out / METRICS_JSON, h),
         "importance": {"rankings": rankings},
-    }
-    doc["extract"].pop("config_hash", None)
-    doc["metrics"].pop("config_hash", None)
-    write_json(out / REPORT_JSON, doc, h)
-
-    final = read_json(out / REPORT_JSON)
-    problems = validate_schema(final, report_schema())
+    })
+    problems = validate_schema(doc, report_schema())
     if problems:
         raise PipelineError(f"report does not match schema: {problems}")
+    write_json(staging / REPORT_JSON, doc)
     return out / REPORT_JSON

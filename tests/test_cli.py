@@ -419,6 +419,97 @@ def test_corrupt_report_input_is_one_json_error(full_run, tmp_path, name, edit, 
     assert f"{run / name}{where}" in payload["message"]
 
 
+def _snapshot(run: Path) -> dict:
+    """Every entry of an out_dir, with a file's bytes; a directory maps to None."""
+    return {path.name: path.read_bytes() if path.is_file() else None for path in run.iterdir()}
+
+
+def _restamp(text, stamp):
+    return text.replace(stamp, "0123456789ab")
+
+
+def _blank_ppg_features(text, stamp):
+    return "".join(
+        ",".join(line.split(",")[:4] + [""] * 13) + "\n" if ",PPG," in line else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
+STAGE_OUTPUTS = {
+    "extract": ("features.csv", "extract_stats.json"),
+    "variance": ("variance.csv", "variance_summary.csv", "state_stats.csv", "state_overlaps.json",
+                 "variance_series.svg", "state_box_bpm.svg"),
+    "train-eval": ("metrics.json", "model.json", "roc_points.csv", "roc_ECG.svg", "roc_PPG.svg"),
+    "importance": IMPORTANCE_OUTPUTS,
+    "report": ("report.json",),
+}
+# (stage, input to edit or None, edit(text, stamp), extra flags, error).  A
+# stale stamp is a file of the right shape written under another config.
+FAILING_STAGES = {
+    "extract_window_without_samples": (
+        "extract", None, None, ["--force", "--window-len-s", "0.01", "--overlap-s", "0"],
+        "NoCompleteWindow",
+    ),
+    "variance_stale_features": ("variance", "features.csv", _restamp, [], "ConfigHashMismatch"),
+    "train_eval_stale_features": ("train-eval", "features.csv", _restamp, [], "ConfigHashMismatch"),
+    "train_eval_fails_after_ecg": ("train-eval", "features.csv", _blank_ppg_features, [], "EmptyMatrix"),
+    "importance_stale_model": ("importance", "model.json", _restamp, [], "ConfigHashMismatch"),
+    "report_stale_importance": ("report", "importance.csv", _restamp, [], "ConfigHashMismatch"),
+    "report_stale_metrics": ("report", "metrics.json", _restamp, [], "ConfigHashMismatch"),
+    "report_metrics_only_a_stamp": (
+        "report", "metrics.json", lambda text, stamp: json.dumps({"config_hash": stamp}), [], "PipelineError",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "stage, name, edit, flags, error", FAILING_STAGES.values(), ids=FAILING_STAGES.keys()
+)
+def test_failed_stage_leaves_out_dir_as_it_was(full_run, tmp_path, stage, name, edit, flags, error):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    stamp = json.loads((run / "config.json").read_text())["config_hash"]
+    if name is not None:
+        (run / name).write_text(edit((run / name).read_text(), stamp))
+    # Stale outputs stand in for the last good run, so that any write shows.
+    for output in STAGE_OUTPUTS[stage]:
+        (run / output).write_text("stale\n")
+    before = _snapshot(run)
+    result = run_cli(stage, "--config", str(full_run.parent / "config_run.json"),
+                     "--out", str(run), *flags)
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["error"] == error
+    if error == "ConfigHashMismatch":
+        assert f"{run / name} holds outputs for config 0123456789ab" in payload["message"]
+    assert _snapshot(run) == before
+    assert not list(run.glob(".stage-*"))
+
+
+def test_failed_extract_leaves_no_stale_features_to_read(tmp_path):
+    """A failed extract under new flags keeps the old config stamp, and a later
+    stage under those flags refuses the old features, with or without --force."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    run = tmp_path / "run"
+    base = ["--synthetic-spec", str(spec_path), "--out", str(run)]
+    assert run_cli("extract", *base).exit_code == 0
+    assert run_cli("variance", *base).exit_code == 0
+    before = _snapshot(run)
+    window = ["--window-len-s", "0.01", "--overlap-s", "0"]
+    failed = run_cli("extract", *base, *window, "--force")
+    assert failed.exit_code == 1
+    assert json.loads(failed.output)["error"] == "NoCompleteWindow"
+    assert _snapshot(run) == before
+    for force, stale in (([], run / "config.json"), (["--force"], run / "features.csv")):
+        result = run_cli("variance", *base, *window, *force)
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert payload["error"] == "ConfigHashMismatch"
+        assert f"{stale} holds outputs for config" in payload["message"]
+    assert _snapshot(run) == before
+
+
 class TestSynthCommand:
     def test_synth_writes_canonical_dataset(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ class TestAnnotationTrack:
         assert validate_track(track) is track
         with pytest.raises(ValidationError):
             validate_track(AnnotationTrack(LabelScheme.DISCRETE_STATE, 700.0, [1, 9]))
+
+    @pytest.mark.parametrize("code", [-1, 8, 2**40])
+    def test_unknown_code_at_a_late_index_is_named(self, code):
+        """An 1800 s track at 1000 Hz is checked with boolean temporaries only,
+        less than one int64 copy of its labels."""
+        values = np.zeros(1_800_000, dtype=np.int64)
+        values[-3] = code
+        track = AnnotationTrack(LabelScheme.DISCRETE_STATE, 1000.0, values)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"^unknown annotation code {code} at index 1799997$"):
+                validate_track(track)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes
 
     def test_av_range_validated(self):
         ok = AnnotationTrack(LabelScheme.AROUSAL_VALENCE, 20.0, [[0.5, 9.5], [5.0, 5.0]])

@@ -146,11 +146,11 @@ def test_features_csv_round_trip(tmp_path):
         "synthetic_spec_path": str(spec_path),
         "out_dir": str(tmp_path / "run"),
     })
-    from hrvaffect.pipeline import extract_features, read_feature_rows
+    from hrvaffect.pipeline import extract_features, read_feature_rows, run_hash
 
     stage_extract(config)
     direct, _ = extract_features(config)
-    loaded = read_feature_rows(tmp_path / "run")
+    loaded = read_feature_rows(tmp_path / "run", run_hash(config))
     assert len(loaded) == len(direct)
     for a, b in zip(loaded, direct):
         assert (a.window_id, a.subject_id, a.modality, a.label) == (
