@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from hrvaffect.adapters import adapt_wesad
+from hrvaffect.learn import DEFAULT_N_TREES
 from hrvaffect.pipeline import (
     config_from_dict,
     stage_extract,
@@ -30,7 +31,7 @@ def main(argv=None):
     parser.add_argument("--raw", required=True, help="raw export root (contains S2/, S3/, ...)")
     parser.add_argument("--out", default="wesad_run", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-trees", type=int, default=100)
+    parser.add_argument("--n-trees", type=int, default=DEFAULT_N_TREES)
     parser.add_argument("--max-instances", type=int, default=50,
                         help="instances explained by the importance stage")
     args = parser.parse_args(argv)
@@ -44,7 +45,7 @@ def main(argv=None):
         "out_dir": str(out / "run"),
         "seed": args.seed,
         "learn": {"n_trees": args.n_trees},
-        "explain": {"background_size": 100, "max_instances": args.max_instances},
+        "explain": {"max_instances": args.max_instances},
     })
     print("extracting features ...")
     stage_extract(config)

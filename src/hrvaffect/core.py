@@ -28,7 +28,6 @@ class LabelScheme(str, enum.Enum):
 # auxiliary stages.  Codes 0 and 5-7 never survive label resolution.
 DISCRETE_CODE_LABELS = {1: "baseline", 2: "stress", 3: "amusement", 4: "meditation"}
 DISCRETE_LABEL_CODES = {label: code for code, label in DISCRETE_CODE_LABELS.items()}
-DISCRETE_LABELS = tuple(DISCRETE_CODE_LABELS[c] for c in sorted(DISCRETE_CODE_LABELS))
 DISCARDED_CODES = frozenset({0, 5, 6, 7})
 KNOWN_CODES = range(8)
 

@@ -168,6 +168,24 @@ def _slice_bounds(offset_s: float, length_s: float, rate_hz: float, n_total: int
     return start, start + count
 
 
+def covered_seconds(ecg: SignalRecord, ppg: SignalRecord, annotations: AnnotationTrack,
+                    wspec: WindowSpec) -> float:
+    """The seconds all three streams cover.  NoCompleteWindowError unless a window
+    fits and holds a sample of each; it needs only rates and lengths, not samples."""
+    covered_s = min(ecg.duration_s, ppg.duration_s, annotations.duration_s)
+    if covered_s < wspec.window_len_s:
+        raise NoCompleteWindowError(
+            f"recording covers {covered_s:.3f} s < window {wspec.window_len_s} s"
+        )
+    for name, stream in (("ECG", ecg), ("PPG", ppg), ("annotations", annotations)):
+        if _sample_count(wspec.window_len_s, stream.sample_rate_hz) == 0:
+            raise NoCompleteWindowError(
+                f"a {wspec.window_len_s} s window holds no {name} sample at "
+                f"{stream.sample_rate_hz} Hz"
+            )
+    return covered_s
+
+
 def segment_windows(
     ecg: SignalRecord,
     ppg: SignalRecord,
@@ -183,17 +201,7 @@ def segment_windows(
     wspec.validate()
     if not (ecg.start_time_s == ppg.start_time_s == annotations.start_time_s):
         raise ValueError("ECG, PPG and annotations must share a start time")
-    covered_s = min(ecg.duration_s, ppg.duration_s, annotations.duration_s)
-    if covered_s < wspec.window_len_s:
-        raise NoCompleteWindowError(
-            f"recording covers {covered_s:.3f} s < window {wspec.window_len_s} s"
-        )
-    for name, stream in (("ECG", ecg), ("PPG", ppg), ("annotations", annotations)):
-        if _sample_count(wspec.window_len_s, stream.sample_rate_hz) == 0:
-            raise NoCompleteWindowError(
-                f"a {wspec.window_len_s} s window holds no {name} sample at "
-                f"{stream.sample_rate_hz} Hz"
-            )
+    covered_s = covered_seconds(ecg, ppg, annotations, wspec)
     n_windows = int(np.floor((covered_s - wspec.window_len_s) / wspec.stride_s + 1e-9)) + 1
 
     pairs: list[tuple[WindowedSegment, WindowedSegment]] = []

@@ -89,9 +89,6 @@ class FeatureVector:
     s: float
     sd1_sd2: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
-
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
 

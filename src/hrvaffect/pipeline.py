@@ -22,7 +22,10 @@ from . import explain as explain_mod
 from . import learn as learn_mod
 from . import ingest, svgplot
 from .core import LabelScheme, Modality
-from .dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, FilterSpec, WindowSpec, filter_signal, segment_windows
+from .dsp import (
+    DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, FilterSpec, WindowSpec, covered_seconds, filter_signal,
+    segment_windows,
+)
 from .hrv import (
     BLOCK_SAMPLES,
     FEATURE_NAMES,
@@ -44,23 +47,11 @@ from .variance import (
 
 FEATURES_CSV = "features.csv"
 EXTRACT_STATS_JSON = "extract_stats.json"
-VARIANCE_CSV = "variance.csv"
-VARIANCE_SUMMARY_CSV = "variance_summary.csv"
-STATE_STATS_CSV = "state_stats.csv"
 STATE_OVERLAPS_JSON = "state_overlaps.json"
 METRICS_JSON = "metrics.json"
-ROC_POINTS_CSV = "roc_points.csv"
 MODEL_JSON = "model.json"
-IMPORTANCE_CSV = "importance.csv"
-SHAP_POINTS_CSV = "shap_points.csv"
 REPORT_JSON = "report.json"
 CONFIG_JSON = "config.json"
-FEATURE_COLUMNS = ["window_id", "subject_id", "modality", "label", *FEATURE_NAMES]
-VARIANCE_SUMMARY_COLUMNS = [
-    "feature", "n_windows", "mean_abs_diff", "max_abs_diff", "missing_count",
-    "pooled_mean_abs", "normalized_mean_abs_diff",
-]
-IMPORTANCE_COLUMNS = ["modality", "feature", "scope", "mean_abs_shap", "rank"]
 
 
 class PipelineError(Exception):
@@ -208,20 +199,71 @@ def _read_object(path: Path, h: str) -> dict:
     return doc
 
 
-def _read_table(path: Path, columns: list[str], h: str) -> list[tuple[int, dict[str, str]]]:
-    """The rows, each with its line, of an out_dir CSV with these columns and the stamp h."""
-    try:
-        found, rows = read_csv(path)
-        with open(path, encoding="utf-8") as fh:
-            stamp = fh.readline().rstrip("\n").removeprefix("# config_hash=")
-    except FileNotFoundError:
-        raise MissingInputError(path.name) from None
-    except ValueError as exc:
-        raise PipelineError(str(exc)) from exc
-    if found != columns:
-        raise PipelineError(f"{path}: expected columns {','.join(columns)}")
-    _check_stamp(path, stamp, h)
-    return rows
+# How a cell of each kind is read; int and str cells are read by the kind itself.
+_PARSE = {float: lambda cell: float(cell) if cell else math.nan, Modality: lambda cell: Modality(cell).value}
+
+
+@dataclass(frozen=True)
+class Table:
+    """A derived CSV: its file name and its columns in order, each with the kind
+    of its cells: int, float (NaN is the empty cell), str or Modality."""
+
+    name: str
+    columns: dict[str, type]
+
+    def write(self, folder: Path, rows, h: str):
+        """Write rows of plain values, in column order, as this table in folder."""
+        kinds = list(self.columns.values())
+        cells = [[fmt9(v) if kind is float else str(v) for kind, v in zip(kinds, row)] for row in rows]
+        write_csv(folder / self.name, list(self.columns), cells, h)
+
+    def read(self, folder: Path, h: str) -> list[tuple[int, list]]:
+        """The rows of this table in folder, each as its line and its typed cells
+        in column order; the file must carry the stamp h, and a bad file, header
+        or cell names the file."""
+        path = folder / self.name
+        try:
+            found, rows = read_csv(path)
+            with open(path, encoding="utf-8") as fh:
+                stamp = fh.readline().rstrip("\n").removeprefix("# config_hash=")
+        except FileNotFoundError:
+            raise MissingInputError(path.name) from None
+        except ValueError as exc:
+            raise PipelineError(str(exc)) from exc
+        if found != list(self.columns):
+            raise PipelineError(f"{path}: expected columns {','.join(self.columns)}")
+        _check_stamp(path, stamp, h)
+        parsers = [_PARSE.get(kind, kind) for kind in self.columns.values()]
+        typed = []
+        for line, row in rows:
+            try:
+                typed.append((line, [parse(cell) for parse, cell in zip(parsers, row.values())]))
+            except ValueError as exc:
+                raise PipelineError(f"{path}:{line}: {exc}") from exc
+        return typed
+
+
+FEATURES = Table(FEATURES_CSV, {
+    "window_id": int, "subject_id": str, "modality": Modality, "label": str,
+    **dict.fromkeys(FEATURE_NAMES, float),
+})
+VARIANCE = Table("variance.csv", {"window_id": int, "subject_id": str, "feature": str, "abs_diff": float})
+VARIANCE_SUMMARY = Table("variance_summary.csv", {
+    "feature": str, "n_windows": int, "mean_abs_diff": float, "max_abs_diff": float,
+    "missing_count": int, "pooled_mean_abs": float, "normalized_mean_abs_diff": float,
+})
+STATE_STATS = Table("state_stats.csv", {
+    "feature": str, "state": str, "modality": str, "n": int,
+    **dict.fromkeys(("min", "q1", "q2", "q3", "max", "mean", "std"), float), "outlier_count": int,
+})
+ROC_POINTS = Table("roc_points.csv", {"modality": str, "class": str, "fpr": float, "tpr": float})
+IMPORTANCE = Table("importance.csv", {
+    "modality": str, "feature": str, "scope": str, "mean_abs_shap": float, "rank": int,
+})
+SHAP_POINTS = Table("shap_points.csv", {
+    "modality": str, "instance_id": str, "state": str, "feature": str, "phi": float,
+    "feature_value": float,
+})
 
 
 def prepare_out_dir(config: PipelineConfig, force: bool = False) -> tuple[Path, str]:
@@ -237,7 +279,7 @@ def prepare_out_dir(config: PipelineConfig, force: bool = False) -> tuple[Path, 
 
 def _stage(compute):
     """Wrap compute(config, out, staging, h) as a stage(config, force=False).
-    compute reads out through _read_object and _read_table, which check stamps,
+    compute reads out through _read_object and Table.read, which check stamps,
     and writes its outputs into staging; they move into out, config.json last,
     only when it returns, so a failed stage leaves out as it was."""
 
@@ -322,6 +364,7 @@ def featurize(
         },
     }
     for subject in subjects:
+        covered_seconds(subject.ecg, subject.ppg, subject.annotations, config.window)
         ecg = filter_signal(subject.ecg, config.ecg_filter)
         ppg = filter_signal(subject.ppg, config.ppg_filter)
         pairs = segment_windows(ecg, ppg, subject.annotations, config.window)
@@ -362,40 +405,24 @@ def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
 @_stage
 def stage_extract(config: PipelineConfig, out: Path, staging: Path, h: str) -> Path:
     rows, stats = extract_features(config)
-    csv_rows = []
-    for r in rows:
-        values = r.features.as_dict() if r.features is not None else {}
-        csv_rows.append(
-            [str(r.window_id), r.subject_id, r.modality, r.label]
-            + [fmt9(values.get(name, math.nan)) for name in FEATURE_NAMES]
-        )
-    write_csv(staging / FEATURES_CSV, FEATURE_COLUMNS, csv_rows, h)
+    FEATURES.write(staging, [
+        [r.window_id, r.subject_id, r.modality, r.label,
+         *(r.features.as_array().tolist() if r.features is not None else [math.nan] * len(FEATURE_NAMES))]
+        for r in rows
+    ], h)
     write_json(staging / EXTRACT_STATS_JSON, stats, h)
     return out / FEATURES_CSV
 
 
 def read_feature_rows(out_dir: str | Path, h: str) -> list[FeatureRow]:
     """The rows of out_dir's features.csv, which must be stamped with h."""
-    path = Path(out_dir) / FEATURES_CSV
-    rows = []
-    for line, raw in _read_table(path, FEATURE_COLUMNS, h):
-        try:
-            window_id = int(raw["window_id"])
-            modality = Modality(raw["modality"]).value
-            values = {n: float(raw[n]) if raw[n] != "" else math.nan for n in FEATURE_NAMES}
-        except ValueError as exc:
-            raise PipelineError(f"{path}:{line}: {exc}") from exc
-        all_missing = all(math.isnan(v) for v in values.values())
-        rows.append(
-            FeatureRow(
-                window_id=window_id,
-                subject_id=raw["subject_id"],
-                modality=modality,
-                label=raw["label"],
-                features=None if all_missing else FeatureVector(**values),
-            )
+    return [
+        FeatureRow(
+            window_id, subject_id, modality, label,
+            None if all(math.isnan(v) for v in values) else FeatureVector(*values),
         )
-    return rows
+        for _, (window_id, subject_id, modality, label, *values) in FEATURES.read(Path(out_dir), h)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -420,39 +447,25 @@ def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> 
     summary_rows = []
     for feature in FEATURE_NAMES:
         series = isv.per_feature[feature]
-        for key, diff in zip(series.window_keys, series.abs_diff):
-            series_rows.append([str(key[1]), key[0], feature, fmt9(diff)])
-        summary_rows.append(
-            [
-                feature,
-                str(len(series.window_keys)),
-                fmt9(series.mean),
-                fmt9(series.max),
-                str(series.missing_count),
-                fmt9(series.pooled_mean_abs),
-                fmt9(series.normalized_mean),
-            ]
-        )
-    series_rows.sort(key=lambda r: (r[1], int(r[0]), FEATURE_NAMES.index(r[2])))
-    write_csv(staging / VARIANCE_CSV, ["window_id", "subject_id", "feature", "abs_diff"], series_rows, h)
-    write_csv(staging / VARIANCE_SUMMARY_CSV, VARIANCE_SUMMARY_COLUMNS, summary_rows, h)
+        for (subject_id, window_id), diff in zip(series.window_keys, series.abs_diff):
+            series_rows.append([window_id, subject_id, feature, diff])
+        summary_rows.append([
+            feature, len(series.window_keys), series.mean, series.max, series.missing_count,
+            series.pooled_mean_abs, series.normalized_mean,
+        ])
+    series_rows.sort(key=lambda r: (r[1], r[0], FEATURE_NAMES.index(r[2])))
+    VARIANCE.write(staging, series_rows, h)
+    VARIANCE_SUMMARY.write(staging, summary_rows, h)
 
     stats = state_feature_stats(
         [((r.subject_id, r.window_id), r.modality, r.label, r.features)
          for r in rows if r.features is not None]
     )
-    stats_rows = [
-        [g.feature, g.state, g.modality, str(g.n), fmt9(g.minimum), fmt9(g.q1), fmt9(g.q2),
-         fmt9(g.q3), fmt9(g.maximum), fmt9(g.mean), fmt9(g.std), str(g.outlier_count)]
+    STATE_STATS.write(staging, [
+        [g.feature, g.state, g.modality, g.n, g.minimum, g.q1, g.q2, g.q3, g.maximum, g.mean,
+         g.std, g.outlier_count]
         for g in stats
-    ]
-    write_csv(
-        staging / STATE_STATS_CSV,
-        ["feature", "state", "modality", "n", "min", "q1", "q2", "q3", "max", "mean",
-         "std", "outlier_count"],
-        stats_rows,
-        h,
-    )
+    ], h)
 
     # Charts: the headline absolute-difference series and one state boxplot.
     chart_features = ("bpm", "ibi", "br")
@@ -586,7 +599,7 @@ def stage_train_eval(config: PipelineConfig, out: Path, staging: Path, h: str) -
         }
         for label, curve in sorted(report.roc.items()):
             for fpr, tpr in zip(curve.fpr, curve.tpr):
-                roc_rows.append([modality, label, fmt9(fpr), fmt9(tpr)])
+                roc_rows.append([modality, label, fpr, tpr])
         svgplot.roc_chart(
             staging / f"roc_{modality}.svg",
             [
@@ -598,7 +611,7 @@ def stage_train_eval(config: PipelineConfig, out: Path, staging: Path, h: str) -
         )
     write_json(staging / METRICS_JSON, metrics, h)
     write_compact_json(staging / MODEL_JSON, models_doc, h)
-    write_csv(staging / ROC_POINTS_CSV, ["modality", "class", "fpr", "tpr"], roc_rows, h)
+    ROC_POINTS.write(staging, roc_rows, h)
     return metrics
 
 
@@ -658,11 +671,8 @@ def stage_importance(config: PipelineConfig, out: Path, staging: Path, h: str) -
             )
             rank_of = {i: pos + 1 for pos, i in enumerate(order)}
             for i, feature in enumerate(FEATURE_NAMES):
-                importance_rows.append(
-                    [modality, feature, scope, fmt9(means[i]), str(rank_of[i])]
-                )
-        for instance_id, state, feature, phi, value in report.points:
-            point_rows.append([modality, str(instance_id), state, feature, fmt9(phi), fmt9(value)])
+                importance_rows.append([modality, feature, scope, means[i], rank_of[i]])
+        point_rows += [[modality, *point] for point in report.points]
         svgplot.bar_chart(
             staging / f"importance_{modality}.svg",
             list(report.ranking),
@@ -675,13 +685,8 @@ def stage_importance(config: PipelineConfig, out: Path, staging: Path, h: str) -
             "ranking": list(report.ranking),
             "n_explained": report.n_explained,
         }
-    write_csv(staging / IMPORTANCE_CSV, IMPORTANCE_COLUMNS, importance_rows, h)
-    write_csv(
-        staging / SHAP_POINTS_CSV,
-        ["modality", "instance_id", "state", "feature", "phi", "feature_value"],
-        point_rows,
-        h,
-    )
+    IMPORTANCE.write(staging, importance_rows, h)
+    SHAP_POINTS.write(staging, point_rows, h)
     return summary
 
 
@@ -726,40 +731,25 @@ def validate_schema(doc, schema, path="$") -> list[str]:
     return problems
 
 
-def _optional_float(cell: str) -> float | None:
-    return float(cell) if cell else None
-
-
 @_stage
 def stage_report(config: PipelineConfig, out: Path, staging: Path, h: str) -> Path:
-    per_feature = {}
-    path = out / VARIANCE_SUMMARY_CSV
-    for line, row in _read_table(path, VARIANCE_SUMMARY_COLUMNS, h):
-        try:
-            per_feature[row["feature"]] = {
-                "mean_abs_diff": _optional_float(row["mean_abs_diff"]),
-                "max_abs_diff": _optional_float(row["max_abs_diff"]),
-                "missing_count": int(row["missing_count"]),
-                "normalized_mean_abs_diff": _optional_float(row["normalized_mean_abs_diff"]),
-            }
-        except ValueError as exc:
-            raise PipelineError(f"{path}:{line}: {exc}") from exc
+    per_feature = {
+        feature: {"mean_abs_diff": mean, "max_abs_diff": top, "missing_count": missing,
+                  "normalized_mean_abs_diff": normalized_mean}
+        for _, (feature, _, mean, top, missing, _, normalized_mean) in VARIANCE_SUMMARY.read(out, h)
+    }
     normalized = [
         v["normalized_mean_abs_diff"] for v in per_feature.values()
-        if v["normalized_mean_abs_diff"] is not None
+        if not math.isnan(v["normalized_mean_abs_diff"])
     ]
     rankings: dict[str, list[str]] = {}
-    path = out / IMPORTANCE_CSV
-    for line, row in _read_table(path, IMPORTANCE_COLUMNS, h):
-        if row["scope"] == "global":
-            try:
-                rank = int(row["rank"])
-            except ValueError as exc:
-                raise PipelineError(f"{path}:{line}: {exc}") from exc
+    for line, (modality, feature, scope, _, rank) in IMPORTANCE.read(out, h):
+        if scope == "global":
             if not 1 <= rank <= len(FEATURE_NAMES):
-                raise PipelineError(f"{path}:{line}: rank {rank} outside 1-{len(FEATURE_NAMES)}")
-            ranking = rankings.setdefault(row["modality"], [None] * len(FEATURE_NAMES))
-            ranking[rank - 1] = row["feature"]
+                raise PipelineError(
+                    f"{out / IMPORTANCE.name}:{line}: rank {rank} outside 1-{len(FEATURE_NAMES)}"
+                )
+            rankings.setdefault(modality, [None] * len(FEATURE_NAMES))[rank - 1] = feature
 
     doc = round9({
         "config": config_to_dict(config),

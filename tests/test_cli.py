@@ -11,13 +11,13 @@ import pytest
 from click.testing import CliRunner
 
 import hrvaffect
+from hrvaffect import pipeline
 from hrvaffect.cli import main
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER
 from hrvaffect.pipeline import (
     ConfigInvalidError,
     config_from_dict,
     config_to_dict,
-    prepare_out_dir,
     run_hash,
     validate_schema,
 )
@@ -279,10 +279,8 @@ def test_broken_model_json_is_one_json_error(full_run, tmp_path, mutate):
     doc = json.loads((run / "model.json").read_text())
     mutate(doc)
     (run / "model.json").write_text(json.dumps(doc))
-    # Stamp config.json for this out_dir, and let stale outputs stand in for
-    # the last good run, so that any write the failed stage makes shows.
-    config = json.loads((full_run.parent / "config_run.json").read_text())
-    prepare_out_dir(config_from_dict(dict(config, out_dir=str(run))))
+    # Stale outputs stand in for the last good run, so that any write the
+    # failed stage makes shows.
     for name in IMPORTANCE_OUTPUTS:
         (run / name).write_text("stale\n")
     before = {path.name: path.read_bytes() for path in run.iterdir()}
@@ -304,8 +302,6 @@ def test_model_json_that_is_not_json_names_the_file(full_run, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(full_run, run)
     (run / "model.json").write_text("{")
-    config = json.loads((full_run.parent / "config_run.json").read_text())
-    prepare_out_dir(config_from_dict(dict(config, out_dir=str(run))))
     before = {path.name: path.read_bytes() for path in run.iterdir()}
     result = run_cli("importance", "--config", str(full_run.parent / "config_run.json"),
                      "--out", str(run))
@@ -325,6 +321,22 @@ def test_window_that_holds_no_sample_is_no_complete_window(tmp_path):
     payload = json.loads(result.output)
     assert payload["error"] == "NoCompleteWindow"
     assert "no PPG sample at 64.0 Hz" in payload["message"]
+
+
+def test_empty_window_fails_before_scipy_signal_is_imported(tmp_path):
+    """The window check needs only rates and lengths, so extract fails before it
+    filters anything, and so before the slow scipy.signal import."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hrvaffect", "extract",
+         "--synthetic-spec", str(spec_path), "--out", str(tmp_path / "run"),
+         "--window-len-s", "0.01", "--overlap-s", "0"],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert '"NoCompleteWindow"' in proc.stderr
+    assert "scipy.signal" not in proc.stderr
 
 
 def _edit_first_row(text, edit):
@@ -417,6 +429,40 @@ def test_corrupt_report_input_is_one_json_error(full_run, tmp_path, name, edit, 
     payload = json.loads(proc.stderr)
     assert payload["error"] == "PipelineError"
     assert f"{run / name}{where}" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "name, index, column",
+    [("variance_summary.csv", 2, "n_windows"), ("importance.csv", -1, "rank")],
+    ids=["summary_n_windows", "per_state_rank"],
+)
+def test_report_reads_every_cell_of_its_tables(full_run, tmp_path, name, index, column):
+    """A cell the report has no use for (a count, the rank of a per-state row)
+    is still read by its column's kind, and a bad one names its file and line."""
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    lines = (run / name).read_text().splitlines(keepends=True)
+    cells = lines[index].rstrip("\n").split(",")
+    assert name != "importance.csv" or cells[2] != "global"
+    cells[lines[1].rstrip("\n").split(",").index(column)] = "x"
+    lines[index] = ",".join(cells) + "\n"
+    (run / name).write_text("".join(lines))
+    result = run_cli("report", "--config", str(full_run.parent / "config_run.json"), "--out", str(run))
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["error"] == "PipelineError"
+    line = range(1, len(lines) + 1)[index]
+    assert f"{run / name}:{line}: invalid literal for int() with base 10: 'x'" in payload["message"]
+
+
+def test_every_table_reads_and_writes_back_byte_for_byte(full_run, tmp_path):
+    tables = [t for t in vars(pipeline).values() if isinstance(t, pipeline.Table)]
+    assert sorted(t.name for t in tables) == sorted(p.name for p in full_run.glob("*.csv"))
+    stamp = json.loads((full_run / "config.json").read_text())["config_hash"]
+    for table in tables:
+        rows = table.read(full_run, stamp)
+        table.write(tmp_path, [row for _, row in rows], stamp)
+        assert (tmp_path / table.name).read_bytes() == (full_run / table.name).read_bytes(), table.name
 
 
 def _snapshot(run: Path) -> dict:
