@@ -44,6 +44,12 @@ class FilterSpec:
     high_cut_hz: float
     zero_phase: bool = True
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"order must be >= 1, got {self.order}")
+        if not 0 < self.low_cut_hz < self.high_cut_hz:
+            raise ValueError(f"band [{self.low_cut_hz}, {self.high_cut_hz}] must satisfy 0 < low < high")
+
 
 DEFAULT_ECG_FILTER = FilterSpec(order=3, low_cut_hz=0.67, high_cut_hz=40.0)
 DEFAULT_PPG_FILTER = FilterSpec(order=3, low_cut_hz=0.5, high_cut_hz=8.0)
@@ -56,31 +62,24 @@ class WindowSpec:
     window_len_s: float = 10.0
     overlap_s: float = 1.0
 
+    def __post_init__(self):
+        if self.window_len_s <= 0:
+            raise ValueError(f"window_len_s must be positive, got {self.window_len_s}")
+        if not 0 <= self.overlap_s < self.window_len_s:
+            raise ValueError(f"overlap_s must lie in [0, window_len_s), got {self.overlap_s}")
+
     @property
     def stride_s(self) -> float:
         return self.window_len_s - self.overlap_s
-
-    def validate(self) -> "WindowSpec":
-        if self.window_len_s <= 0:
-            raise ValueError("window_len_s must be positive")
-        if not 0 <= self.overlap_s < self.window_len_s:
-            raise ValueError("overlap_s must lie in [0, window_len_s)")
-        return self
 
 
 def design_butterworth_bandpass(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
     """Second-order-section cascade for the requested band at this rate.
 
     Designed via the bilinear transform with frequency pre-warping; raises if
-    the band does not fit under Nyquist.
+    the band does not fit under Nyquist, the one rule that needs the rate.
     """
     nyquist = sample_rate_hz / 2.0
-    if spec.order < 1:
-        raise ValueError("filter order must be >= 1")
-    if not 0 < spec.low_cut_hz < spec.high_cut_hz:
-        raise ValueError(
-            f"need 0 < low_cut < high_cut, got [{spec.low_cut_hz}, {spec.high_cut_hz}]"
-        )
     if spec.high_cut_hz >= nyquist:
         raise CutoffAboveNyquistError(
             f"high cutoff {spec.high_cut_hz} Hz >= Nyquist {nyquist} Hz"
@@ -198,7 +197,6 @@ def segment_windows(
     sliced at its own rate.  Windows whose label resolution drops them are
     skipped; window_id keeps the grid index so aligned segments always agree.
     """
-    wspec.validate()
     if not (ecg.start_time_s == ppg.start_time_s == annotations.start_time_s):
         raise ValueError("ECG, PPG and annotations must share a start time")
     covered_s = covered_seconds(ecg, ppg, annotations, wspec)

@@ -85,6 +85,15 @@ class SubjectFiles:
     ppg_rate_hz: float
     annotation_rate_hz: float
 
+    def __post_init__(self):
+        if min(self.ecg_rate_hz, self.ppg_rate_hz, self.annotation_rate_hz) <= 0:
+            raise ValueError("ecg_rate_hz, ppg_rate_hz and annotation_rate_hz must be positive")
+        if not self.subject_id or any(ch in self.subject_id for ch in ",\r\n"):
+            # Derived CSVs are unquoted, so such an id would shift or blank their cells.
+            raise ValueError(
+                f"subject_id must be non-empty with no comma or line break, got {self.subject_id!r}"
+            )
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -110,6 +119,14 @@ class StateSpec:
     bpm_jitter_ms: float
     duration_s: float
 
+    def __post_init__(self):
+        if not BPM_RANGE[0] <= self.mean_bpm <= BPM_RANGE[1]:
+            raise InvalidSpecError(f"mean_bpm {self.mean_bpm} outside {BPM_RANGE}")
+        if self.bpm_jitter_ms < 0:
+            raise InvalidSpecError(f"bpm_jitter_ms must be >= 0, got {self.bpm_jitter_ms}")
+        if self.duration_s <= 0:
+            raise InvalidSpecError(f"duration_s must be positive, got {self.duration_s}")
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -122,6 +139,30 @@ class SyntheticSpec:
     noise_std: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if min(self.duration_s, self.ecg_rate_hz, self.ppg_rate_hz) <= 0:
+            raise InvalidSpecError("duration_s, ecg_rate_hz and ppg_rate_hz must be positive")
+        if not self.states:
+            raise InvalidSpecError("states must hold at least one state")
+        total = sum(state.duration_s for state in self.states)
+        if abs(total - self.duration_s) > 1e-6:
+            raise InvalidSpecError(
+                f"state durations sum to {total}, expected duration_s {self.duration_s}"
+            )
+        lo, hi = RESPIRATORY_RANGE_HZ
+        if not lo <= self.respiratory_rate_hz <= hi:
+            raise InvalidSpecError(f"respiratory_rate_hz outside [{lo}, {hi}]")
+        if self.respiratory_rr_modulation_ms < 0:
+            raise InvalidSpecError("respiratory_rr_modulation_ms must be >= 0")
+        if self.noise_std < 0:
+            raise InvalidSpecError("noise_std must be >= 0")
+        labels = {state.label for state in self.states}
+        if not (labels <= DISCRETE_LABEL_CODES.keys() or labels <= set(AV_QUADRANTS)):
+            raise InvalidSpecError(
+                f"state labels must all be discrete states {sorted(DISCRETE_LABEL_CODES)} "
+                f"or all quadrants {list(AV_QUADRANTS)}"
+            )
+
 
 @dataclass(frozen=True)
 class SyntheticGroundTruth:
@@ -133,44 +174,6 @@ class SyntheticGroundTruth:
     state_spans: tuple[tuple[str, float, float], ...]  # (label, start_s, end_s)
     respiratory_rate_hz: float
     respiratory_rr_modulation_ms: float
-
-
-def validate_synthetic_spec(spec: SyntheticSpec) -> SyntheticSpec:
-    if spec.duration_s <= 0:
-        raise InvalidSpecError("duration_s must be positive")
-    if spec.ecg_rate_hz <= 0 or spec.ppg_rate_hz <= 0:
-        raise InvalidSpecError("sample rates must be positive")
-    if not spec.states:
-        raise InvalidSpecError("at least one state is required")
-    for state in spec.states:
-        if not BPM_RANGE[0] <= state.mean_bpm <= BPM_RANGE[1]:
-            raise InvalidSpecError(f"mean_bpm {state.mean_bpm} outside {BPM_RANGE}")
-        if state.bpm_jitter_ms < 0:
-            raise InvalidSpecError("bpm_jitter_ms must be >= 0")
-        if state.duration_s <= 0:
-            raise InvalidSpecError("state duration_s must be positive")
-    total = sum(state.duration_s for state in spec.states)
-    if abs(total - spec.duration_s) > 1e-6:
-        raise InvalidSpecError(
-            f"state durations sum to {total}, expected duration_s {spec.duration_s}"
-        )
-    lo, hi = RESPIRATORY_RANGE_HZ
-    if not lo <= spec.respiratory_rate_hz <= hi:
-        raise InvalidSpecError(f"respiratory_rate_hz outside [{lo}, {hi}]")
-    if spec.respiratory_rr_modulation_ms < 0:
-        raise InvalidSpecError("respiratory_rr_modulation_ms must be >= 0")
-    if spec.noise_std < 0:
-        raise InvalidSpecError("noise_std must be >= 0")
-    labels = [state.label for state in spec.states]
-    if not (
-        all(l in DISCRETE_LABEL_CODES for l in labels)
-        or all(l in AV_QUADRANTS for l in labels)
-    ):
-        raise InvalidSpecError(
-            f"state labels must all be discrete states {sorted(DISCRETE_LABEL_CODES)} "
-            f"or all quadrants {list(AV_QUADRANTS)}"
-        )
-    return spec
 
 
 def synthetic_label_scheme(spec: SyntheticSpec) -> LabelScheme:
@@ -270,7 +273,6 @@ def generate_synthetic(
     noise use independent streams of the seed, so turning noise on or off
     never moves the ground-truth beat times.  Deterministic given the seed.
     """
-    validate_synthetic_spec(spec)
     rng_beats = derive_rng(spec.seed, STREAM_BEATS)
     rng_noise = derive_rng(spec.seed, STREAM_NOISE)
     spans = _state_spans(spec)
@@ -415,18 +417,9 @@ def _read_document(path: str | Path, what: str):
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     try:
-        manifest = decode(DatasetManifest, _read_document(path, "manifest"))
+        return decode(DatasetManifest, _read_document(path, "manifest"))
     except DecodeError as exc:
         raise ParseError(path, 1, f"manifest field error: {exc}") from exc
-    for s in manifest.subjects:
-        if min(s.ecg_rate_hz, s.ppg_rate_hz, s.annotation_rate_hz) <= 0:
-            raise ParseError(path, 1, f"non-positive rate for subject {s.subject_id}")
-        if any(ch in s.subject_id for ch in ",\r\n"):
-            # Derived CSVs are unquoted, so such an id would shift their columns.
-            raise ParseError(
-                path, 1, f"subject_id {s.subject_id!r} contains a comma or line break"
-            )
-    return manifest
 
 
 def _loadtxt_body(path: Path, header: str, dtype) -> np.ndarray | None:
@@ -545,10 +538,9 @@ def load_dataset(
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     try:
-        spec = decode(SyntheticSpec, _read_document(path, "synthetic spec"))
+        return decode(SyntheticSpec, _read_document(path, "synthetic spec"))
     except DecodeError as exc:
         raise InvalidSpecError(f"synthetic spec field error: {exc}") from exc
-    return validate_synthetic_spec(spec)
 
 
 def write_ground_truth(truth: SyntheticGroundTruth, path: str | Path):

@@ -647,8 +647,8 @@ def evaluate(
     Selection is highest mean CV accuracy, ties broken by lower standard
     deviation then family order.  The winner refits on the full training
     partition and scores the holdout once, including per-class OVR ROC.
-    Returns the report plus the fitted models (always including extra_trees,
-    which downstream explanation requires).
+    Returns the report plus the fitted winner and extra_trees, which
+    downstream explanation requires; no other family is refitted.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -689,7 +689,7 @@ def evaluate(
 
     fitted = {
         family: train_family(family, X_train, y_train, feature_names, params, seed, knn_k)
-        for family in sorted(set(families) | {"extra_trees"})
+        for family in sorted({selected, "extra_trees"})
     }
     best_model = fitted[selected]
     holdout_proba = best_model.predict_proba(X_hold)

@@ -100,6 +100,17 @@ class LearnConfig:
     families: tuple[str, ...] = learn_mod.FAMILY_NAMES
     subject_wise: bool = False
 
+    def __post_init__(self):
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if not 0 < self.holdout_fraction < 1:
+            raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
+        if not self.families or not set(self.families) <= set(learn_mod.FAMILY_NAMES):
+            raise ValueError(
+                f"families must name one or more of {learn_mod.FAMILY_NAMES}, got {self.families}"
+            )
+        self.tree_params()
+
     def tree_params(self) -> ExtraTreesParams:
         return ExtraTreesParams(self.n_trees, self.k_features, self.min_samples_leaf)
 
@@ -108,6 +119,10 @@ class LearnConfig:
 class ExplainConfig:
     background_size: int = explain_mod.DEFAULT_BACKGROUND_SIZE
     max_instances: int = explain_mod.DEFAULT_MAX_INSTANCES
+
+    def __post_init__(self):
+        if min(self.background_size, self.max_instances) < 1:
+            raise ValueError("background_size and max_instances must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -131,43 +146,18 @@ def config_to_dict(config: PipelineConfig) -> dict:
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
+    """The config a JSON document holds, with exactly one input and a known
+    box_feature; a document off the rule is ConfigInvalid naming its section."""
     try:
         config = decode(PipelineConfig, doc)
     except DecodeError as exc:
         raise ConfigInvalidError(exc.key or "config", str(exc)) from exc
-    return validate_config(config)
-
-
-def validate_config(config: PipelineConfig) -> PipelineConfig:
-    if config.manifest_path is None and config.synthetic_spec_path is None:
+    if (config.manifest_path is None) == (config.synthetic_spec_path is None):
         raise ConfigInvalidError(
-            "manifest_path", "one of manifest_path or synthetic_spec_path is required"
+            "manifest_path", "exactly one of manifest_path or synthetic_spec_path is required"
         )
-    if config.manifest_path is not None and config.synthetic_spec_path is not None:
-        raise ConfigInvalidError(
-            "manifest_path", "manifest_path and synthetic_spec_path are mutually exclusive"
-        )
-    try:
-        config.window.validate()
-    except ValueError as exc:
-        raise ConfigInvalidError("window", str(exc)) from exc
     if config.box_feature not in FEATURE_NAMES:
         raise ConfigInvalidError("box_feature", f"unknown feature {config.box_feature!r}")
-    if config.learn.cv_folds < 2:
-        raise ConfigInvalidError("learn", "cv_folds must be >= 2")
-    if not 0 < config.learn.holdout_fraction < 1:
-        raise ConfigInvalidError("learn", "holdout_fraction must be in (0, 1)")
-    if not config.learn.families:
-        raise ConfigInvalidError("learn", "families must name at least one model family")
-    for family in config.learn.families:
-        if family not in learn_mod.FAMILY_NAMES:
-            raise ConfigInvalidError("learn", f"unknown family {family!r}")
-    try:
-        config.learn.tree_params()
-    except ValueError as exc:
-        raise ConfigInvalidError("learn", str(exc)) from exc
-    if config.explain.background_size < 1 or config.explain.max_instances < 1:
-        raise ConfigInvalidError("explain", "explain sizes must be >= 1")
     return config
 
 
@@ -199,8 +189,15 @@ def _read_object(path: Path, h: str) -> dict:
     return doc
 
 
-# How a cell of each kind is read; int and str cells are read by the kind itself.
-_PARSE = {float: lambda cell: float(cell) if cell else math.nan, Modality: lambda cell: Modality(cell).value}
+def _text(cell: str) -> str:
+    if cell:
+        return cell
+    raise ValueError("empty cell in a text column")
+
+
+# How a cell of each kind is read; int cells are read by int itself.
+_PARSE = {float: lambda cell: float(cell) if cell else math.nan, str: _text,
+          Modality: lambda cell: Modality(cell).value}
 
 
 @dataclass(frozen=True)
@@ -223,9 +220,7 @@ class Table:
         or cell names the file."""
         path = folder / self.name
         try:
-            found, rows = read_csv(path)
-            with open(path, encoding="utf-8") as fh:
-                stamp = fh.readline().rstrip("\n").removeprefix("# config_hash=")
+            stamp, found, rows = read_csv(path)
         except FileNotFoundError:
             raise MissingInputError(path.name) from None
         except ValueError as exc:
@@ -237,7 +232,7 @@ class Table:
         typed = []
         for line, row in rows:
             try:
-                typed.append((line, [parse(cell) for parse, cell in zip(parsers, row.values())]))
+                typed.append((line, [parse(cell) for parse, cell in zip(parsers, row)]))
             except ValueError as exc:
                 raise PipelineError(f"{path}:{line}: {exc}") from exc
         return typed

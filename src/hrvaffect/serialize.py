@@ -70,24 +70,29 @@ def config_hash(config_doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+STAMP_PREFIX = "# config_hash="
+
+
 def write_csv(path: str | Path, columns: list[str], rows: list[list], cfg_hash: str):
     """CSV with a config-hash comment line; cell values already stringified."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
+        fh.write(f"{STAMP_PREFIX}{cfg_hash}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
 
 
-def read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
-    """Read a CSV written by write_csv, skipping comment and blank lines: the
-    columns, and each row as (line number, {column: cell}).  A row of another
-    width than the header raises ValueError naming its line."""
+def read_csv(path: str | Path) -> tuple[str | None, list[str], list[tuple[int, list[str]]]]:
+    """Read a CSV written by write_csv in one pass: its config-hash stamp (None
+    when the first line holds none), its columns, and each row as (line number,
+    cells), skipping comment and blank lines.  A row of another width than the
+    header raises ValueError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if not line.startswith("#")]
-    if not lines:
-        return [], []
-    columns = lines[0][1].split(",")
+        numbered = list(enumerate(fh, 1))
+    head = numbered[0][1].rstrip("\n") if numbered else ""
+    stamp = head.removeprefix(STAMP_PREFIX) if head.startswith(STAMP_PREFIX) else None
+    lines = [(n, line.rstrip("\n")) for n, line in numbered if not line.startswith("#")]
+    columns = lines[0][1].split(",") if lines else []
     rows = []
     for lineno, line in lines[1:]:
         if not line:
@@ -95,8 +100,8 @@ def read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, dict[str, str
         cells = line.split(",")
         if len(cells) != len(columns):
             raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(cells)}")
-        rows.append((lineno, dict(zip(columns, cells))))
-    return columns, rows
+        rows.append((lineno, cells))
+    return stamp, columns, rows
 
 
 def write_json(path: str | Path, doc: dict, cfg_hash: str | None = None):
@@ -124,8 +129,9 @@ def read_json(path: str | Path) -> dict:
 
 
 class DecodeError(ValueError):
-    """A JSON document that does not fit its dataclass.  `key` is the
-    top-level key or section at fault, or None for the document itself."""
+    """A JSON document that does not fit its dataclass, or breaks a rule the
+    dataclass checks on construction.  `key` is the top-level key or section
+    at fault, or None for the document itself."""
 
     def __init__(self, path: tuple, message: str):
         self.key = path[0] if path else None
@@ -136,7 +142,8 @@ class DecodeError(ValueError):
 def decode(cls, doc, default=None, path: tuple = ()):
     """The frozen dataclass `cls` from the JSON object `doc`, by the rule in README's
     "Input documents".  A key `doc` lacks takes `default`'s value, else the field's
-    default (never a default_factory); `path` is where `doc` sits in the document."""
+    default (never a default_factory); `path` is where `doc` sits in the document.
+    A ValueError the dataclass raises on construction is a DecodeError at `path`."""
     if not isinstance(doc, dict):
         raise DecodeError(path, f"must be a JSON object, got {doc!r}" if path
                           else f"expected a JSON object, got {type(doc).__name__}")
@@ -153,7 +160,10 @@ def decode(cls, doc, default=None, path: tuple = ()):
             raise DecodeError(path + (f.name,), "is required")
         else:
             values[f.name] = fallback
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise DecodeError(path, str(exc)) from exc
 
 
 def _decode_value(hint, value, default, path: tuple):

@@ -339,6 +339,26 @@ def test_empty_window_fails_before_scipy_signal_is_imported(tmp_path):
     assert "scipy.signal" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--ecg-order", "0"], "ecg_filter"),
+    (["--ppg-low-hz", "9"], "ppg_filter"),
+], ids=["filter_order", "filter_band"])
+def test_bad_filter_fails_before_scipy_signal_is_imported(tmp_path, flags, field):
+    """FilterSpec checks its order and band when the config is decoded, so
+    extract refuses them before it reads data or imports scipy.signal."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hrvaffect", "extract",
+         "--synthetic-spec", str(spec_path), "--out", str(tmp_path / "run"), *flags],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert f'"field": "{field}"' in proc.stderr and '"ConfigInvalid"' in proc.stderr
+    assert "scipy.signal" not in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def _edit_first_row(text, edit):
     lines = text.splitlines(keepends=True)
     lines[2] = ",".join(edit(lines[2].rstrip("\n").split(","))) + "\n"
@@ -363,6 +383,14 @@ CORRUPT_OUT_DIR = {
     ),
     "renamed_column": (
         "features.csv", lambda text: text.replace(",ibi,", ",IBI,", 1), ": expected columns",
+    ),
+    "blank_label": (
+        "features.csv", lambda text: _edit_first_row(text, lambda c: [*c[:3], "", *c[4:]]),
+        ":3: empty cell in a text column",
+    ),
+    "blank_subject_id": (
+        "features.csv", lambda text: _edit_first_row(text, lambda c: [c[0], "", *c[2:]]),
+        ":3: empty cell in a text column",
     ),
 }
 

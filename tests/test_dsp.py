@@ -206,7 +206,7 @@ class TestSegmentWindows:
 
 def test_window_spec_validation():
     with pytest.raises(ValueError):
-        WindowSpec(10.0, 10.0).validate()
+        WindowSpec(10.0, 10.0)
     with pytest.raises(ValueError):
-        WindowSpec(0.0, 0.0).validate()
+        WindowSpec(0.0, 0.0)
     assert WindowSpec(10.0, 1.0).stride_s == 9.0

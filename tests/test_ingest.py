@@ -5,22 +5,18 @@ import pytest
 
 from hrvaffect.core import AnnotationTrack, LabelScheme, Modality, SignalRecord
 from hrvaffect.ingest import (
-    DatasetManifest,
     InvalidSpecError,
     MissingFileError,
     ParseError,
     RateMismatchError,
     StateSpec,
     SubjectData,
-    SubjectFiles,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
     load_manifest,
     load_synthetic_spec,
-    validate_synthetic_spec,
     write_canonical,
-    write_manifest,
 )
 
 
@@ -41,28 +37,22 @@ def simple_spec(**overrides):
 
 class TestSyntheticSpecValidation:
     def test_valid(self):
-        assert validate_synthetic_spec(simple_spec()) is not None
+        assert simple_spec().states
 
     def test_bpm_out_of_range(self):
         with pytest.raises(InvalidSpecError):
-            validate_synthetic_spec(
-                simple_spec(states=(StateSpec("baseline", 20.0, 0.0, 60.0),))
-            )
+            simple_spec(states=(StateSpec("baseline", 20.0, 0.0, 60.0),))
 
     def test_durations_must_sum(self):
         with pytest.raises(InvalidSpecError):
-            validate_synthetic_spec(
-                simple_spec(states=(StateSpec("baseline", 60.0, 0.0, 30.0),))
-            )
+            simple_spec(states=(StateSpec("baseline", 60.0, 0.0, 30.0),))
 
     def test_mixed_label_schemes_rejected(self):
         with pytest.raises(InvalidSpecError):
-            validate_synthetic_spec(
-                simple_spec(
-                    states=(
-                        StateSpec("baseline", 60.0, 0.0, 30.0),
-                        StateSpec("LAHV", 60.0, 0.0, 30.0),
-                    )
+            simple_spec(
+                states=(
+                    StateSpec("baseline", 60.0, 0.0, 30.0),
+                    StateSpec("LAHV", 60.0, 0.0, 30.0),
                 )
             )
 
@@ -230,27 +220,28 @@ class TestCanonicalRoundTrip:
             load_manifest(path)
 
     def test_manifest_rate_positive(self, tmp_path):
-        manifest = DatasetManifest(
-            "x",
-            LabelScheme.DISCRETE_STATE,
-            (SubjectFiles("s", "a.csv", "b.csv", "c.csv", 700.0, 0.0, 700.0),),
-        )
         path = tmp_path / "manifest.json"
-        write_manifest(manifest, path)
+        path.write_text(json.dumps(manifest_doc("s", ppg_rate_hz=0.0)))
         with pytest.raises(ParseError):
             load_manifest(path)
 
     @pytest.mark.parametrize("subject_id", ["s,1", "s\n1", "s\r1"])
     def test_manifest_rejects_ids_csv_cannot_hold(self, tmp_path, subject_id):
-        manifest = DatasetManifest(
-            "x",
-            LabelScheme.DISCRETE_STATE,
-            (SubjectFiles(subject_id, "a.csv", "b.csv", "c.csv", 700.0, 64.0, 700.0),),
-        )
         path = tmp_path / "manifest.json"
-        write_manifest(manifest, path)
+        path.write_text(json.dumps(manifest_doc(subject_id)))
         with pytest.raises(ParseError, match="subject_id"):
             load_manifest(path)
+
+
+def manifest_doc(subject_id, **rates):
+    """A one-subject manifest document, written by hand: SubjectFiles refuses
+    the values these tests need load_manifest to see."""
+    subject = {
+        "subject_id": subject_id, "ecg_file": "a.csv", "ppg_file": "b.csv",
+        "annotation_file": "c.csv", "ecg_rate_hz": 700.0, "ppg_rate_hz": 64.0,
+        "annotation_rate_hz": 700.0, **rates,
+    }
+    return {"dataset_name": "x", "label_scheme": "discrete_state", "subjects": [subject]}
 
 
 def test_load_synthetic_spec_round_trip(tmp_path):

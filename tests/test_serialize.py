@@ -10,9 +10,15 @@ import pytest
 from click.testing import CliRunner
 
 from hrvaffect.cli import main
-from hrvaffect.ingest import InvalidSpecError, ParseError, load_manifest, load_synthetic_spec
+from hrvaffect.dsp import FilterSpec, WindowSpec
+from hrvaffect.ingest import (
+    InvalidSpecError, ParseError, StateSpec, SubjectFiles, SyntheticSpec, load_manifest,
+    load_synthetic_spec,
+)
 from hrvaffect.learn import ExtraTreesParams, model_to_dict, train_extra_trees
-from hrvaffect.pipeline import ConfigInvalidError, config_from_dict, run_hash
+from hrvaffect.pipeline import (
+    ConfigInvalidError, ExplainConfig, LearnConfig, config_from_dict, run_hash,
+)
 from hrvaffect.serialize import (
     read_csv, read_json, round9, round9_array, write_compact_json, write_csv, write_json,
 )
@@ -47,8 +53,7 @@ def test_read_csv_numbers_rows_by_their_line(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n# note\n3,z\n")
     assert read_csv(path) == (
-        ["a", "b"],
-        [(3, {"a": "1", "b": "x"}), (4, {"a": "2", "b": ""}), (7, {"a": "3", "b": "z"})],
+        "abc", ["a", "b"], [(3, ["1", "x"]), (4, ["2", ""]), (7, ["3", "z"])],
     )
 
 
@@ -107,7 +112,7 @@ DECODE_CASES = {
         "extra_key",
     ),
     # Every config key has a default; without its one input, the config is
-    # refused by validate_config instead.
+    # refused by config_from_dict instead.
     "missing_key": (
         (("synthetic_spec_path",), DROP), (("duration_s",), DROP),
         (("subjects", 0, "ppg_rate_hz"), DROP), "manifest_path",
@@ -168,6 +173,83 @@ def test_every_loader_refuses_a_document_off_the_rule(
         assert payload["error"] == error
         if error == "ConfigInvalid":
             assert payload["field"] == field
+
+
+STAGES = ["extract", "variance", "train-eval", "importance", "report"]
+
+# One case per value rule a dataclass checks when it is built: a value that
+# breaks it in the config, spec or manifest; the error code; the field a
+# ConfigInvalid names, or for a spec or manifest what its message names; and
+# a direct construction the dataclass refuses.
+RULE_CASES = {
+    "filter_order": (
+        "config", ("ecg_filter", "order"), 0, "ConfigInvalid", "ecg_filter",
+        lambda: FilterSpec(0, 0.67, 40.0),
+    ),
+    "filter_band": (
+        "config", ("ppg_filter", "low_cut_hz"), 9.0, "ConfigInvalid", "ppg_filter",
+        lambda: FilterSpec(3, 9.0, 8.0),
+    ),
+    "window": (
+        "config", ("window", "overlap_s"), 10.0, "ConfigInvalid", "window",
+        lambda: WindowSpec(10.0, 10.0),
+    ),
+    "learn": (
+        "config", ("learn", "cv_folds"), 1, "ConfigInvalid", "learn",
+        lambda: LearnConfig(cv_folds=1),
+    ),
+    "explain": (
+        "config", ("explain", "max_instances"), 0, "ConfigInvalid", "explain",
+        lambda: ExplainConfig(max_instances=0),
+    ),
+    "state_bpm": (
+        "spec", ("states", 1, "mean_bpm"), 250.0, "InvalidSpec", "states[1] mean_bpm",
+        lambda: StateSpec("stress", 250.0, 10.0, 15.0),
+    ),
+    "spec_durations": (
+        "spec", ("duration_s",), 40.0, "InvalidSpec", "state durations sum to 30.0",
+        lambda: SyntheticSpec(40.0, 350.0, 64.0, (StateSpec("baseline", 65.0, 10.0, 30.0),)),
+    ),
+    "manifest_rate": (
+        "manifest", ("subjects", 0, "ppg_rate_hz"), 0.0, "Parse", "subjects[0] ecg_rate_hz",
+        lambda: SubjectFiles("s1", "e.csv", "p.csv", "a.csv", 350.0, 0.0, 350.0),
+    ),
+    "subject_id": (
+        "manifest", ("subjects", 0, "subject_id"), "", "Parse", "subjects[0] subject_id",
+        lambda: SubjectFiles("", "e.csv", "p.csv", "a.csv", 350.0, 64.0, 350.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("document, where, value, error, field, build",
+                         RULE_CASES.values(), ids=RULE_CASES.keys())
+def test_each_value_rule_is_checked_on_its_dataclass(
+    tmp_path, document, where, value, error, field, build
+):
+    with pytest.raises(ValueError):
+        build()
+    if document == "config":
+        config = _edited({"synthetic_spec_path": "spec.json", "out_dir": str(tmp_path / "run")},
+                         where, value)
+        runs = [[stage, "--config", _write(tmp_path / "config.json", config)] for stage in STAGES]
+    elif document == "spec":
+        spec_path = _write(tmp_path / "spec.json", _edited(SPEC, where, value))
+        runs = [["synth", "--spec", spec_path, "--out", str(tmp_path / "data")]]
+    else:
+        manifest_path = _write(tmp_path / "manifest.json", _edited(MANIFEST, where, value))
+        runs = [["extract", "--manifest", manifest_path, "--out", str(tmp_path / "run")]]
+    for args in runs:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output)
+        assert payload["error"] == error
+        if error == "ConfigInvalid":
+            assert payload["field"] == field
+            assert payload["message"].startswith(f"{field} ")
+        else:
+            assert field in payload["message"]
+    # A bad config is refused before a stage makes its out_dir.
+    assert document != "config" or not (tmp_path / "run").exists()
 
 
 def test_integral_number_loads_as_int():
