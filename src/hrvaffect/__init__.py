@@ -1,13 +1,6 @@
 """HRV feature variance and affective-state classification for ECG/PPG pairs."""
 
-from .core import (
-    AnnotationTrack,
-    LabelScheme,
-    Modality,
-    SignalRecord,
-    WindowedSegment,
-    validate_record,
-)
+from .core import AnnotationTrack, LabelScheme, Modality, SignalRecord, WindowedSegment
 from .dsp import FilterSpec, WindowSpec, design_butterworth_bandpass, filter_signal, segment_windows
 from .hrv import FEATURE_NAMES, BeatSeries, FeatureVector, compute_features, detect_beats
 from .ingest import (
@@ -62,6 +55,5 @@ __all__ = [
     "state_feature_stats",
     "state_overlap_score",
     "train_extra_trees",
-    "validate_record",
     "write_canonical",
 ]

@@ -76,7 +76,9 @@ def _minmax_to_av(values: np.ndarray) -> np.ndarray:
     vmin, vmax = float(values.min()), float(values.max())
     if vmax == vmin:
         return np.full(values.shape, (lo + hi) / 2.0)
-    return lo + (values - vmin) * (hi - lo) / (vmax - vmin)
+    # Rounding can carry an end a few ulps past the range; clipping leaves
+    # every value inside it bit for bit.
+    return np.clip(lo + (values - vmin) * (hi - lo) / (vmax - vmin), lo, hi)
 
 
 def _read_case_csv(path: Path, wanted: tuple[str, ...]) -> dict[str, np.ndarray]:

@@ -73,9 +73,23 @@ def _frozen_float_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def check_av_range(values: np.ndarray):
+    """Raise ValueOutOfRangeError at the first row of (arousal, valence) pairs
+    holding a value outside AV_RANGE; NaN is outside."""
+    lo, hi = AV_RANGE
+    outside = np.argwhere(~((values >= lo) & (values <= hi)))
+    if outside.size:
+        row, col = outside[0]
+        raise ValueOutOfRangeError(int(row), float(values[row, col]))
+
+
 @dataclass(frozen=True, eq=False)
 class SignalRecord:
-    """One uniformly sampled waveform of one modality for one subject."""
+    """One uniformly sampled waveform of one modality for one subject.
+
+    Construction checks, in order: positive rate, non-empty, all samples
+    finite; the finite check names the first offending index.
+    """
 
     subject_id: str
     modality: Modality
@@ -86,6 +100,13 @@ class SignalRecord:
     def __post_init__(self):
         object.__setattr__(self, "modality", Modality(self.modality))
         object.__setattr__(self, "samples", _frozen_float_array(self.samples))
+        if not self.sample_rate_hz > 0:
+            raise NonPositiveRateError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if self.samples.size == 0:
+            raise EmptySignalError(f"record {self.subject_id}/{self.modality} has no samples")
+        finite = np.isfinite(self.samples)
+        if not finite.all():
+            raise NonFiniteSampleError(int(np.argmin(finite)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignalRecord):
@@ -110,7 +131,11 @@ class SignalRecord:
 
 @dataclass(frozen=True, eq=False)
 class AnnotationTrack:
-    """Time-indexed affect labels: integer codes or (arousal, valence) pairs."""
+    """Time-indexed affect labels: integer codes or (arousal, valence) pairs.
+
+    Construction checks the scheme's shape, a positive rate and at least one
+    sample, then that every code is known, or every pair finite and in AV_RANGE.
+    """
 
     scheme: LabelScheme
     sample_rate_hz: float
@@ -129,6 +154,20 @@ class AnnotationTrack:
                 raise ValidationError("arousal/valence values must have shape (n, 2)")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        if not self.sample_rate_hz > 0:
+            raise NonPositiveRateError(f"annotation rate must be positive, got {self.sample_rate_hz}")
+        if arr.shape[0] == 0:
+            raise EmptySignalError("annotation track has no samples")
+        if self.scheme is LabelScheme.DISCRETE_STATE:
+            known = (arr >= KNOWN_CODES.start) & (arr < KNOWN_CODES.stop)
+            if not known.all():
+                idx = int(np.argmin(known))
+                raise ValidationError(f"unknown annotation code {arr[idx]} at index {idx}")
+        else:
+            finite = np.isfinite(arr)
+            if not finite.all():
+                raise NonFiniteSampleError(int(np.argwhere(~finite)[0][0]))
+            check_av_range(arr)
 
     @property
     def n_samples(self) -> int:
@@ -158,50 +197,6 @@ class WindowedSegment:
     def __post_init__(self):
         object.__setattr__(self, "modality", Modality(self.modality))
         object.__setattr__(self, "samples", _frozen_float_array(self.samples))
-
-
-def validate_record(record: SignalRecord) -> SignalRecord:
-    """Return record unchanged if well formed, else raise naming the defect.
-
-    Checks run in order: positive rate, non-empty, all samples finite.  The
-    finite check reports the first offending index.  Idempotent by design.
-    """
-    if not record.sample_rate_hz > 0:
-        raise NonPositiveRateError(
-            f"sample_rate_hz must be positive, got {record.sample_rate_hz}"
-        )
-    if record.samples.size == 0:
-        raise EmptySignalError(f"record {record.subject_id}/{record.modality} has no samples")
-    finite = np.isfinite(record.samples)
-    if not finite.all():
-        raise NonFiniteSampleError(int(np.argmin(finite)))
-    return record
-
-
-def validate_track(track: AnnotationTrack) -> AnnotationTrack:
-    """Validate an annotation track against its scheme's invariants."""
-    if not track.sample_rate_hz > 0:
-        raise NonPositiveRateError(
-            f"annotation rate must be positive, got {track.sample_rate_hz}"
-        )
-    if track.n_samples == 0:
-        raise EmptySignalError("annotation track has no samples")
-    if track.scheme is LabelScheme.DISCRETE_STATE:
-        known = (track.values >= KNOWN_CODES.start) & (track.values < KNOWN_CODES.stop)
-        if not known.all():
-            idx = int(np.argmin(known))
-            raise ValidationError(f"unknown annotation code {track.values[idx]} at index {idx}")
-    else:
-        finite = np.isfinite(track.values)
-        if not finite.all():
-            raise NonFiniteSampleError(int(np.argwhere(~finite)[0][0]))
-        lo, hi = AV_RANGE
-        in_range = (track.values >= lo) & (track.values <= hi)
-        if not in_range.all():
-            row = int(np.argwhere(~in_range)[0][0])
-            col = int(np.argwhere(~in_range)[0][1])
-            raise ValueOutOfRangeError(row, float(track.values[row, col]))
-    return track
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -15,15 +15,14 @@ import numpy as np
 
 from .core import (
     AV_LOW_MAX,
-    AV_RANGE,
     DISCARDED_CODES,
     DISCRETE_CODE_LABELS,
     AnnotationTrack,
     LabelScheme,
     SignalRecord,
-    ValueOutOfRangeError,
     WindowedSegment,
     av_quadrant,
+    check_av_range,
 )
 
 
@@ -144,12 +143,7 @@ def resolve_label_av(values: np.ndarray) -> str:
     falls outside the normalized range.
     """
     values = np.asarray(values, dtype=np.float64)
-    lo, hi = AV_RANGE
-    in_range = (values >= lo) & (values <= hi)
-    if not in_range.all():
-        row = int(np.argwhere(~in_range)[0][0])
-        col = int(np.argwhere(~in_range)[0][1])
-        raise ValueOutOfRangeError(row, float(values[row, col]))
+    check_av_range(values)
     arousal_mean = float(values[:, 0].mean())
     valence_mean = float(values[:, 1].mean())
     return av_quadrant(arousal_mean <= AV_LOW_MAX, valence_mean <= AV_LOW_MAX)

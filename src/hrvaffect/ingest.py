@@ -32,8 +32,6 @@ from .core import (
     Modality,
     SignalRecord,
     derive_rng,
-    validate_record,
-    validate_track,
 )
 from .serialize import DecodeError, decode
 
@@ -104,12 +102,24 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class SubjectData:
-    """One subject's aligned streams, validated."""
+    """One subject's aligned streams.  Each stream checks itself when built;
+    RateMismatchError when their durations (sample count over rate) disagree
+    by more than 1%."""
 
     subject_id: str
     ecg: SignalRecord
     ppg: SignalRecord
     annotations: AnnotationTrack
+
+    def __post_init__(self):
+        durations = {"ecg": self.ecg.duration_s, "ppg": self.ppg.duration_s,
+                     "annotations": self.annotations.duration_s}
+        longest = max(durations.values())
+        if (longest - min(durations.values())) / longest > 0.01:
+            raise RateMismatchError(
+                f"subject {self.subject_id}: stream durations disagree > 1%: "
+                + ", ".join(f"{k}={v:.2f}s" for k, v in sorted(durations.items()))
+            )
 
 
 @dataclass(frozen=True)
@@ -320,13 +330,9 @@ def generate_synthetic(
 
     subject = SubjectData(
         subject_id=subject_id,
-        ecg=validate_record(
-            SignalRecord(subject_id, Modality.ECG, spec.ecg_rate_hz, ecg, 0.0)
-        ),
-        ppg=validate_record(
-            SignalRecord(subject_id, Modality.PPG, spec.ppg_rate_hz, ppg, 0.0)
-        ),
-        annotations=validate_track(AnnotationTrack(scheme, ann_rate, values, 0.0)),
+        ecg=SignalRecord(subject_id, Modality.ECG, spec.ecg_rate_hz, ecg, 0.0),
+        ppg=SignalRecord(subject_id, Modality.PPG, spec.ppg_rate_hz, ppg, 0.0),
+        annotations=AnnotationTrack(scheme, ann_rate, values, 0.0),
     )
     truth = SyntheticGroundTruth(
         beat_times_s=beat_times,
@@ -367,32 +373,21 @@ def write_canonical(
     subjects: list[SubjectData], dataset_name: str, out_dir: str | Path
 ) -> Path:
     """Write subjects in the canonical format; returns the manifest path."""
+    # Every entry is built, and so checked, before anything is written.
+    entries = [
+        SubjectFiles(s.subject_id, f"{s.subject_id}_ecg.csv", f"{s.subject_id}_ppg.csv",
+                     f"{s.subject_id}_annotations.csv", s.ecg.sample_rate_hz,
+                     s.ppg.sample_rate_hz, s.annotations.sample_rate_hz)
+        for s in subjects
+    ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scheme = subjects[0].annotations.scheme
-    entries = []
-    for subject in subjects:
-        sid = subject.subject_id
-        ecg_file = f"{sid}_ecg.csv"
-        ppg_file = f"{sid}_ppg.csv"
-        ann_file = f"{sid}_annotations.csv"
-        _write_table(out_dir / ecg_file, _HEADERS["signal"], subject.ecg.samples)
-        _write_table(out_dir / ppg_file, _HEADERS["signal"], subject.ppg.samples)
-        _write_table(
-            out_dir / ann_file, _HEADERS[subject.annotations.scheme], subject.annotations.values
-        )
-        entries.append(
-            SubjectFiles(
-                subject_id=sid,
-                ecg_file=ecg_file,
-                ppg_file=ppg_file,
-                annotation_file=ann_file,
-                ecg_rate_hz=subject.ecg.sample_rate_hz,
-                ppg_rate_hz=subject.ppg.sample_rate_hz,
-                annotation_rate_hz=subject.annotations.sample_rate_hz,
-            )
-        )
-    manifest = DatasetManifest(dataset_name, scheme, tuple(entries))
+    for subject, entry in zip(subjects, entries):
+        _write_table(out_dir / entry.ecg_file, _HEADERS["signal"], subject.ecg.samples)
+        _write_table(out_dir / entry.ppg_file, _HEADERS["signal"], subject.ppg.samples)
+        _write_table(out_dir / entry.annotation_file, _HEADERS[subject.annotations.scheme],
+                     subject.annotations.values)
+    manifest = DatasetManifest(dataset_name, subjects[0].annotations.scheme, tuple(entries))
     manifest_path = out_dir / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path
@@ -494,42 +489,22 @@ def _read_annotation_csv(path: Path, scheme: LabelScheme) -> np.ndarray:
 def load_dataset(
     manifest: DatasetManifest, base_dir: str | Path
 ) -> list[SubjectData]:
-    """Load every subject of a canonical dataset, fully validated.
-
-    Raises RateMismatchError when the streams' implied durations (sample count
-    over declared rate) disagree by more than 1%.
-    """
+    """Load every subject of a canonical dataset; each stream and subject is
+    checked as it is built (see SignalRecord, AnnotationTrack, SubjectData)."""
     base_dir = Path(base_dir)
     subjects = []
     for entry in manifest.subjects:
-        ecg_samples = _read_signal_csv(base_dir / entry.ecg_file)
-        ppg_samples = _read_signal_csv(base_dir / entry.ppg_file)
-        ann_values = _read_annotation_csv(
-            base_dir / entry.annotation_file, manifest.label_scheme
-        )
-        durations = {
-            "ecg": ecg_samples.size / entry.ecg_rate_hz,
-            "ppg": ppg_samples.size / entry.ppg_rate_hz,
-            "annotations": ann_values.shape[0] / entry.annotation_rate_hz,
-        }
-        longest = max(durations.values())
-        shortest = min(durations.values())
-        if shortest <= 0 or (longest - shortest) / longest > 0.01:
-            raise RateMismatchError(
-                f"subject {entry.subject_id}: stream durations disagree > 1%: "
-                + ", ".join(f"{k}={v:.2f}s" for k, v in sorted(durations.items()))
-            )
+        sid = entry.subject_id
         subjects.append(
             SubjectData(
-                subject_id=entry.subject_id,
-                ecg=validate_record(
-                    SignalRecord(entry.subject_id, Modality.ECG, entry.ecg_rate_hz, ecg_samples)
-                ),
-                ppg=validate_record(
-                    SignalRecord(entry.subject_id, Modality.PPG, entry.ppg_rate_hz, ppg_samples)
-                ),
-                annotations=validate_track(
-                    AnnotationTrack(manifest.label_scheme, entry.annotation_rate_hz, ann_values)
+                subject_id=sid,
+                ecg=SignalRecord(sid, Modality.ECG, entry.ecg_rate_hz,
+                                 _read_signal_csv(base_dir / entry.ecg_file)),
+                ppg=SignalRecord(sid, Modality.PPG, entry.ppg_rate_hz,
+                                 _read_signal_csv(base_dir / entry.ppg_file)),
+                annotations=AnnotationTrack(
+                    manifest.label_scheme, entry.annotation_rate_hz,
+                    _read_annotation_csv(base_dir / entry.annotation_file, manifest.label_scheme),
                 ),
             )
         )

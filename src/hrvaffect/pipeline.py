@@ -8,6 +8,7 @@ functions of (inputs, config, seed).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -101,6 +102,8 @@ class LearnConfig:
     subject_wise: bool = False
 
     def __post_init__(self):
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if not 0 < self.holdout_fraction < 1:
@@ -276,16 +279,25 @@ def _stage(compute):
     """Wrap compute(config, out, staging, h) as a stage(config, force=False).
     compute reads out through _read_object and Table.read, which check stamps,
     and writes its outputs into staging; they move into out, config.json last,
-    only when it returns, so a failed stage leaves out as it was."""
+    only when it returns, so a failed stage leaves out as it was: the
+    directories it made for out are removed, innermost first, if empty."""
 
     def run(config: PipelineConfig, force: bool = False):
-        out, h = prepare_out_dir(config, force)
-        with tempfile.TemporaryDirectory(prefix=".stage-", dir=out) as name:
-            staging = Path(name)
-            result = compute(config, out, staging, h)
-            write_json(staging / CONFIG_JSON, {"config": config_to_dict(config)}, h)
-            for path in sorted(staging.iterdir(), key=lambda p: (p.name == CONFIG_JSON, p.name)):
-                os.replace(path, out / path.name)
+        out = Path(config.out_dir)
+        made = [path for path in (out, *out.parents) if not path.exists()]
+        try:
+            out, h = prepare_out_dir(config, force)
+            with tempfile.TemporaryDirectory(prefix=".stage-", dir=out) as name:
+                staging = Path(name)
+                result = compute(config, out, staging, h)
+                write_json(staging / CONFIG_JSON, {"config": config_to_dict(config)}, h)
+                for path in sorted(staging.iterdir(), key=lambda p: (p.name == CONFIG_JSON, p.name)):
+                    os.replace(path, out / path.name)
+        except BaseException:
+            for path in made:
+                with contextlib.suppress(OSError):
+                    path.rmdir()
+            raise
         return result
 
     run.__name__ = run.__qualname__ = compute.__name__

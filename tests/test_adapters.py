@@ -4,13 +4,16 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hrvaffect.adapters import UnrecognizedLayoutError, adapt_case, adapt_wesad
-from hrvaffect.core import LabelScheme
-from hrvaffect.ingest import load_dataset, load_manifest
+from hrvaffect.adapters import UnrecognizedLayoutError, _minmax_to_av, adapt_case, adapt_wesad
+from hrvaffect.core import AV_RANGE, LabelScheme, NonFiniteSampleError, ValidationError
+from hrvaffect.ingest import RateMismatchError, load_dataset, load_manifest
 
 
-def fake_wesad_export(root, n_subjects=2, duration_s=12.0):
+def fake_wesad_export(root, n_subjects=2, duration_s=12.0, edit=None):
+    """Subject pickles S2, S3, ...; edit(payload) may spoil the last one."""
     rng = np.random.default_rng(0)
     for i in range(2, 2 + n_subjects):
         subject_dir = root / f"S{i}"
@@ -25,8 +28,22 @@ def fake_wesad_export(root, n_subjects=2, duration_s=12.0):
             },
             "label": np.ones(n_ecg, dtype=np.int64),
         }
+        if edit is not None and i == 1 + n_subjects:
+            edit(payload)
         with open(subject_dir / f"S{i}.pkl", "wb") as fh:
             pickle.dump(payload, fh, protocol=2)
+
+
+def _nan_ecg_sample(payload):
+    payload["signal"]["chest"]["ECG"][100, 0] = np.nan
+
+
+def _code_9(payload):
+    payload["label"][50] = 9
+
+
+def _short_bvp(payload):
+    payload["signal"]["wrist"]["BVP"] = payload["signal"]["wrist"]["BVP"][:-64]
 
 
 class TestWesadAdapter:
@@ -56,6 +73,19 @@ class TestWesadAdapter:
         raw.mkdir()
         with pytest.raises(UnrecognizedLayoutError):
             adapt_wesad(raw, tmp_path / "out")
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (_nan_ecg_sample, NonFiniteSampleError, "^non-finite sample at index 100$"),
+        (_code_9, ValidationError, "^unknown annotation code 9 at index 50$"),
+        (_short_bvp, RateMismatchError, "^subject S3: stream durations disagree > 1%: "),
+    ], ids=["nan_ecg", "code_9", "short_bvp"])
+    def test_export_the_loader_would_refuse_writes_nothing(self, tmp_path, edit, error, message):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        fake_wesad_export(raw, edit=edit)
+        with pytest.raises(error, match=message):
+            adapt_wesad(raw, tmp_path / "canonical")
+        assert not (tmp_path / "canonical").exists()
 
     def test_malformed_pickle_structure(self, tmp_path):
         raw = tmp_path / "raw"
@@ -120,3 +150,20 @@ class TestCaseAdapter:
         (raw / "physiological" / "sub_1.csv").write_text("daqtime,foo\n0,1\n")
         with pytest.raises(UnrecognizedLayoutError):
             adapt_case(raw, tmp_path / "out")
+
+
+def test_minmax_to_av_stays_inside_the_range():
+    # Unclipped, rounding carries this vector's top to 9.500000000000002.
+    assert _minmax_to_av(np.array([-4.1, -3.6])).tolist() == [0.5, 9.5]
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=8))
+def test_minmax_to_av_clips_only_what_leaves_the_range(raw):
+    values = np.array(raw)
+    av = _minmax_to_av(values)
+    lo, hi = AV_RANGE
+    assert ((av >= lo) & (av <= hi)).all()
+    if values.max() > values.min():
+        unclipped = lo + (values - values.min()) * (hi - lo) / (values.max() - values.min())
+        inside = (unclipped >= lo) & (unclipped <= hi)
+        assert av[inside].tobytes() == unclipped[inside].tobytes()

@@ -209,6 +209,22 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert json.loads(result.output.strip().splitlines()[-1])["error"] == "MissingInput"
 
+    def test_failed_stage_removes_the_directories_it_made(self, tmp_path):
+        """Only the empty directories the stage made go: an out_dir that was
+        there before, and its parents, stay."""
+        (tmp_path / "kept").mkdir()
+        for out_dir, gone in [("kept/a/b/run", "kept/a"), ("kept", None)]:
+            config_path = tmp_path / "c.json"
+            config_path.write_text(json.dumps({
+                "synthetic_spec_path": str(tmp_path / "absent.json"),
+                "out_dir": str(tmp_path / out_dir),
+            }))
+            result = run_cli("extract", "--config", str(config_path))
+            assert json.loads(result.output.strip().splitlines()[-1])["error"] == "MissingInput"
+            assert (tmp_path / "kept").is_dir()
+            assert gone is None or not (tmp_path / gone).exists()
+        assert list((tmp_path / "kept").iterdir()) == []
+
     def test_subject_id_with_comma_is_a_parse_error(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(FLAG_SPEC))

@@ -18,8 +18,6 @@ from hrvaffect.core import (
     ValueOutOfRangeError,
     av_quadrant,
     derive_rng,
-    validate_record,
-    validate_track,
 )
 
 
@@ -28,31 +26,31 @@ def make_record(samples, rate=700.0):
 
 
 class TestValidateRecord:
+    """A record is validated when it is built."""
+
     def test_minimal_valid_record(self):
-        rec = make_record([0.1, 0.2])
-        assert validate_record(rec) is rec
+        assert make_record([0.1, 0.2]).n_samples == 2
 
     def test_nan_reports_first_offending_index(self):
-        rec = make_record([0.0, 1.0, 2.0, math.nan, math.nan])
         with pytest.raises(NonFiniteSampleError) as err:
-            validate_record(rec)
+            make_record([0.0, 1.0, 2.0, math.nan, math.nan])
         assert err.value.index == 3
 
     def test_infinity_is_non_finite(self):
         with pytest.raises(NonFiniteSampleError):
-            validate_record(make_record([0.0, math.inf]))
+            make_record([0.0, math.inf])
 
     def test_zero_rate(self):
+        with pytest.raises(NonPositiveRateError, match="^sample_rate_hz must be positive, got 0.0$"):
+            make_record([0.1], rate=0.0)
+
+    def test_rate_is_checked_before_emptiness(self):
         with pytest.raises(NonPositiveRateError):
-            validate_record(make_record([0.1], rate=0.0))
+            make_record([], rate=-1.0)
 
     def test_empty_signal(self):
-        with pytest.raises(EmptySignalError):
-            validate_record(make_record([]))
-
-    def test_validation_idempotent(self):
-        rec = make_record([0.5, 0.6, 0.7])
-        assert validate_record(validate_record(rec)) == rec
+        with pytest.raises(EmptySignalError, match="^record s1/.*ECG has no samples$"):
+            make_record([])
 
 
 class TestRecordEquality:
@@ -76,34 +74,46 @@ class TestRecordEquality:
 
 class TestAnnotationTrack:
     def test_discrete_codes_validated(self):
-        track = AnnotationTrack(LabelScheme.DISCRETE_STATE, 700.0, [0, 1, 2, 3, 4])
-        assert validate_track(track) is track
-        with pytest.raises(ValidationError):
-            validate_track(AnnotationTrack(LabelScheme.DISCRETE_STATE, 700.0, [1, 9]))
+        assert AnnotationTrack(LabelScheme.DISCRETE_STATE, 700.0, [0, 1, 2, 3, 4]).n_samples == 5
+        with pytest.raises(ValidationError, match="^unknown annotation code 9 at index 1$"):
+            AnnotationTrack(LabelScheme.DISCRETE_STATE, 700.0, [1, 9])
 
     @pytest.mark.parametrize("code", [-1, 8, 2**40])
     def test_unknown_code_at_a_late_index_is_named(self, code):
-        """An 1800 s track at 1000 Hz is checked with boolean temporaries only,
-        less than one int64 copy of its labels."""
+        """An 1800 s track at 1000 Hz is checked with boolean temporaries only.
+        The peak holds the constructor's one int64 copy of the labels plus less
+        than one more for the check."""
         values = np.zeros(1_800_000, dtype=np.int64)
         values[-3] = code
-        track = AnnotationTrack(LabelScheme.DISCRETE_STATE, 1000.0, values)
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match=f"^unknown annotation code {code} at index 1799997$"):
-                validate_track(track)
+                AnnotationTrack(LabelScheme.DISCRETE_STATE, 1000.0, values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < values.nbytes
+        assert peak < 2 * values.nbytes
 
     def test_av_range_validated(self):
         ok = AnnotationTrack(LabelScheme.AROUSAL_VALENCE, 20.0, [[0.5, 9.5], [5.0, 5.0]])
-        assert validate_track(ok) is ok
-        with pytest.raises(ValueOutOfRangeError):
-            validate_track(
-                AnnotationTrack(LabelScheme.AROUSAL_VALENCE, 20.0, [[1.0, 9.6]])
-            )
+        assert ok.n_samples == 2
+        with pytest.raises(ValueOutOfRangeError) as err:
+            AnnotationTrack(LabelScheme.AROUSAL_VALENCE, 20.0, [[1.0, 5.0], [1.0, 9.6]])
+        assert (err.value.index, err.value.value) == (1, 9.6)
+
+    def test_av_non_finite_is_named_before_the_range(self):
+        with pytest.raises(NonFiniteSampleError) as err:
+            AnnotationTrack(LabelScheme.AROUSAL_VALENCE, 20.0, [[0.0, 5.0], [5.0, math.nan]])
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("scheme, values", [
+        (LabelScheme.DISCRETE_STATE, [1]), (LabelScheme.AROUSAL_VALENCE, [[5.0, 5.0]]),
+    ])
+    def test_track_rate_and_emptiness(self, scheme, values):
+        with pytest.raises(NonPositiveRateError, match="^annotation rate must be positive, got 0.0$"):
+            AnnotationTrack(scheme, 0.0, values)
+        with pytest.raises(EmptySignalError, match="^annotation track has no samples$"):
+            AnnotationTrack(scheme, 20.0, np.empty((0,) + np.shape(values)[1:]))
 
     def test_av_shape_enforced(self):
         with pytest.raises(ValidationError):

@@ -1,9 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hrvaffect.core import AnnotationTrack, LabelScheme, Modality, SignalRecord
+from hrvaffect.core import (
+    AnnotationTrack, LabelScheme, Modality, NonFiniteSampleError, SignalRecord,
+)
 from hrvaffect.ingest import (
     InvalidSpecError,
     MissingFileError,
@@ -199,6 +205,21 @@ class TestCanonicalRoundTrip:
         with pytest.raises(RateMismatchError):
             load_dataset(load_manifest(manifest_path), tmp_path)
 
+    def test_stream_rule_is_reported_before_rate_mismatch(self, tmp_path):
+        spec = simple_spec(duration_s=20.0, states=(StateSpec("baseline", 70.0, 0.0, 20.0),))
+        subject, _ = generate_synthetic(spec)
+        manifest_path = write_canonical([subject], "both", tmp_path)
+        doc = json.loads(manifest_path.read_text())
+        doc["subjects"][0]["ppg_rate_hz"] = 80.0
+        manifest_path.write_text(json.dumps(doc))
+        path = tmp_path / "synthetic_ppg.csv"
+        lines = path.read_text().splitlines()
+        lines[5] = "4,nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteSampleError) as err:
+            load_dataset(load_manifest(manifest_path), tmp_path)
+        assert err.value.index == 4
+
     def test_two_subject_manifest(self, tmp_path):
         spec = simple_spec(duration_s=20.0, states=(StateSpec("baseline", 70.0, 10.0, 20.0),))
         a, _ = generate_synthetic(spec, subject_id="s01")
@@ -285,14 +306,16 @@ def tiny_manifest(scheme, annotation_rate):
     ).encode()
 
 
+# Annotations must be known codes and pairs inside the 0.5-9.5 range; the
+# pairs hold its ends and floats whose shortest repr is long.
 @pytest.mark.parametrize("scheme, rate, values, annotations", [
     (
-        LabelScheme.DISCRETE_STATE, 6.0, [0, 1, 3, 2, -1, 9223372036854775807],
-        b"index,label\n0,0\n1,1\n2,3\n3,2\n4,-1\n5,9223372036854775807\n",
+        LabelScheme.DISCRETE_STATE, 6.0, [0, 1, 3, 2, 7, 5],
+        b"index,label\n0,0\n1,1\n2,3\n3,2\n4,7\n5,5\n",
     ),
     (
-        LabelScheme.AROUSAL_VALENCE, 3.0, [[2.75, -0.0], [5e-324, 1e16], [0.1, 7.25]],
-        b"index,arousal,valence\n0,2.75,-0.0\n1,5e-324,1e+16\n2,0.1,7.25\n",
+        LabelScheme.AROUSAL_VALENCE, 3.0, [[2.75, 0.5], [1 + 1 / 3, 9.5], [5.000000000000001, 7.25]],
+        b"index,arousal,valence\n0,2.75,0.5\n1,1.3333333333333333,9.5\n2,5.000000000000001,7.25\n",
     ),
 ], ids=["discrete", "arousal_valence"])
 def test_write_canonical_bytes(tmp_path, scheme, rate, values, annotations):
@@ -347,3 +370,56 @@ def test_spec_that_is_not_an_object_is_invalid(tmp_path):
     path.write_text("[]")
     with pytest.raises(InvalidSpecError, match="expected a JSON object"):
         load_synthetic_spec(path)
+
+
+def test_write_canonical_checks_every_entry_before_writing(tmp_path):
+    def subject(sid):
+        return SubjectData(
+            sid,
+            SignalRecord(sid, Modality.ECG, 6.0, TINY_VALUES),
+            SignalRecord(sid, Modality.PPG, 3.0, TINY_VALUES[::2]),
+            AnnotationTrack(LabelScheme.DISCRETE_STATE, 6.0, [1] * 6),
+        )
+
+    with pytest.raises(ValueError, match="subject_id"):
+        write_canonical([subject("s1"), subject("a,b")], "x", tmp_path / "data")
+    assert not (tmp_path / "data").exists()
+
+
+@st.composite
+def subjects(draw):
+    """A SubjectData of short streams whose durations agree: each stream's
+    rate is its sample count over one drawn duration."""
+    duration = draw(st.floats(1e-3, 1e4))
+    counts = draw(st.lists(st.integers(1, 20), min_size=3, max_size=3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    scheme = draw(st.sampled_from(LabelScheme))
+    if scheme is LabelScheme.DISCRETE_STATE:
+        labels = draw(st.lists(st.integers(0, 7), min_size=counts[2], max_size=counts[2]))
+    else:
+        pair = st.tuples(st.floats(0.5, 9.5), st.floats(0.5, 9.5))
+        labels = draw(st.lists(pair, min_size=counts[2], max_size=counts[2]))
+    sid = draw(st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True))
+    ecg, ppg = (draw(st.lists(finite, min_size=n, max_size=n)) for n in counts[:2])
+    return SubjectData(
+        sid,
+        SignalRecord(sid, Modality.ECG, counts[0] / duration, ecg),
+        SignalRecord(sid, Modality.PPG, counts[1] / duration, ppg),
+        AnnotationTrack(scheme, counts[2] / duration, labels),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(subjects())
+def test_every_subject_that_builds_loads_back_bit_for_bit(subject):
+    with tempfile.TemporaryDirectory() as name:
+        manifest = load_manifest(write_canonical([subject], "prop", name))
+        (loaded,) = load_dataset(manifest, Path(name))
+    assert loaded.subject_id == subject.subject_id
+    assert loaded.annotations.scheme is subject.annotations.scheme
+    for got, want in [(loaded.ecg, subject.ecg), (loaded.ppg, subject.ppg)]:
+        assert got.sample_rate_hz == want.sample_rate_hz
+        assert got.samples.tobytes() == want.samples.tobytes()
+    assert loaded.annotations.sample_rate_hz == subject.annotations.sample_rate_hz
+    assert loaded.annotations.values.dtype == subject.annotations.values.dtype
+    assert loaded.annotations.values.tobytes() == subject.annotations.values.tobytes()
