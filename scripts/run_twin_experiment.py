@@ -12,6 +12,9 @@ and prints the normalized inter-signal variance, the per-modality holdout
 accuracy, and the per-class one-versus-rest AUCs for each twin.
 
 Usage: python scripts/run_twin_experiment.py [--seed N] [--duration S]
+
+The acceptance criterion for the twins imports `twin_spec` and `run_twin`
+from here, so the script and the criterion build the same twins.
 """
 
 import argparse
@@ -24,9 +27,15 @@ from hrvaffect.learn import ExtraTreesParams, evaluate
 from hrvaffect.pipeline import PipelineConfig, feature_variance, featurize, modality_matrix
 
 STATES = (("baseline", 65.0), ("amusement", 67.0), ("meditation", 69.0), ("stress", 90.0))
+SEED = 22
+DURATION_S = 2400.0
+JITTER_MS = 50.0
+N_TREES = 100
+EVAL_SEED = 7
 
 
-def twin_spec(ecg_rate, ppg_rate, noise_std, seed, duration_s, jitter_ms):
+def twin_spec(ecg_rate, ppg_rate, noise_std, seed=SEED, duration_s=DURATION_S,
+              jitter_ms=JITTER_MS):
     return SyntheticSpec(
         duration_s=duration_s,
         ecg_rate_hz=ecg_rate,
@@ -42,7 +51,7 @@ def twin_spec(ecg_rate, ppg_rate, noise_std, seed, duration_s, jitter_ms):
     )
 
 
-def run_twin(spec, n_trees, eval_seed):
+def run_twin(spec, n_trees=N_TREES):
     subject, _ = generate_synthetic(spec)
     rows, _ = featurize([subject], PipelineConfig())
     reports = {}
@@ -52,7 +61,7 @@ def run_twin(spec, n_trees, eval_seed):
             X, y, FEATURE_NAMES,
             families=("extra_trees",),
             params=ExtraTreesParams(n_trees=n_trees),
-            seed=eval_seed,
+            seed=EVAL_SEED,
         )
     return feature_variance(rows), reports
 
@@ -71,10 +80,10 @@ def describe(name, variance, reports):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=22)
-    parser.add_argument("--duration", type=float, default=2400.0)
-    parser.add_argument("--jitter-ms", type=float, default=50.0)
-    parser.add_argument("--n-trees", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--duration", type=float, default=DURATION_S)
+    parser.add_argument("--jitter-ms", type=float, default=JITTER_MS)
+    parser.add_argument("--n-trees", type=int, default=N_TREES)
     parser.add_argument("--low-noise", type=float, default=0.01)
     parser.add_argument("--high-noise", type=float, default=0.3)
     args = parser.parse_args(argv)
@@ -82,11 +91,11 @@ def main(argv=None):
     start = time.perf_counter()
     high_var, high = run_twin(
         twin_spec(1000.0, 1000.0, args.low_noise, args.seed, args.duration, args.jitter_ms),
-        args.n_trees, eval_seed=7,
+        args.n_trees,
     )
     low_var, low = run_twin(
         twin_spec(700.0, 64.0, args.high_noise, args.seed, args.duration, args.jitter_ms),
-        args.n_trees, eval_seed=7,
+        args.n_trees,
     )
 
     high_gap = describe("high-fidelity twin (1000/1000 Hz, low noise)", high_var, high)

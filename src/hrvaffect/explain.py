@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import STREAM_BACKGROUND, STREAM_EXPLAIN, derive_rng
-from .learn import DimensionMismatchError, ExtraTreesModel
+from .learn import DimensionMismatchError, ExtraTreesModel, routable
 
 DEFAULT_BACKGROUND_SIZE = 100
 DEFAULT_MAX_INSTANCES = 200
@@ -61,13 +61,6 @@ def _pair_weights(n_features: int) -> np.ndarray:
     return w
 
 
-def _routable(values: np.ndarray) -> np.ndarray:
-    # As in Tree.leaf_ids, NaN and +inf go right at every finite split, -inf left.
-    return np.nan_to_num(
-        values, nan=np.inf, posinf=np.inf, neginf=np.finfo(np.float64).min
-    )
-
-
 def _background_in(model: ExtraTreesModel, background: np.ndarray) -> list[np.ndarray]:
     """Per tree, (rows, leaves, features): where each leaf box admits each
     background row.  It does not depend on the instance explained."""
@@ -78,7 +71,7 @@ def _background_in(model: ExtraTreesModel, background: np.ndarray) -> list[np.nd
         raise DimensionMismatchError(
             f"instance/background must have {len(model.feature_names)} features"
         )
-    background = _routable(background)[:, None, :]
+    background = routable(background)[:, None, :]
     return [(background > lo) & (background <= hi) for _, lo, hi in model.leaf_boxes]
 
 
@@ -96,7 +89,7 @@ def _explain(
             f"instance/background must have {n_features} features"
         )
     class_index = model.classes.index(class_label)
-    x = _routable(x)
+    x = routable(x)
     weights = _pair_weights(n_features)
     phi = np.zeros(n_features)
     base_value = 0.0

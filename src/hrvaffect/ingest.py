@@ -86,10 +86,12 @@ class SubjectFiles:
     def __post_init__(self):
         if min(self.ecg_rate_hz, self.ppg_rate_hz, self.annotation_rate_hz) <= 0:
             raise ValueError("ecg_rate_hz, ppg_rate_hz and annotation_rate_hz must be positive")
-        if not self.subject_id or any(ch in self.subject_id for ch in ",\r\n"):
-            # Derived CSVs are unquoted, so such an id would shift or blank their cells.
+        if not self.subject_id or any(ch in self.subject_id for ch in ",\r\n/\\"):
+            # Derived CSVs are unquoted, so a comma or line break would shift
+            # or blank their cells; a path separator would move the CSV files.
             raise ValueError(
-                f"subject_id must be non-empty with no comma or line break, got {self.subject_id!r}"
+                "subject_id must be non-empty with no comma, line break, / or \\, "
+                f"got {self.subject_id!r}"
             )
 
 
@@ -98,6 +100,17 @@ class DatasetManifest:
     dataset_name: str
     label_scheme: LabelScheme
     subjects: tuple[SubjectFiles, ...]
+
+
+def _durations_disagree(durations) -> bool:
+    """Whether stream durations spread more than 1% of the longest."""
+    longest = max(durations)
+    return longest > 0 and (longest - min(durations)) / longest > 0.01
+
+
+def _rendered_samples(duration_s: float, rate_hz: float) -> int:
+    """The sample count the generator renders for a stream."""
+    return int(round(duration_s * rate_hz))
 
 
 @dataclass(frozen=True)
@@ -114,8 +127,7 @@ class SubjectData:
     def __post_init__(self):
         durations = {"ecg": self.ecg.duration_s, "ppg": self.ppg.duration_s,
                      "annotations": self.annotations.duration_s}
-        longest = max(durations.values())
-        if (longest - min(durations.values())) / longest > 0.01:
+        if _durations_disagree(durations.values()):
             raise RateMismatchError(
                 f"subject {self.subject_id}: stream durations disagree > 1%: "
                 + ", ".join(f"{k}={v:.2f}s" for k, v in sorted(durations.items()))
@@ -166,6 +178,15 @@ class SyntheticSpec:
             raise InvalidSpecError("respiratory_rr_modulation_ms must be >= 0")
         if self.noise_std < 0:
             raise InvalidSpecError("noise_std must be >= 0")
+        rates = {"ecg_rate_hz": self.ecg_rate_hz, "ppg_rate_hz": self.ppg_rate_hz}
+        rendered = {name: _rendered_samples(self.duration_s, rate) / rate
+                    for name, rate in rates.items()}
+        if _durations_disagree(rendered.values()):
+            name = max(rendered, key=lambda k: abs(rendered[k] - self.duration_s))
+            raise InvalidSpecError(
+                f"{name} {rates[name]} renders {rendered[name]:.2f}s of duration_s "
+                f"{self.duration_s}: the stream durations disagree > 1%"
+            )
         labels = {state.label for state in self.states}
         if not (labels <= DISCRETE_LABEL_CODES.keys() or labels <= set(AV_QUADRANTS)):
             raise InvalidSpecError(
@@ -305,8 +326,8 @@ def generate_synthetic(
     if beat_times.size < 2:
         raise InvalidSpecError("duration too short to place at least two beats")
 
-    n_ecg = int(round(spec.duration_s * spec.ecg_rate_hz))
-    n_ppg = int(round(spec.duration_s * spec.ppg_rate_hz))
+    n_ecg = _rendered_samples(spec.duration_s, spec.ecg_rate_hz)
+    n_ppg = _rendered_samples(spec.duration_s, spec.ppg_rate_hz)
     ecg = _render(n_ecg, spec.ecg_rate_hz, beat_times, _ECG_WAVES)
     ppg = _render(n_ppg, spec.ppg_rate_hz, beat_times, _PPG_WAVES)
     ecg += rng_noise.normal(0.0, spec.noise_std, n_ecg)
@@ -314,7 +335,7 @@ def generate_synthetic(
 
     scheme = synthetic_label_scheme(spec)
     ann_rate = spec.ecg_rate_hz
-    n_ann = int(round(spec.duration_s * ann_rate))
+    n_ann = _rendered_samples(spec.duration_s, ann_rate)
     if scheme is LabelScheme.DISCRETE_STATE:
         values = np.zeros(n_ann, dtype=np.int64)
         for label, t0, t1 in spans:

@@ -140,8 +140,15 @@ class ExtraTreesModel:
 
     @cached_property
     def leaf_boxes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per tree (leaves, lo, hi): a row reaches leaves[j] iff lo[j] < row <= hi[j]."""
+        """Per tree (leaves, lo, hi): a row reaches leaves[j] iff
+        lo[j] < routable(row) <= hi[j]."""
         return tuple(_leaf_boxes(tree, len(self.feature_names)) for tree in self.trees)
+
+
+def routable(values: np.ndarray) -> np.ndarray:
+    """Values as leaf boxes must see them to route them as Tree.leaf_ids
+    does: NaN and +inf go right at every finite split, -inf left."""
+    return np.nan_to_num(values, nan=np.inf, posinf=np.inf, neginf=np.finfo(np.float64).min)
 
 
 def _leaf_boxes(tree: Tree, n_features: int):

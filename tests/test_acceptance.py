@@ -28,9 +28,9 @@ from hrvaffect.dsp import (
 from hrvaffect.explain import sample_background, shapley_explain
 from hrvaffect.hrv import FEATURE_NAMES, BeatSeries, compute_features, detect_beats
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
-from hrvaffect.learn import ExtraTreesParams, evaluate, roc_binary, train_extra_trees
-from hrvaffect.pipeline import PipelineConfig, feature_variance, featurize, modality_matrix
+from hrvaffect.learn import ExtraTreesParams, roc_binary, train_extra_trees
 from oracles import oracle_auc, oracle_features, oracle_shapley_permutations, sos_gain
+from run_twin_experiment import run_twin, twin_spec
 
 
 _CAPSYS = None
@@ -356,45 +356,10 @@ def test_criterion_08_pipeline_determinism(tmp_path):
            f"{n_compared} files byte-compared" + (f"; differ: {mismatched}" if mismatched else ""))
 
 
-TWIN_DURATION_S = 2400.0
-TWIN_STATES = (("baseline", 65.0), ("amusement", 67.0), ("meditation", 69.0), ("stress", 90.0))
-TWIN_JITTER_MS = 50.0
-TWIN_SEED = 22
-
-
-def _twin_spec(ecg_rate, ppg_rate, noise_std):
-    return SyntheticSpec(
-        duration_s=TWIN_DURATION_S,
-        ecg_rate_hz=ecg_rate,
-        ppg_rate_hz=ppg_rate,
-        states=tuple(
-            StateSpec(label, bpm, TWIN_JITTER_MS, TWIN_DURATION_S / 4)
-            for label, bpm in TWIN_STATES
-        ),
-        respiratory_rate_hz=0.25,
-        respiratory_rr_modulation_ms=30.0,
-        noise_std=noise_std,
-        seed=TWIN_SEED,
-    )
-
-
-def _run_twin(spec):
-    subject, _ = generate_synthetic(spec)
-    rows, _ = featurize([subject], PipelineConfig())
-    reports = {}
-    for modality in ("ECG", "PPG"):
-        X, y, _, _, _ = modality_matrix(rows, modality)
-        reports[modality], _ = evaluate(
-            X, y, FEATURE_NAMES,
-            families=("extra_trees",), params=ExtraTreesParams(n_trees=100), seed=7,
-        )
-    return feature_variance(rows), reports
-
-
 def test_criterion_09_fidelity_twins():
     start = time.perf_counter()
-    high_var, high = _run_twin(_twin_spec(1000.0, 1000.0, 0.01))
-    low_var, low = _run_twin(_twin_spec(700.0, 64.0, 0.3))
+    high_var, high = run_twin(twin_spec(1000.0, 1000.0, 0.01))
+    low_var, low = run_twin(twin_spec(700.0, 64.0, 0.3))
     elapsed = time.perf_counter() - start
 
     a_ok = low_var.mean_normalized() > high_var.mean_normalized()

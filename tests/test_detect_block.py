@@ -31,9 +31,9 @@ from hrvaffect.hrv import (
 )
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic, load_synthetic_spec
 from hrvaffect.pipeline import PipelineConfig, featurize
+from run_twin_experiment import twin_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-TWIN_STATES = (("baseline", 65.0), ("amusement", 67.0), ("meditation", 69.0), ("stress", 90.0))
 
 
 def oracle_rolling_mean(x, span):
@@ -103,21 +103,6 @@ def segment(samples, rate, window_id=0):
     )
 
 
-def twin_spec(ecg_rate, ppg_rate, noise_std, duration_s=120.0):
-    return SyntheticSpec(
-        duration_s=duration_s,
-        ecg_rate_hz=ecg_rate,
-        ppg_rate_hz=ppg_rate,
-        states=tuple(
-            StateSpec(label, bpm, 50.0, duration_s / len(TWIN_STATES)) for label, bpm in TWIN_STATES
-        ),
-        respiratory_rate_hz=0.25,
-        respiratory_rr_modulation_ms=30.0,
-        noise_std=noise_std,
-        seed=22,
-    )
-
-
 def readme_spec(tmp_path_factory):
     spec = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[0]
     path = tmp_path_factory.mktemp("readme") / "synth_spec.json"
@@ -127,8 +112,8 @@ def readme_spec(tmp_path_factory):
 
 RECORDINGS = {
     "readme_quickstart": readme_spec,
-    "twin_high": lambda _: twin_spec(1000.0, 1000.0, 0.01),
-    "twin_low": lambda _: twin_spec(700.0, 64.0, 0.3),
+    "twin_high": lambda _: twin_spec(1000.0, 1000.0, 0.01, duration_s=120.0),
+    "twin_low": lambda _: twin_spec(700.0, 64.0, 0.3, duration_s=120.0),
 }
 
 

@@ -140,19 +140,23 @@ class TestGenerateSynthetic:
 
 class TestCanonicalRoundTrip:
     def test_write_then_load_preserves_samples_exactly(self, tmp_path):
-        spec = simple_spec(
-            duration_s=20.0,
-            states=(StateSpec("baseline", 70.0, 15.0, 20.0),),
-            noise_std=0.01,
-        )
-        subject, _ = generate_synthetic(spec)
-        manifest_path = write_canonical([subject], "roundtrip", tmp_path)
-        manifest = load_manifest(manifest_path)
-        assert manifest.dataset_name == "roundtrip"
-        (loaded,) = load_dataset(manifest, tmp_path)
-        assert loaded.ecg == subject.ecg
-        assert loaded.ppg == subject.ppg
-        assert np.array_equal(loaded.annotations.values, subject.annotations.values)
+        for ecg_rate, ppg_rate in ((700.0, 64.0), (2000.0, 25.0)):
+            spec = simple_spec(
+                duration_s=20.0, ecg_rate_hz=ecg_rate, ppg_rate_hz=ppg_rate,
+                states=(StateSpec("baseline", 70.0, 15.0, 20.0),),
+                noise_std=0.01,
+            )
+            subject, _ = generate_synthetic(spec)
+            out = tmp_path / f"{ecg_rate:g}"
+            manifest = load_manifest(write_canonical([subject], "roundtrip", out))
+            assert manifest.dataset_name == "roundtrip"
+            (loaded,) = load_dataset(manifest, out)
+            assert loaded.ecg == subject.ecg
+            assert loaded.ppg == subject.ppg
+            for got, want in [(loaded.ecg.samples, subject.ecg.samples),
+                              (loaded.ppg.samples, subject.ppg.samples),
+                              (loaded.annotations.values, subject.annotations.values)]:
+                assert got.tobytes() == want.tobytes()
 
     def test_av_round_trip(self, tmp_path):
         spec = simple_spec(
@@ -246,7 +250,7 @@ class TestCanonicalRoundTrip:
         with pytest.raises(ParseError):
             load_manifest(path)
 
-    @pytest.mark.parametrize("subject_id", ["s,1", "s\n1", "s\r1"])
+    @pytest.mark.parametrize("subject_id", ["s,1", "s\n1", "s\r1", "s/1", "s\\1"])
     def test_manifest_rejects_ids_csv_cannot_hold(self, tmp_path, subject_id):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest_doc(subject_id)))
@@ -381,9 +385,10 @@ def test_write_canonical_checks_every_entry_before_writing(tmp_path):
             AnnotationTrack(LabelScheme.DISCRETE_STATE, 6.0, [1] * 6),
         )
 
-    with pytest.raises(ValueError, match="subject_id"):
-        write_canonical([subject("s1"), subject("a,b")], "x", tmp_path / "data")
-    assert not (tmp_path / "data").exists()
+    for bad_id in ("a,b", "a/b", "a\\b"):
+        with pytest.raises(ValueError, match="subject_id"):
+            write_canonical([subject("s1"), subject(bad_id)], "x", tmp_path / "data")
+        assert not (tmp_path / "data").exists()
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -22,6 +23,7 @@ from hrvaffect.learn import (
     model_from_dict,
     model_to_dict,
     most_probable,
+    routable,
     roc_binary,
     roc_ovr,
     stratified_kfold,
@@ -208,6 +210,40 @@ class TestBuilderInvariants:
             assert np.array_equal(ts.left, tl.left)
             assert np.array_equal(ts.right, tl.right)
             assert np.array_equal(ts.probs, tl.probs)
+
+
+@functools.cache
+def tied_forest():
+    X, y = tied_fixture()
+    return train_extra_trees(X, y, FEATURES, ExtraTreesParams(n_trees=10), seed=3)
+
+
+@st.composite
+def rows_on_the_edges(draw):
+    """Rows of NaN, +-inf, finite values and each column's split thresholds
+    themselves, where a tie goes left."""
+    model = tied_forest()
+    columns = []
+    for f in range(len(FEATURES)):
+        ties = sorted({float(t.threshold[i])
+                       for t in model.trees for i in np.flatnonzero(t.feature == f)})
+        columns.append(st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+            st.sampled_from(ties or [0.0]),
+            st.floats(-5.0, 5.0),
+        ))
+    rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=30))
+    return np.array(rows, dtype=np.float64)
+
+
+@given(rows_on_the_edges())
+def test_exactly_one_leaf_box_admits_each_row_the_leaf_leaf_ids_gives(X):
+    model = tied_forest()
+    routed = routable(X)[:, None, :]
+    for tree, (leaves, lo, hi) in zip(model.trees, model.leaf_boxes):
+        admits = ((routed > lo) & (routed <= hi)).all(axis=2)
+        assert (admits.sum(axis=1) == 1).all()
+        assert np.array_equal(leaves[admits.argmax(axis=1)], tree.leaf_ids(X))
 
 
 def hand_model(trees, n_features=2, classes=("a", "b")):

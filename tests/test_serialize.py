@@ -214,6 +214,10 @@ RULE_CASES = {
         "spec", ("duration_s",), 40.0, "InvalidSpec", "state durations sum to 30.0",
         lambda: SyntheticSpec(40.0, 350.0, 64.0, (StateSpec("baseline", 65.0, 10.0, 30.0),)),
     ),
+    "spec_stream_counts": (
+        "spec", ("ppg_rate_hz",), 0.55, "InvalidSpec", "ppg_rate_hz 0.55 renders 29.09s",
+        lambda: SyntheticSpec(12.5, 100.0, 1.0, (StateSpec("baseline", 65.0, 10.0, 12.5),)),
+    ),
     "manifest_rate": (
         "manifest", ("subjects", 0, "ppg_rate_hz"), 0.0, "Parse", "subjects[0] ecg_rate_hz",
         lambda: SubjectFiles("s1", "e.csv", "p.csv", "a.csv", 350.0, 0.0, 350.0),

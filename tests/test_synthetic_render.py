@@ -25,9 +25,9 @@ from hrvaffect.ingest import (
     generate_synthetic,
     load_synthetic_spec,
 )
+from run_twin_experiment import twin_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-TWIN_STATES = (("baseline", 65.0), ("amusement", 67.0), ("meditation", 69.0), ("stress", 90.0))
 
 
 def oracle_add_gaussian(samples, rate, center_s, amp, sigma_s):
@@ -112,21 +112,6 @@ def readme_spec(tmp_path):
     return load_synthetic_spec(path)
 
 
-def twin_spec(ecg_rate, ppg_rate, noise_std, seed, duration_s=1800.0):
-    return SyntheticSpec(
-        duration_s=duration_s,
-        ecg_rate_hz=ecg_rate,
-        ppg_rate_hz=ppg_rate,
-        states=tuple(
-            StateSpec(label, bpm, 50.0, duration_s / len(TWIN_STATES)) for label, bpm in TWIN_STATES
-        ),
-        respiratory_rate_hz=0.25,
-        respiratory_rr_modulation_ms=30.0,
-        noise_std=noise_std,
-        seed=22 + seed,
-    )
-
-
 def one_state(duration_s, ecg_rate, ppg_rate, bpm, jitter_ms, noise_std=0.02, seed=4):
     return SyntheticSpec(
         duration_s=duration_s, ecg_rate_hz=ecg_rate, ppg_rate_hz=ppg_rate,
@@ -138,10 +123,10 @@ def one_state(duration_s, ecg_rate, ppg_rate, bpm, jitter_ms, noise_std=0.02, se
 
 SPECS = {
     "readme_quickstart": readme_spec,
-    "twin_high_seed0": lambda _: twin_spec(1000.0, 1000.0, 0.01, 0),
-    "twin_low_seed0": lambda _: twin_spec(700.0, 64.0, 0.3, 0),
-    "twin_high_seed1": lambda _: twin_spec(1000.0, 1000.0, 0.01, 1),
-    "twin_low_seed1": lambda _: twin_spec(700.0, 64.0, 0.3, 1),
+    "twin_high_seed0": lambda _: twin_spec(1000.0, 1000.0, 0.01, seed=22, duration_s=1800.0),
+    "twin_low_seed0": lambda _: twin_spec(700.0, 64.0, 0.3, seed=22, duration_s=1800.0),
+    "twin_high_seed1": lambda _: twin_spec(1000.0, 1000.0, 0.01, seed=23, duration_s=1800.0),
+    "twin_low_seed1": lambda _: twin_spec(700.0, 64.0, 0.3, seed=23, duration_s=1800.0),
     "cohort_subject": lambda _: SyntheticSpec(
         duration_s=240.0, ecg_rate_hz=700.0, ppg_rate_hz=64.0,
         states=tuple(
