@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import click
 
-from . import adapters, ingest, pipeline
+from . import adapters, pipeline
 from .serialize import read_json
 
 
@@ -30,7 +30,11 @@ def _run_stage(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except pipeline.PipelineError as exc:
         _fail(exc.payload())
-    except (ingest.MissingFileError, ValueError) as exc:
+    except FileNotFoundError as exc:
+        # Any input the user names: a config, spec or manifest, or a manifest's CSV.
+        _fail({"error": "MissingInput", "message": f"{exc.filename}: {exc.strerror}",
+               "input": str(exc.filename)})
+    except ValueError as exc:
         # Parse, RateMismatch, InvalidSpec and UnrecognizedLayout are ValueErrors.
         _fail({"error": type(exc).__name__.removesuffix("Error"), "message": str(exc)})
 
@@ -134,19 +138,18 @@ def _config_options(fn):
 def _build_config(config_path, **flags) -> pipeline.PipelineConfig:
     doc = {}
     if config_path is not None:
-        if not Path(config_path).exists():
-            _fail({"error": "MissingInput", "message": f"config file not found: {config_path}",
-                   "input": str(config_path)})
         try:
             doc = read_json(config_path)
+        except FileNotFoundError:
+            raise  # MissingInput, from _run_stage
         except (OSError, ValueError) as exc:
-            _fail(pipeline.ConfigInvalidError(
+            raise pipeline.ConfigInvalidError(
                 "config", f"cannot read {config_path} as JSON: {exc}"
-            ).payload())
+            ) from exc
         if isinstance(doc, dict) and doc.keys() == {"config", "config_hash"}:
             doc = doc["config"]  # the config.json a stage stamps into its out_dir
         if not isinstance(doc, dict):
-            _fail(pipeline.ConfigInvalidError("config", "config must be an object").payload())
+            raise pipeline.ConfigInvalidError("config", "config must be an object")
     for path, _ in _CONFIG_FIELDS:
         value = flags["__".join(path)]
         if value is not None:
@@ -155,17 +158,14 @@ def _build_config(config_path, **flags) -> pipeline.PipelineConfig:
                 section = section.setdefault(key, {})
             if isinstance(section, dict):  # else config_from_dict names the section
                 section[path[-1]] = value
-    try:
-        return pipeline.config_from_dict(doc)
-    except pipeline.PipelineError as exc:
-        _fail(exc.payload())
+    return pipeline.config_from_dict(doc)
 
 
 def _stage_command(name: str, stage_fn, help_text: str):
     @main.command(name, help=help_text)
     @_config_options
     def command(config_path, force, **flags):
-        config = _build_config(config_path, **flags)
+        config = _run_stage(_build_config, config_path, **flags)
         result = _run_stage(stage_fn, config, force=force)
         if isinstance(result, Path):
             click.echo(str(result))

@@ -54,10 +54,6 @@ _INT64 = np.iinfo(np.int64)
 RENDER_BLOCK_SAMPLES = 2**16
 
 
-class MissingFileError(OSError):
-    pass
-
-
 class ParseError(ValueError):
     def __init__(self, path, line: int, message: str):
         self.path = str(path)
@@ -420,11 +416,9 @@ def write_manifest(manifest: DatasetManifest, path: str | Path):
         fh.write("\n")
 
 
-def _read_document(path: str | Path, what: str):
+def _read_document(path: str | Path):
     """The JSON value a user-written file holds."""
     path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"{what} not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -433,7 +427,7 @@ def _read_document(path: str | Path, what: str):
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     try:
-        return decode(DatasetManifest, _read_document(path, "manifest"))
+        return decode(DatasetManifest, _read_document(path))
     except DecodeError as exc:
         raise ParseError(path, 1, f"manifest field error: {exc}") from exc
 
@@ -465,8 +459,6 @@ def _read_table(path: Path, kind: str | LabelScheme) -> np.ndarray:
     that declines, in a line loop that accepts what Python's float and int
     accept and raises ParseError on the first bad line."""
     signal = kind == "signal"
-    if not path.exists():
-        raise MissingFileError(f"{'signal' if signal else 'annotation'} file not found: {path}")
     expected = _HEADERS[kind]
     dtype = np.int64 if kind is LabelScheme.DISCRETE_STATE else np.float64
     values = _loadtxt_body(path, expected, dtype)
@@ -499,14 +491,6 @@ def _read_table(path: Path, kind: str | LabelScheme) -> np.ndarray:
     return values.ravel() if n_fields == 2 else values
 
 
-def _read_signal_csv(path: Path) -> np.ndarray:
-    return _read_table(path, "signal")
-
-
-def _read_annotation_csv(path: Path, scheme: LabelScheme) -> np.ndarray:
-    return _read_table(path, scheme)
-
-
 def load_dataset(
     manifest: DatasetManifest, base_dir: str | Path
 ) -> list[SubjectData]:
@@ -520,12 +504,12 @@ def load_dataset(
             SubjectData(
                 subject_id=sid,
                 ecg=SignalRecord(sid, Modality.ECG, entry.ecg_rate_hz,
-                                 _read_signal_csv(base_dir / entry.ecg_file)),
+                                 _read_table(base_dir / entry.ecg_file, "signal")),
                 ppg=SignalRecord(sid, Modality.PPG, entry.ppg_rate_hz,
-                                 _read_signal_csv(base_dir / entry.ppg_file)),
+                                 _read_table(base_dir / entry.ppg_file, "signal")),
                 annotations=AnnotationTrack(
                     manifest.label_scheme, entry.annotation_rate_hz,
-                    _read_annotation_csv(base_dir / entry.annotation_file, manifest.label_scheme),
+                    _read_table(base_dir / entry.annotation_file, manifest.label_scheme),
                 ),
             )
         )
@@ -534,7 +518,7 @@ def load_dataset(
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     try:
-        return decode(SyntheticSpec, _read_document(path, "synthetic spec"))
+        return decode(SyntheticSpec, _read_document(path))
     except DecodeError as exc:
         raise InvalidSpecError(f"synthetic spec field error: {exc}") from exc
 

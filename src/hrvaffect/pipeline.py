@@ -30,7 +30,6 @@ from .dsp import (
 from .hrv import (
     BLOCK_SAMPLES,
     FEATURE_NAMES,
-    FeatureVector,
     NoPlausiblePeaksError,
     TooFewBeatsError,
     compute_features,
@@ -264,29 +263,22 @@ SHAP_POINTS = Table("shap_points.csv", {
 })
 
 
-def prepare_out_dir(config: PipelineConfig, force: bool = False) -> tuple[Path, str]:
-    """Create the output directory and return it with the run hash.  A directory
-    whose config.json holds another hash is refused unless force is set."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    h = run_hash(config)
-    if (out / CONFIG_JSON).exists() and not force:
-        _read_object(out / CONFIG_JSON, h)
-    return out, h
-
-
 def _stage(compute):
     """Wrap compute(config, out, staging, h) as a stage(config, force=False).
     compute reads out through _read_object and Table.read, which check stamps,
     and writes its outputs into staging; they move into out, config.json last,
     only when it returns, so a failed stage leaves out as it was: the
-    directories it made for out are removed, innermost first, if empty."""
+    directories it made for out are removed, innermost first, if empty.  An
+    out whose config.json holds another run hash is refused unless force is set."""
 
     def run(config: PipelineConfig, force: bool = False):
         out = Path(config.out_dir)
         made = [path for path in (out, *out.parents) if not path.exists()]
         try:
-            out, h = prepare_out_dir(config, force)
+            out.mkdir(parents=True, exist_ok=True)
+            h = run_hash(config)
+            if (out / CONFIG_JSON).exists() and not force:
+                _read_object(out / CONFIG_JSON, h)
             with tempfile.TemporaryDirectory(prefix=".stage-", dir=out) as name:
                 staging = Path(name)
                 result = compute(config, out, staging, h)
@@ -321,14 +313,9 @@ def stage_synth(spec_path: str | Path, out_dir: str | Path) -> Path:
 def load_subjects(config: PipelineConfig) -> tuple[list[ingest.SubjectData], LabelScheme]:
     if config.manifest_path is not None:
         manifest_path = Path(config.manifest_path)
-        if not manifest_path.exists():
-            raise MissingInputError(str(manifest_path))
         manifest = ingest.load_manifest(manifest_path)
         return ingest.load_dataset(manifest, manifest_path.parent), manifest.label_scheme
-    spec_path = Path(config.synthetic_spec_path)
-    if not spec_path.exists():
-        raise MissingInputError(str(spec_path))
-    spec = ingest.load_synthetic_spec(spec_path)
+    spec = ingest.load_synthetic_spec(config.synthetic_spec_path)
     subject, _ = ingest.generate_synthetic(spec)
     return [subject], ingest.synthetic_label_scheme(spec)
 
@@ -343,7 +330,10 @@ class FeatureRow:
     subject_id: str
     modality: str
     label: str
-    features: FeatureVector | None  # None when beat detection failed
+    values: np.ndarray  # FEATURE_NAMES order, read-only; NaN throughout when detection failed
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
 
 def _with_candidates(segments):
@@ -379,24 +369,17 @@ def featurize(
         for segments in zip(*pairs):  # the ECG windows, then the PPG windows
             for segment, candidates in _with_candidates(segments):
                 counters = stats["modalities"][segment.modality.value]
-                features = None
+                values = np.full(len(FEATURE_NAMES), math.nan)
                 try:
                     beats = detect_beats(segment, candidates)
-                    features = compute_features(beats, segment.sample_rate_hz)
+                    values = compute_features(beats, segment.sample_rate_hz).as_array()
                 except NoPlausiblePeaksError:
                     counters["detect_failures"] += 1
                 except TooFewBeatsError:
                     counters["too_few_beats"] += 1
                 counters["rows"] += 1
-                rows.append(
-                    FeatureRow(
-                        window_id=segment.window_id,
-                        subject_id=segment.subject_id,
-                        modality=segment.modality.value,
-                        label=segment.label,
-                        features=features,
-                    )
-                )
+                rows.append(FeatureRow(segment.window_id, segment.subject_id,
+                                       segment.modality.value, segment.label, values))
     rows.sort(key=lambda r: (r.subject_id, r.window_id, r.modality))
     return rows, stats
 
@@ -413,9 +396,7 @@ def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
 def stage_extract(config: PipelineConfig, out: Path, staging: Path, h: str) -> Path:
     rows, stats = extract_features(config)
     FEATURES.write(staging, [
-        [r.window_id, r.subject_id, r.modality, r.label,
-         *(r.features.as_array().tolist() if r.features is not None else [math.nan] * len(FEATURE_NAMES))]
-        for r in rows
+        [r.window_id, r.subject_id, r.modality, r.label, *r.values.tolist()] for r in rows
     ], h)
     write_json(staging / EXTRACT_STATS_JSON, stats, h)
     return out / FEATURES_CSV
@@ -424,10 +405,7 @@ def stage_extract(config: PipelineConfig, out: Path, staging: Path, h: str) -> P
 def read_feature_rows(out_dir: str | Path, h: str) -> list[FeatureRow]:
     """The rows of out_dir's features.csv, which must be stamped with h."""
     return [
-        FeatureRow(
-            window_id, subject_id, modality, label,
-            None if all(math.isnan(v) for v in values) else FeatureVector(*values),
-        )
+        FeatureRow(window_id, subject_id, modality, label, np.array(values))
         for _, (window_id, subject_id, modality, label, *values) in FEATURES.read(Path(out_dir), h)
     ]
 
@@ -437,11 +415,12 @@ def read_feature_rows(out_dir: str | Path, h: str) -> list[FeatureRow]:
 # ---------------------------------------------------------------------------
 
 def feature_variance(rows: list[FeatureRow]):
-    """Inter-signal variance of the featurized windows, keyed (subject_id, window_id)."""
+    """Inter-signal variance of the featurized windows, keyed (subject_id, window_id);
+    a window whose beat detection failed holds no key."""
     by_modality: dict[str, dict] = {"ECG": {}, "PPG": {}}
     for r in rows:
-        if r.features is not None:
-            by_modality[r.modality][(r.subject_id, r.window_id)] = r.features
+        if not np.isnan(r.values).all():
+            by_modality[r.modality][(r.subject_id, r.window_id)] = r.values
     return inter_signal_variance(by_modality["ECG"], by_modality["PPG"])
 
 
@@ -465,8 +444,7 @@ def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> 
     VARIANCE_SUMMARY.write(staging, summary_rows, h)
 
     stats = state_feature_stats(
-        [((r.subject_id, r.window_id), r.modality, r.label, r.features)
-         for r in rows if r.features is not None]
+        [((r.subject_id, r.window_id), r.modality, r.label, r.values) for r in rows]
     )
     STATE_STATS.write(staging, [
         [g.feature, g.state, g.modality, g.n, g.minimum, g.q1, g.q2, g.q3, g.maximum, g.mean,
@@ -530,25 +508,14 @@ def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> 
 
 def modality_matrix(rows: list[FeatureRow], modality: str):
     """Feature matrix for one modality, dropping rows with any missing value."""
-    kept_rows, dropped = [], 0
-    for r in rows:
-        if r.modality != modality:
-            continue
-        if r.features is None:
-            dropped += 1
-            continue
-        arr = r.features.as_array()
-        if not np.isfinite(arr).all():
-            dropped += 1
-            continue
-        kept_rows.append((r, arr))
-    if not kept_rows:
-        return np.zeros((0, len(FEATURE_NAMES))), np.array([]), [], np.array([]), dropped
-    X = np.stack([arr for _, arr in kept_rows])
-    y = np.array([r.label for r, _ in kept_rows])
-    ids = [f"{r.subject_id}:{r.window_id}" for r, _ in kept_rows]
-    subjects = np.array([r.subject_id for r, _ in kept_rows])
-    return X, y, ids, subjects, dropped
+    mine = [r for r in rows if r.modality == modality]
+    X = np.array([r.values for r in mine]).reshape(-1, len(FEATURE_NAMES))  # 0 x 13 when none
+    finite = np.isfinite(X).all(axis=1)
+    kept = [r for r, ok in zip(mine, finite) if ok]
+    y = np.array([r.label for r in kept])
+    ids = [f"{r.subject_id}:{r.window_id}" for r in kept]
+    subjects = np.array([r.subject_id for r in kept])
+    return X[finite], y, ids, subjects, len(mine) - len(kept)
 
 
 @_stage

@@ -32,7 +32,8 @@ def fmt9(value) -> str:
 
 
 def round9(obj):
-    """Recursively round floats to 9 significant digits; NaN/inf become None."""
+    """Recursively round floats to 9 significant digits; NaN/inf become None.
+    An object of any other type is returned as it is."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, str):
@@ -47,11 +48,7 @@ def round9(obj):
         return {str(k): round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [round9(v) for v in obj]
-    # numpy scalars and anything else numeric-like
-    try:
-        return round9(float(obj))
-    except (TypeError, ValueError):
-        return str(obj)
+    return obj  # any other object is json's to refuse
 
 
 def round9_array(values) -> list:

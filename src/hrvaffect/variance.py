@@ -15,7 +15,7 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .hrv import FEATURE_NAMES, FeatureVector
+from .hrv import FEATURE_NAMES
 
 OVERLAP_FLAG_THRESHOLD = 0.5
 MIN_GROUP_SIZE = 4
@@ -56,10 +56,11 @@ class InterSignalVariance:
 
 
 def inter_signal_variance(
-    ecg_features: Mapping[Hashable, FeatureVector],
-    ppg_features: Mapping[Hashable, FeatureVector],
+    ecg_features: Mapping[Hashable, np.ndarray],
+    ppg_features: Mapping[Hashable, np.ndarray],
 ) -> InterSignalVariance:
-    """Per-feature |ECG - PPG| over windows present in both mappings.
+    """Per-feature |ECG - PPG| over windows present in both mappings, each
+    value a row of the FEATURE_NAMES.
 
     Windows where either side is missing (NaN) are excluded from the series
     and counted.  Symmetric in its two arguments.
@@ -68,13 +69,15 @@ def inter_signal_variance(
     if not keys:
         raise NoAlignedWindowsError("no window keys shared by ECG and PPG features")
 
+    ecg = np.array([ecg_features[k] for k in keys], dtype=np.float64)
+    ppg = np.array([ppg_features[k] for k in keys], dtype=np.float64)
+    present = np.isfinite(ecg) & np.isfinite(ppg)
     per_feature: dict[str, FeatureVarianceSeries] = {}
-    for feature in FEATURE_NAMES:
-        ecg_vals = np.array([getattr(ecg_features[k], feature) for k in keys])
-        ppg_vals = np.array([getattr(ppg_features[k], feature) for k in keys])
-        both = np.isfinite(ecg_vals) & np.isfinite(ppg_vals)
-        diffs = np.abs(ecg_vals[both] - ppg_vals[both])
-        pooled = np.concatenate([ecg_vals[both], ppg_vals[both]])
+    for j, feature in enumerate(FEATURE_NAMES):
+        both = present[:, j]
+        ecg_vals, ppg_vals = ecg[both, j], ppg[both, j]
+        diffs = np.abs(ecg_vals - ppg_vals)
+        pooled = np.concatenate([ecg_vals, ppg_vals])
         pooled_mean_abs = float(np.mean(np.abs(pooled))) if pooled.size else math.nan
         mean = float(diffs.mean()) if diffs.size else math.nan
         per_feature[feature] = FeatureVarianceSeries(
@@ -116,18 +119,18 @@ class GroupStats:
 
 
 def state_feature_stats(
-    rows: list[tuple[Hashable, str, str, FeatureVector]],
+    rows: list[tuple[Hashable, str, str, np.ndarray]],
 ) -> list[GroupStats]:
-    """Group (key, modality, state, features) rows by (feature, state, modality).
+    """Group (key, modality, state, values) rows, values a row of the
+    FEATURE_NAMES, by (feature, state, modality).
 
     Quartiles use linear interpolation between closest ranks; outliers are the
     values beyond the 1.5*IQR Tukey fences.  Groups with fewer than 4 finite
     values are reported with insufficient=True and NaN statistics.
     """
     groups: dict[tuple[str, str, str], list[tuple[Hashable, float]]] = {}
-    for key, modality, state, fv in rows:
-        for feature in FEATURE_NAMES:
-            value = getattr(fv, feature)
+    for key, modality, state, values in rows:
+        for feature, value in zip(FEATURE_NAMES, values.tolist()):
             if math.isfinite(value):
                 groups.setdefault((feature, state, modality), []).append((key, value))
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import hrvaffect
 from hrvaffect.dsp import (
     DEFAULT_ECG_FILTER,
     DEFAULT_PPG_FILTER,
@@ -26,9 +25,10 @@ from hrvaffect.dsp import (
     segment_windows,
 )
 from hrvaffect.explain import sample_background, shapley_explain
-from hrvaffect.hrv import FEATURE_NAMES, BeatSeries, compute_features, detect_beats
+from hrvaffect.hrv import FEATURE_NAMES, compute_features, detect_beats
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
 from hrvaffect.learn import ExtraTreesParams, roc_binary, train_extra_trees
+from helpers import beats_from_rr, package_env
 from oracles import oracle_auc, oracle_features, oracle_shapley_permutations, sos_gain
 from run_twin_experiment import run_twin, twin_spec
 
@@ -56,15 +56,6 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
     else:
         print(line, flush=True)
     assert ok, f"criterion {number} ({name}) failed{suffix}"
-
-
-def beats_from_rr(rr_ms) -> BeatSeries:
-    rr_ms = np.asarray(rr_ms, dtype=np.float64)
-    return BeatSeries(
-        peak_indices=np.arange(rr_ms.size + 1),
-        rr_ms=rr_ms,
-        accepted=np.ones(rr_ms.size, dtype=bool),
-    )
 
 
 def matches(got: float, want: float, rel: float = 1e-9) -> bool:
@@ -321,19 +312,10 @@ def _run_chain(root: Path):
         ["train-eval", "--config", "config.json"],
         ["importance", "--config", "config.json"],
     ]
-    # The chain runs from a tmpdir, where a relative PYTHONPATH such as `src`
-    # does not resolve; point the children at the package this process
-    # imported, ahead of any installed copy.
-    package_root = str(Path(hrvaffect.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join([package_root, inherited]) if inherited else package_root,
-    }
     for command in commands:
         proc = subprocess.run(
             [sys.executable, "-m", "hrvaffect", *command],
-            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+            cwd=root, env=package_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, f"{command}: {proc.stderr}"
 

@@ -7,7 +7,7 @@ import pytest
 
 from hrvaffect import ingest
 from hrvaffect.core import LabelScheme
-from hrvaffect.ingest import ParseError, _read_annotation_csv, _read_signal_csv
+from hrvaffect.ingest import ParseError, _read_table
 
 AV_HEADER = "index,arousal,valence"
 
@@ -19,19 +19,15 @@ def write(tmp_path, text, name="rows.csv"):
 
 
 def signal(tmp_path, text):
-    return _read_signal_csv(write(tmp_path, "index,value\n" + text))
+    return _read_table(write(tmp_path, "index,value\n" + text), "signal")
 
 
 def discrete(tmp_path, text):
-    return _read_annotation_csv(
-        write(tmp_path, "index,label\n" + text), LabelScheme.DISCRETE_STATE
-    )
+    return _read_table(write(tmp_path, "index,label\n" + text), LabelScheme.DISCRETE_STATE)
 
 
 def arousal_valence(tmp_path, text):
-    return _read_annotation_csv(
-        write(tmp_path, AV_HEADER + "\n" + text), LabelScheme.AROUSAL_VALENCE
-    )
+    return _read_table(write(tmp_path, AV_HEADER + "\n" + text), LabelScheme.AROUSAL_VALENCE)
 
 
 def test_signal_row_with_three_fields_is_a_parse_error_on_its_line(tmp_path):

@@ -1,6 +1,4 @@
 import json
-import os
-import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +8,6 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-import hrvaffect
 from hrvaffect import pipeline
 from hrvaffect.cli import main
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER
@@ -21,8 +18,7 @@ from hrvaffect.pipeline import (
     run_hash,
     validate_schema,
 )
-
-README = Path(__file__).resolve().parents[1] / "README.md"
+from helpers import package_env, readme_json_blocks
 
 SYNTH_SPEC = {
     "duration_s": 360.0,
@@ -54,16 +50,6 @@ def write_config(tmp_path: Path, out_name="run", **overrides) -> Path:
     config_path = tmp_path / f"config_{out_name}.json"
     config_path.write_text(json.dumps(doc))
     return config_path
-
-
-def package_env() -> dict:
-    """Environment whose Python finds the package this process imported."""
-    package_root = str(Path(hrvaffect.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    return {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join([package_root, inherited]) if inherited else package_root,
-    }
 
 
 def run_cli(*args):
@@ -199,15 +185,34 @@ class TestErrorPaths:
         forced = run_cli("extract", "--config", str(config_path), "--seed", "99", "--force")
         assert forced.exit_code == 0
 
-    def test_missing_dataset_input(self, tmp_path):
-        config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({
-            "synthetic_spec_path": str(tmp_path / "absent.json"),
-            "out_dir": str(tmp_path / "o"),
-        }))
-        result = run_cli("extract", "--config", str(config_path))
+    @pytest.mark.parametrize("case", ["spec_in_config", "config", "manifest", "manifest_csv",
+                                      "synth_spec"])
+    def test_missing_dataset_input(self, tmp_path, case):
+        """A missing input of any kind is MissingInput naming its path."""
+        absent = tmp_path / "absent.json"
+        args = ["extract", "--out", str(tmp_path / "o")]
+        if case == "spec_in_config":
+            config_path = tmp_path / "c.json"
+            config_path.write_text(json.dumps({"synthetic_spec_path": str(absent)}))
+            args += ["--config", str(config_path)]
+        elif case == "config":
+            args += ["--config", str(absent)]
+        elif case == "manifest":
+            args += ["--manifest", str(absent)]
+        elif case == "manifest_csv":
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(FLAG_SPEC))
+            assert run_cli("synth", "--spec", str(spec_path), "--out", str(tmp_path / "data")).exit_code == 0
+            absent = tmp_path / "data" / "synthetic_ppg.csv"
+            absent.unlink()
+            args += ["--manifest", str(tmp_path / "data" / "manifest.json")]
+        else:
+            args = ["synth", "--spec", str(absent), "--out", str(tmp_path / "data")]
+        result = run_cli(*args)
         assert result.exit_code == 1
-        assert json.loads(result.output.strip().splitlines()[-1])["error"] == "MissingInput"
+        payload = json.loads(result.output.strip().splitlines()[-1])
+        assert payload["error"] == "MissingInput"
+        assert payload["input"] == str(absent)
 
     def test_failed_stage_removes_the_directories_it_made(self, tmp_path):
         """Only the empty directories the stage made go: an out_dir that was
@@ -682,7 +687,7 @@ class TestConfigRoundTrip:
 def test_stamped_config_json_reruns_a_stage(tmp_path, monkeypatch):
     """An out_dir's config.json, {"config": ..., "config_hash": ...}, is a
     valid --config: the stage runs under the same hash, and flags still apply."""
-    spec, config = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[:2]
+    spec, config = readme_json_blocks()[:2]
     monkeypatch.chdir(tmp_path)
     Path("synth_spec.json").write_text(spec)
     Path("config.json").write_text(config)

@@ -5,7 +5,6 @@ checks invoke the click command in this process."""
 
 import json
 import pickle
-import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from hrvaffect.cli import main
-from test_cli import README, package_env
+from helpers import package_env, readme_json_blocks
 
 ENTRY_POINT = shutil.which("hrvaffect")
 CONSOLE = [ENTRY_POINT] if ENTRY_POINT else [sys.executable, "-m", "hrvaffect"]
@@ -56,7 +55,7 @@ def cwd(tmp_path, monkeypatch):
 @pytest.fixture
 def readme(cwd):
     """A working directory holding the README's spec and config."""
-    spec, config = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[:2]
+    spec, config = readme_json_blocks()[:2]
     Path("synth_spec.json").write_text(spec)
     Path("config.json").write_text(config)
     return cwd

@@ -7,9 +7,6 @@ breathing spectrum, which replaced scipy.signal.welch, is checked against it
 at the end.
 """
 
-import re
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from hrvaffect.core import Modality, WindowedSegment
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, WindowSpec, filter_signal, segment_windows
 from hrvaffect.hrv import (
+    FEATURE_NAMES,
     ROLLING_MEAN_SPAN_S,
     THRESHOLD_FACTORS,
     NoPlausiblePeaksError,
@@ -31,9 +29,9 @@ from hrvaffect.hrv import (
 )
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic, load_synthetic_spec
 from hrvaffect.pipeline import PipelineConfig, featurize
+from helpers import readme_json_blocks
 from run_twin_experiment import twin_spec
 
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def oracle_rolling_mean(x, span):
@@ -104,7 +102,7 @@ def segment(samples, rate, window_id=0):
 
 
 def readme_spec(tmp_path_factory):
-    spec = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[0]
+    spec = readme_json_blocks()[0]
     path = tmp_path_factory.mktemp("readme") / "synth_spec.json"
     path.write_text(spec)
     return load_synthetic_spec(path)
@@ -181,17 +179,14 @@ def test_featurize_at_one_and_many_windows_per_block():
     for pair in segment_windows(ecg, ppg, subject.annotations, WindowSpec()):
         for seg in pair:
             try:
-                features = compute_features(detect_beats(seg), seg.sample_rate_hz)
+                values = compute_features(detect_beats(seg), seg.sample_rate_hz).as_array()
             except (NoPlausiblePeaksError, TooFewBeatsError):
-                features = None
-            want[(seg.window_id, seg.modality.value)] = features
-    got = {(row.window_id, row.modality): row.features for row in rows}
+                values = np.full(len(FEATURE_NAMES), np.nan)
+            want[(seg.window_id, seg.modality.value)] = values
+    got = {(row.window_id, row.modality): row.values for row in rows}
     assert got.keys() == want.keys()
-    for key, features in want.items():
-        if features is None:
-            assert got[key] is None
-        else:
-            np.testing.assert_array_equal(got[key].as_array(), features.as_array())
+    for key, values in want.items():
+        np.testing.assert_array_equal(got[key], values)
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,8 @@ from hrvaffect.hrv import (
     detect_beats,
     estimate_breathing,
 )
+from helpers import beats_from_rr
 from oracles import oracle_breathing, oracle_features
-
-
-def beats_from_rr(rr_ms) -> BeatSeries:
-    rr_ms = np.asarray(rr_ms, dtype=np.float64)
-    return BeatSeries(
-        peak_indices=np.arange(rr_ms.size + 1),
-        rr_ms=rr_ms,
-        accepted=np.ones(rr_ms.size, dtype=bool),
-    )
 
 
 rr_values = st.floats(min_value=300.0, max_value=2000.0, allow_nan=False)

@@ -12,7 +12,6 @@ from hrvaffect.core import (
 )
 from hrvaffect.ingest import (
     InvalidSpecError,
-    MissingFileError,
     ParseError,
     RateMismatchError,
     StateSpec,
@@ -172,7 +171,7 @@ class TestCanonicalRoundTrip:
         subject, _ = generate_synthetic(spec)
         manifest_path = write_canonical([subject], "broken", tmp_path)
         (tmp_path / "synthetic_ppg.csv").unlink()
-        with pytest.raises(MissingFileError):
+        with pytest.raises(FileNotFoundError):
             load_dataset(load_manifest(manifest_path), tmp_path)
 
     def test_parse_error_reports_row(self, tmp_path):
@@ -235,7 +234,7 @@ class TestCanonicalRoundTrip:
         assert [s.subject_id for s in loaded] == ["s01", "s02"]
 
     def test_manifest_missing(self, tmp_path):
-        with pytest.raises(MissingFileError):
+        with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "nope.json")
 
     def test_manifest_bad_field(self, tmp_path):

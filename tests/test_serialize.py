@@ -32,6 +32,16 @@ def test_round9_array_is_round9_over_the_array():
     assert round9_array(a[:, 0]) == round9(a[:, 0].tolist())
 
 
+@pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.bool_(True), object()],
+                         ids=["array", "numpy_bool", "object"])
+def test_write_json_refuses_an_object_json_cannot_hold(tmp_path, value):
+    """round9 passes such an object through, so json refuses it rather than
+    writing its text or a number made from it."""
+    assert round9([value])[0] is value
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "doc.json", {"value": value})
+
+
 def test_compact_model_json_loads_as_the_indented_document(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(60, 5))

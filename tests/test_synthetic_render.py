@@ -8,8 +8,6 @@ off either end of the recording.
 """
 
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +23,9 @@ from hrvaffect.ingest import (
     generate_synthetic,
     load_synthetic_spec,
 )
+from helpers import readme_json_blocks
 from run_twin_experiment import twin_spec
 
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def oracle_add_gaussian(samples, rate, center_s, amp, sigma_s):
@@ -108,7 +106,7 @@ def assert_matches_oracle(spec):
 
 def readme_spec(tmp_path):
     path = tmp_path / "synth_spec.json"
-    path.write_text(re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[0])
+    path.write_text(readme_json_blocks()[0])
     return load_synthetic_spec(path)
 
 

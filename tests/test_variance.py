@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hrvaffect.hrv import FEATURE_NAMES, FeatureVector
+from hrvaffect.pipeline import FeatureRow, feature_variance
 from hrvaffect.variance import (
     NoAlignedWindowsError,
     flag_overlapping_pairs,
@@ -15,11 +16,12 @@ from hrvaffect.variance import (
 )
 
 
-def fv(bpm=60.0, **overrides) -> FeatureVector:
+def fv(bpm=60.0, **overrides) -> np.ndarray:
+    """A features row: 1.0 for every feature but bpm and the overrides."""
     values = {name: 1.0 for name in FEATURE_NAMES}
     values["bpm"] = bpm
     values.update(overrides)
-    return FeatureVector(**values)
+    return FeatureVector(**values).as_array()
 
 
 class TestInterSignalVariance:
@@ -68,6 +70,21 @@ class TestInterSignalVariance:
         shifted_ecg = {i: fv(bpm=b + shift) for i, b in enumerate(bpms)}
         moved = inter_signal_variance(shifted_ecg, ppg).per_feature["bpm"].abs_diff
         assert np.all(np.abs(moved - base) <= shift + 1e-9)
+
+    def test_feature_variance_leaves_out_windows_that_failed_detection(self):
+        """A window where either side failed detection (NaN throughout) holds no
+        key; one where only br is NaN keeps its key and counts as missing br."""
+        failed = np.full(len(FEATURE_NAMES), np.nan)
+        sides = {0: (fv(), fv()), 1: (failed, fv()), 2: (fv(), failed), 3: (fv(br=math.nan), fv())}
+        rows = [
+            FeatureRow(window_id, "s", modality, "baseline", values)
+            for window_id, pair in sides.items() for modality, values in zip(("ECG", "PPG"), pair)
+        ]
+        isv = feature_variance(rows)
+        assert isv.per_feature["bpm"].window_keys == (("s", 0), ("s", 3))
+        assert isv.per_feature["bpm"].missing_count == 0
+        assert isv.per_feature["br"].window_keys == (("s", 0),)
+        assert isv.per_feature["br"].missing_count == 1
 
     def test_normalized_by_pooled_mean(self):
         ecg = {0: fv(bpm=100.0), 1: fv(bpm=100.0)}
@@ -128,7 +145,10 @@ class TestStateFeatureStats:
         shuffled = [(i, "ECG", "baseline", fv(bpm=values[j])) for i, j in enumerate(perm)]
         other = self.find(state_feature_stats(shuffled))
         assert other.outlier_count == base.outlier_count
-        assert sorted(values[j] for j in perm if False) == []  # keys differ, counts match
+        # Keys follow the rows, so compare the outliers' values as multisets.
+        assert sorted(values[perm[k]] for k in other.outlier_keys) == sorted(
+            values[k] for k in base.outlier_keys
+        )
         assert other.q1 == pytest.approx(base.q1, rel=1e-12, abs=1e-12)
 
     def test_removing_outliers_never_flags_former_inliers(self):
