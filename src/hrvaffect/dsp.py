@@ -17,6 +17,7 @@ from .core import (
     AV_LOW_MAX,
     DISCARDED_CODES,
     DISCRETE_CODE_LABELS,
+    KNOWN_CODES,
     AnnotationTrack,
     LabelScheme,
     SignalRecord,
@@ -114,6 +115,11 @@ def filter_signal(record: SignalRecord, spec: FilterSpec) -> SignalRecord:
     return replace(record, samples=y)
 
 
+# Whether each known code is retained, indexed by code: an AnnotationTrack
+# holds no other code.
+_KEEP = np.array([code not in DISCARDED_CODES for code in KNOWN_CODES])
+
+
 def resolve_label_discrete(codes: np.ndarray) -> str | None:
     """Resolve a window of discrete codes to one label, or None to drop.
 
@@ -124,7 +130,7 @@ def resolve_label_discrete(codes: np.ndarray) -> str | None:
     codes = np.asarray(codes)
     if codes.size == 0:
         return None
-    retained = codes[~np.isin(codes, sorted(DISCARDED_CODES))]
+    retained = codes[_KEEP[codes]]
     if retained.size / codes.size < 0.5:
         return None
     mean = float(retained.mean())

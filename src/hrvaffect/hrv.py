@@ -1,4 +1,4 @@
-"""Beat detection and heart-rate-variability features for one window.
+"""Beat detection and heart-rate-variability features for a block of windows.
 
 Detection uses adaptive moving-average thresholding: candidate peak sets are
 generated for a ladder of threshold elevation factors and the factor whose
@@ -12,12 +12,18 @@ dominates a single window.  The eight threshold masks are nested: the rolling
 mean r is never negative and rounding is monotone, so for factors f1 < f2,
 fl(f1 * r) <= fl(f2 * r); taking the maximum with the amplitude floor keeps
 that order, and every sample above the higher threshold is above the lower
-one.  Only the lowest factor is therefore compared over the whole block; the
-higher factors are compared on its candidate samples alone, and the runs of
-all factors and their first argmaxes are found in one pass.  The pipeline
-cuts a subject's windows into blocks of at most BLOCK_SAMPLES samples (2^15,
-but at least one window), so the temporaries stay at a few MB at any sample
-rate; detect_beats then chooses each window's factor from its candidates.
+one.  Only the lowest factor is therefore compared over the whole block; each
+higher factor is compared on the previous factor's candidate samples alone,
+and the runs of all factors and their first argmaxes are found in one pass.
+The pipeline cuts a subject's windows into blocks of at most BLOCK_SAMPLES
+samples (2^15, but at least one window), so the temporaries stay at a few MB
+at any sample rate; detect_beats then chooses each window's factor from its
+candidates, one window at a time.
+
+The features and the breathing spectrum are likewise computed for a block of
+windows (feature_block): the statistics for the windows of one accepted-RR
+count at once, the Welch spectra for the tachograms of one segment length and
+count at once.  compute_features and estimate_breathing are the block of one.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ WELCH_SEGMENT_S = 8.0
 BREATH_BAND_HZ = (0.1, 0.4)
 BREATH_NFFT = 4096
 BREATH_MIN_SPAN_S = 8.0
+# Segments per FFT call: the spectra of a chunk take about 1 MB each way.
+WELCH_CHUNK_SEGMENTS = 32
 _FLAT_POWER_EPS = 1e-10
 
 
@@ -146,9 +154,9 @@ def threshold_candidates(windows: np.ndarray, rate: float) -> list[tuple[np.ndar
     region whose maximum sits on the window's first or last sample is a
     truncated bump from a beat outside the window and yields nothing.  Only
     the lowest factor is compared over the whole block: the masks are nested
-    (see the module docstring), so the other factors are compared on its
-    candidate samples alone.  Returns, per window, a tuple of ascending int64
-    sample indices aligned with THRESHOLD_FACTORS.
+    (see the module docstring), so each other factor is compared on the
+    previous factor's candidate samples alone.  Returns, per window, a tuple
+    of ascending int64 sample indices aligned with THRESHOLD_FACTORS.
     """
     x = np.asarray(windows)
     x = x - x.min(axis=1, keepdims=True)
@@ -163,16 +171,22 @@ def threshold_candidates(windows: np.ndarray, rate: float) -> list[tuple[np.ndar
     n_factors = len(THRESHOLD_FACTORS)
     if flat.size == 0:
         return [(flat,) * n_factors for _ in range(w)]
-    # Every candidate is above the floor, so a factor only needs x > f * rolling.
-    values = x.ravel()[flat]
-    factors = np.array(THRESHOLD_FACTORS)[:, None]
-    factor_index, member = np.nonzero(values > factors * rolling.ravel()[flat])
 
     # All factors in one sequence: factor k's candidates in flat order, at
     # positions (k * W + row) * (N + 1) + column, so no run crosses a row or
-    # a factor.
-    position = factor_index * (w * (n + 1)) + (flat + flat // n)[member]
-    position = position[_first_argmax_of_runs(position, values[member])]
+    # a factor.  Each factor filters the previous factor's candidates; every
+    # one is above the floor, so a factor only needs x > f * rolling.
+    candidate = flat + flat // n
+    values = x.ravel()[flat]
+    level = rolling.ravel()[flat]
+    positions, peaks = [candidate], [values]
+    for k, factor in enumerate(THRESHOLD_FACTORS[1:], start=1):
+        keep = values > factor * level
+        candidate, values, level = candidate[keep], values[keep], level[keep]
+        positions.append(candidate + k * (w * (n + 1)))
+        peaks.append(values)
+    position = np.concatenate(positions)
+    position = position[_first_argmax_of_runs(position, np.concatenate(peaks))]
     key, column = np.divmod(position, n + 1)
     inside = (column != 0) & (column != n - 1)
     bounds = np.cumsum(np.bincount(key[inside], minlength=n_factors * w))[:-1]
@@ -217,41 +231,13 @@ def detect_beats(
     return BeatSeries(peak_indices=peaks, rr_ms=rr_ms, accepted=accepted)
 
 
-@functools.lru_cache(maxsize=None)  # one entry per nperseg, at most 32
-def _hann(nperseg: int) -> np.ndarray:
-    """Periodic Hann window, the same values as scipy's get_window("hann")."""
-    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
-    window.flags.writeable = False
-    return window
+def _tachogram(rr_ms: np.ndarray) -> np.ndarray:
+    """The RR tachogram on a uniform 4 Hz grid, mean-removed.
 
-
-def _welch_density(x: np.ndarray, nperseg: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Welch power spectral density of x at TACHOGRAM_RATE_HZ.
-
-    Hann segments of nperseg samples with 50% overlap, no detrending, each
-    zero-padded to nfft, density-scaled and averaged: what
-    scipy.signal.welch computes, to a relative 1e-9, without importing
-    scipy.signal.
-    """
-    from scipy import fft as sp_fft  # here, not at import time: see the dsp module
-
-    window = _hann(nperseg)
-    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
-    spectrum = sp_fft.rfft(segments * window, n=nfft)
-    power = (np.conjugate(spectrum) * spectrum).real
-    power *= 1.0 / (TACHOGRAM_RATE_HZ * (window * window).sum())
-    power[:, 1 : (nfft + 1) // 2] *= 2.0  # one-sided: all but DC and Nyquist
-    return sp_fft.rfftfreq(nfft, 1.0 / TACHOGRAM_RATE_HZ), power.mean(axis=0)
-
-
-def estimate_breathing(rr_ms: np.ndarray) -> float:
-    """Dominant respiratory frequency (Hz) from an RR series.
-
-    The tachogram (value r_n at the cumulative time of beat n) is linearly
-    interpolated onto a uniform 4 Hz grid, mean-removed, and fed to a Welch
-    PSD (8 s Hann segments, 50% overlap, zero-padded to a fine grid).  Returns
-    the frequency of maximum power inside 0.1-0.4 Hz, or NaN when the band is
-    flat, e.g. for a constant RR series.
+    Beat n carries the value r_n at its cumulative time; the grid starts at
+    the first beat and the values between beats are linearly interpolated.
+    Raises InsufficientSpanError for fewer than 4 intervals or a span under
+    BREATH_MIN_SPAN_S.
     """
     rr_ms = np.asarray(rr_ms, dtype=np.float64)
     if rr_ms.size < 4:
@@ -264,65 +250,145 @@ def estimate_breathing(rr_ms: np.ndarray) -> float:
     n_grid = int(np.floor((times_s[-1] - times_s[0]) * TACHOGRAM_RATE_HZ)) + 1
     grid = times_s[0] + np.arange(n_grid) / TACHOGRAM_RATE_HZ
     tachogram = np.interp(grid, times_s, rr_ms)
-    tachogram = tachogram - tachogram.mean()
-
-    nperseg = min(int(WELCH_SEGMENT_S * TACHOGRAM_RATE_HZ), n_grid)
-    freqs, power = _welch_density(tachogram, nperseg, max(BREATH_NFFT, nperseg))
-    band = (freqs >= BREATH_BAND_HZ[0]) & (freqs <= BREATH_BAND_HZ[1])
-    band_power = power[band]
-    if band_power.size == 0 or band_power.max() <= _FLAT_POWER_EPS:
-        return math.nan
-    return float(freqs[band][int(np.argmax(band_power))])
+    return tachogram - tachogram.mean()
 
 
-def compute_features(beats: BeatSeries, sample_rate_hz: float) -> FeatureVector:
-    """All 13 features over the accepted RR sequence of one window.
+def _welch_segments(x: np.ndarray) -> np.ndarray:
+    """The (S, nperseg) Welch segments of one series: 8 s, or the whole series
+    when shorter, with 50% overlap."""
+    nperseg = min(int(WELCH_SEGMENT_S * TACHOGRAM_RATE_HZ), x.size)
+    return np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
 
-    Population statistics throughout.  sd1/sd2 follow the rmssd/sdnn
-    identities; when sd2 degenerates to zero the ratio is reported as NaN.
-    Breathing rate falls back to NaN when the series is too short or flat.
+
+@functools.lru_cache(maxsize=None)  # one entry per nperseg, at most 32
+def _hann(nperseg: int) -> np.ndarray:
+    """Periodic Hann window, the same values as scipy's get_window("hann")."""
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    window.flags.writeable = False
+    return window
+
+
+def _welch_density(segments: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch power spectral density at TACHOGRAM_RATE_HZ of each
+    series of a (W, S, nperseg) stack of its Welch segments.
+
+    Each segment is Hann-windowed, not detrended, zero-padded to nfft,
+    density-scaled, and the S periodograms of a series averaged: what
+    scipy.signal.welch computes, to a relative 1e-9, without importing
+    scipy.signal.  Returns the frequencies and the (W, nfft // 2 + 1) powers.
     """
-    r = beats.accepted_rr_ms()
-    if r.size < 4:
-        raise TooFewBeatsError(f"need >= 4 accepted RR intervals, got {r.size}")
-    d = np.diff(r)
+    from scipy import fft as sp_fft  # here, not at import time: see the dsp module
 
-    ibi = float(r.mean())
-    bpm = 60000.0 / ibi
-    sdnn = float(np.std(r))
-    sdsd = float(np.std(d))
-    rmssd = float(np.sqrt(np.mean(d * d)))
-    pnn20 = float(np.mean(np.abs(d) > 20.0))
-    pnn50 = float(np.mean(np.abs(d) > 50.0))
-    mad = float(np.median(np.abs(r - np.median(r))))
-    sd1 = math.sqrt(max(0.0, 0.5 * rmssd * rmssd))
-    # sd2² = 2·sdnn² − 0.5·rmssd², exact on the RR values as integer multiples of
-    # their finest power of two and rounded once, so a degenerate series gives 0.
+    window = _hann(segments.shape[2])
+    spectrum = sp_fft.rfft(segments * window, n=nfft)
+    power = (np.conjugate(spectrum) * spectrum).real
+    power *= 1.0 / (TACHOGRAM_RATE_HZ * (window * window).sum())
+    power[..., 1 : (nfft + 1) // 2] *= 2.0  # one-sided: all but DC and Nyquist
+    return sp_fft.rfftfreq(nfft, 1.0 / TACHOGRAM_RATE_HZ), power.mean(axis=1)
+
+
+def _breathing_rates(tachograms: list[np.ndarray]) -> np.ndarray:
+    """Frequency of maximum Welch power inside 0.1-0.4 Hz of each tachogram,
+    or NaN where the band is flat.
+
+    Series with the same segment length and count are stacked, at most
+    WELCH_CHUNK_SEGMENTS segments per FFT call, so the spectra of a block
+    never sit in memory at once.
+    """
+    rates = np.full(len(tachograms), math.nan)
+    groups: dict[tuple[int, int], list[int]] = {}
+    segments = [_welch_segments(x) for x in tachograms]
+    for i, s in enumerate(segments):
+        groups.setdefault(s.shape, []).append(i)
+    for (n_segments, nperseg), members in groups.items():
+        per_chunk = max(1, WELCH_CHUNK_SEGMENTS // n_segments)
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start : start + per_chunk]
+            stack = np.stack([segments[i] for i in chunk])
+            freqs, power = _welch_density(stack, max(BREATH_NFFT, nperseg))
+            band = (freqs >= BREATH_BAND_HZ[0]) & (freqs <= BREATH_BAND_HZ[1])
+            power = power[:, band]
+            peak = freqs[band][np.argmax(power, axis=1)]
+            rates[chunk] = np.where(power.max(axis=1) <= _FLAT_POWER_EPS, math.nan, peak)
+    return rates
+
+
+def estimate_breathing(rr_ms: np.ndarray) -> float:
+    """Dominant respiratory frequency (Hz) from an RR series: the breathing
+    rate of a block of one.
+
+    The tachogram (value r_n at the cumulative time of beat n) is linearly
+    interpolated onto a uniform 4 Hz grid, mean-removed, and fed to a Welch
+    PSD (8 s Hann segments, 50% overlap, zero-padded to a fine grid).  Returns
+    the frequency of maximum power inside 0.1-0.4 Hz, or NaN when the band is
+    flat, e.g. for a constant RR series.  Raises InsufficientSpanError for
+    fewer than 4 intervals or under 8 s of them.
+    """
+    return float(_breathing_rates([_tachogram(rr_ms)])[0])
+
+
+def _exact_sd2(r: np.ndarray) -> float:
+    """sd2 = sqrt(2·sdnn² − 0.5·rmssd²), exact on the RR values as integer
+    multiples of their finest power of two and rounded once, so a degenerate
+    series gives 0."""
     ratios = [x.as_integer_ratio() for x in r.tolist()]
     unit = max(den for _, den in ratios)
     v, n = [num * (unit // den) for num, den in ratios], r.size
     centred = 4 * (n - 1) * (n * sum(x * x for x in v) - sum(v) ** 2)  # 4n²(n − 1)·sdnn²·unit²
     steps = n * n * sum((b - a) ** 2 for a, b in zip(v, v[1:]))  # n²(n − 1)·rmssd²·unit²
-    sd2 = math.sqrt(max(0.0, (centred - steps) / (2 * n * n * (n - 1) * unit * unit)))
-    s = math.pi * sd1 * sd2
-    sd1_sd2 = sd1 / sd2 if sd2 > 0.0 else math.nan
-    try:
-        br = estimate_breathing(r)
-    except InsufficientSpanError:
-        br = math.nan
+    return math.sqrt(max(0.0, (centred - steps) / (2 * n * n * (n - 1) * unit * unit)))
 
-    return FeatureVector(
-        bpm=bpm,
-        ibi=ibi,
-        sdnn=sdnn,
-        sdsd=sdsd,
-        rmssd=rmssd,
-        pnn20=pnn20,
-        pnn50=pnn50,
-        mad=mad,
-        br=br,
-        sd1=sd1,
-        sd2=sd2,
-        s=s,
-        sd1_sd2=sd1_sd2,
-    )
+
+def feature_block(beats: list[BeatSeries | None]) -> np.ndarray:
+    """The 13 features of each window of a block, as a (W, 13) float64 matrix
+    in FEATURE_NAMES order.
+
+    None stands for a window whose detection failed; its row, and the row of
+    a window with fewer than 4 accepted RR intervals, is NaN throughout.
+    Population statistics throughout.  sd1/sd2 follow the rmssd/sdnn
+    identities; when sd2 degenerates to zero the ratio is NaN.  br is NaN when
+    the series spans under 8 s or its band is flat.
+
+    Windows with the same accepted-RR count are stacked into one C-contiguous
+    array and reduced along its rows, which gives the bits of the one-window
+    reductions.  Padding to one width would change the summation grouping, so
+    there is none.
+    """
+    out = np.full((len(beats), len(FEATURE_NAMES)), math.nan)
+    rr = [b.accepted_rr_ms() if b is not None else np.empty(0) for b in beats]
+    counts = np.array([r.size for r in rr], dtype=np.int64)
+    for n in np.unique(counts[counts >= 4]):
+        rows = np.flatnonzero(counts == n)
+        r = np.stack([rr[i] for i in rows])
+        d = np.diff(r, axis=1)
+        ibi = r.mean(axis=1)
+        rmssd = np.sqrt(np.mean(d * d, axis=1))
+        sd1 = np.sqrt(0.5 * rmssd * rmssd)
+        sd2 = np.array([_exact_sd2(x) for x in r])
+        sd1_sd2 = np.divide(sd1, sd2, out=np.full(rows.size, math.nan), where=sd2 > 0.0)
+        mad = np.median(np.abs(r - np.median(r, axis=1, keepdims=True)), axis=1)
+        out[rows] = np.column_stack([
+            60000.0 / ibi, ibi, np.std(r, axis=1), np.std(d, axis=1), rmssd,
+            np.mean(np.abs(d) > 20.0, axis=1), np.mean(np.abs(d) > 50.0, axis=1), mad,
+            np.full(rows.size, math.nan), sd1, sd2, np.pi * sd1 * sd2, sd1_sd2,
+        ])
+
+    spanned, tachograms = [], []
+    for i in np.flatnonzero(counts >= 4):
+        try:
+            tachograms.append(_tachogram(rr[i]))
+        except InsufficientSpanError:
+            continue
+        spanned.append(i)
+    out[spanned, FEATURE_NAMES.index("br")] = _breathing_rates(tachograms)
+    return out
+
+
+def compute_features(beats: BeatSeries, sample_rate_hz: float) -> FeatureVector:
+    """All 13 features over the accepted RR sequence of one window: the
+    feature_block of a block of one.  Raises TooFewBeatsError for fewer than
+    4 accepted RR intervals."""
+    n = int(np.count_nonzero(beats.accepted))
+    if n < 4:
+        raise TooFewBeatsError(f"need >= 4 accepted RR intervals, got {n}")
+    return FeatureVector(*feature_block([beats])[0].tolist())

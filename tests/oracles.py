@@ -5,6 +5,11 @@ Python, separately from the library code it checks: feature statistics by
 direct summation, the breathing spectrum by an explicit segment-and-window
 loop, AUC by brute force over positive/negative pairs, Shapley values by full
 permutation enumeration, and filter gains by evaluating the transfer function.
+
+The per-window feature path at the end is the exception: it is the library's
+numpy code as it ran one window at a time, before the features and the
+breathing spectrum were computed for a block of windows.  The block code must
+give its bits exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import math
 from statistics import median
 
 import numpy as np
+
+from hrvaffect.hrv import InsufficientSpanError, TooFewBeatsError
 
 BREATH_BAND = (0.1, 0.4)
 GRID_RATE = 4.0
@@ -162,3 +169,78 @@ def sine_amplitude(samples: np.ndarray) -> float:
     """Peak amplitude of an (assumed) sinusoid from interior samples."""
     interior = samples[len(samples) // 4 : -len(samples) // 4]
     return float(np.max(np.abs(interior)))
+
+
+# ---------------------------------------------------------------------------
+# The per-window feature path
+# ---------------------------------------------------------------------------
+
+def _window_welch_density(x, nperseg: int, nfft: int):
+    from scipy import fft as sp_fft
+
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
+    spectrum = sp_fft.rfft(segments * window, n=nfft)
+    power = (np.conjugate(spectrum) * spectrum).real
+    power *= 1.0 / (GRID_RATE * (window * window).sum())
+    power[:, 1 : (nfft + 1) // 2] *= 2.0
+    return sp_fft.rfftfreq(nfft, 1.0 / GRID_RATE), power.mean(axis=0)
+
+
+def window_breathing(rr_ms) -> float:
+    """Breathing rate of one RR series; raises InsufficientSpanError."""
+    rr_ms = np.asarray(rr_ms, dtype=np.float64)
+    if rr_ms.size < 4:
+        raise InsufficientSpanError("need at least 4 RR intervals")
+    times_s = np.cumsum(rr_ms) / 1000.0
+    span = times_s[-1]
+    if span < 8.0:
+        raise InsufficientSpanError(f"RR series spans {span:.2f} s < 8.0 s")
+
+    n_grid = int(np.floor((times_s[-1] - times_s[0]) * GRID_RATE)) + 1
+    grid = times_s[0] + np.arange(n_grid) / GRID_RATE
+    tachogram = np.interp(grid, times_s, rr_ms)
+    tachogram = tachogram - tachogram.mean()
+
+    nperseg = min(SEGMENT_SAMPLES, n_grid)
+    freqs, power = _window_welch_density(tachogram, nperseg, max(NFFT, nperseg))
+    band = (freqs >= BREATH_BAND[0]) & (freqs <= BREATH_BAND[1])
+    band_power = power[band]
+    if band_power.size == 0 or band_power.max() <= 1e-10:
+        return math.nan
+    return float(freqs[band][int(np.argmax(band_power))])
+
+
+def window_features(beats) -> np.ndarray:
+    """The 13 features of one window's BeatSeries, in FEATURE_NAMES order;
+    raises TooFewBeatsError."""
+    r = beats.accepted_rr_ms()
+    if r.size < 4:
+        raise TooFewBeatsError(f"need >= 4 accepted RR intervals, got {r.size}")
+    d = np.diff(r)
+
+    ibi = float(r.mean())
+    bpm = 60000.0 / ibi
+    sdnn = float(np.std(r))
+    sdsd = float(np.std(d))
+    rmssd = float(np.sqrt(np.mean(d * d)))
+    pnn20 = float(np.mean(np.abs(d) > 20.0))
+    pnn50 = float(np.mean(np.abs(d) > 50.0))
+    mad = float(np.median(np.abs(r - np.median(r))))
+    sd1 = math.sqrt(max(0.0, 0.5 * rmssd * rmssd))
+    ratios = [x.as_integer_ratio() for x in r.tolist()]
+    unit = max(den for _, den in ratios)
+    v, n = [num * (unit // den) for num, den in ratios], r.size
+    centred = 4 * (n - 1) * (n * sum(x * x for x in v) - sum(v) ** 2)
+    steps = n * n * sum((b - a) ** 2 for a, b in zip(v, v[1:]))
+    sd2 = math.sqrt(max(0.0, (centred - steps) / (2 * n * n * (n - 1) * unit * unit)))
+    s = math.pi * sd1 * sd2
+    sd1_sd2 = sd1 / sd2 if sd2 > 0.0 else math.nan
+    try:
+        br = window_breathing(r)
+    except InsufficientSpanError:
+        br = math.nan
+    return np.array(
+        [bpm, ibi, sdnn, sdsd, rmssd, pnn20, pnn50, mad, br, sd1, sd2, s, sd1_sd2],
+        dtype=np.float64,
+    )

@@ -1,11 +1,16 @@
-"""Beat detection over a block of windows against the per-window detector.
+"""Beat detection and features over a block of windows against the
+per-window path.
 
 The oracle below is the detector as it ran one window at a time: one full
 threshold mask per factor, and a Python loop over the mask's runs.
-threshold_candidates must give, for every factor, exactly its peaks.  The
-breathing spectrum, which replaced scipy.signal.welch, is checked against it
-at the end.
+threshold_candidates must give, for every factor, exactly its peaks.
+feature_block must give the bytes of the per-window feature path in
+tests/oracles.py, NaN positions and signed zeros included.  The breathing
+spectrum, which replaced scipy.signal.welch, is checked against it at the end.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,17 +24,23 @@ from hrvaffect.hrv import (
     FEATURE_NAMES,
     ROLLING_MEAN_SPAN_S,
     THRESHOLD_FACTORS,
+    BeatSeries,
     NoPlausiblePeaksError,
     TooFewBeatsError,
+    _breathing_rates,
     _row_medians,
+    _tachogram,
     _welch_density,
+    _welch_segments,
     compute_features,
     detect_beats,
+    feature_block,
     threshold_candidates,
 )
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic, load_synthetic_spec
 from hrvaffect.pipeline import PipelineConfig, featurize
-from helpers import readme_json_blocks
+from helpers import beats_from_rr, readme_json_blocks
+from oracles import window_features
 from run_twin_experiment import twin_spec
 
 
@@ -108,20 +119,32 @@ def readme_spec(tmp_path_factory):
     return load_synthetic_spec(path)
 
 
+# Noisy enough that some ECG windows fail detection and one has too few beats.
+NOISY_SPEC = SyntheticSpec(
+    duration_s=120.0, ecg_rate_hz=350.0, ppg_rate_hz=64.0,
+    states=(StateSpec("baseline", 70.0, 15.0, 120.0),), noise_std=0.5, seed=5,
+)
+
 RECORDINGS = {
     "readme_quickstart": readme_spec,
     "twin_high": lambda _: twin_spec(1000.0, 1000.0, 0.01, duration_s=120.0),
     "twin_low": lambda _: twin_spec(700.0, 64.0, 0.3, duration_s=120.0),
+    "noisy": lambda _: NOISY_SPEC,
 }
 
 
 @pytest.fixture(scope="module", params=RECORDINGS, ids=RECORDINGS)
-def recording_windows(request, tmp_path_factory):
-    """Every labeled window of one recording, as (ECG windows, PPG windows)."""
+def recording(request, tmp_path_factory):
     subject, _ = generate_synthetic(RECORDINGS[request.param](tmp_path_factory))
-    ecg = filter_signal(subject.ecg, DEFAULT_ECG_FILTER)
-    ppg = filter_signal(subject.ppg, DEFAULT_PPG_FILTER)
-    return list(zip(*segment_windows(ecg, ppg, subject.annotations, WindowSpec())))
+    return subject
+
+
+@pytest.fixture(scope="module")
+def recording_windows(recording):
+    """Every labeled window of one recording, as (ECG windows, PPG windows)."""
+    ecg = filter_signal(recording.ecg, DEFAULT_ECG_FILTER)
+    ppg = filter_signal(recording.ppg, DEFAULT_PPG_FILTER)
+    return list(zip(*segment_windows(ecg, ppg, recording.annotations, WindowSpec())))
 
 
 class TestRecordings:
@@ -146,6 +169,135 @@ class TestRecordings:
                     assert alone == batched
                 else:
                     assert_same_beats(alone, batched)
+
+
+    def test_feature_block_is_the_per_window_path_bit_for_bit(self, recording_windows):
+        for segments in recording_windows:
+            windows = np.stack([s.samples for s in segments])
+            block = threshold_candidates(windows, segments[0].sample_rate_hz)
+            beats = [detect_or_none(seg, c) for seg, c in zip(segments, block)]
+            assert feature_block(beats).tobytes() == oracle_block(beats).tobytes()
+
+    def test_featurize_counts_what_the_per_window_path_counts(self, recording, recording_windows):
+        rows, stats = featurize([recording], PipelineConfig())
+        for segments in recording_windows:
+            beats = [detect_or_none(seg) for seg in segments]
+            too_few = sum(b is not None and b.accepted.sum() < 4 for b in beats)
+            counters = stats["modalities"][segments[0].modality.value]
+            assert counters["detect_failures"] == beats.count(None)
+            assert counters["too_few_beats"] == too_few
+            assert counters["rows"] == len(segments)
+            got = np.stack([r.values for r in rows if r.modality == segments[0].modality.value])
+            assert got.tobytes() == oracle_block(beats).tobytes()
+
+
+def test_the_noisy_recording_has_both_kinds_of_failed_window():
+    _, stats = featurize([generate_synthetic(NOISY_SPEC)[0]], PipelineConfig())
+    assert stats["modalities"]["ECG"]["detect_failures"] > 0
+    assert stats["modalities"]["ECG"]["too_few_beats"] > 0
+
+
+def detect_or_none(segment, candidates=None):
+    try:
+        return detect_beats(segment, candidates)
+    except NoPlausiblePeaksError:
+        return None
+
+
+def oracle_block(beats):
+    """The per-window path's rows: NaN throughout for a failed detection or
+    fewer than 4 accepted RR intervals."""
+    out = np.full((len(beats), len(FEATURE_NAMES)), np.nan)
+    for i, b in enumerate(beats):
+        if b is not None and b.accepted.sum() >= 4:
+            out[i] = window_features(b)
+    return out
+
+
+def feature(row, name):
+    return row[FEATURE_NAMES.index(name)]
+
+
+# Each case names what it must show, so a case that stops showing it fails.
+EDGE_SERIES = {
+    "four_intervals": [1990.0, 1800.0, 2000.0, 2000.0],
+    "constant": [800.0] * 14,
+    "span_under_8s": [700.0, 720.0, 690.0, 710.0, 705.0, 695.0, 715.0, 700.0, 690.0, 710.0],
+    "flat_band": [850.0] * 20,
+    "rejected_interval": [800.0, 810.0, 2500.0, 805.0, 795.0, 790.0],
+    "three_accepted": [800.0, 2500.0, 810.0, 820.0],
+}
+
+
+def edge_beats(rr):
+    rr = np.asarray(rr)
+    accepted = (rr >= 300.0) & (rr <= 2000.0)
+    return BeatSeries(np.arange(rr.size + 1), rr, accepted)
+
+
+class TestFeatureBlockEdges:
+    def test_each_edge_case_shows_what_it_names(self):
+        rows = {name: feature_block([edge_beats(rr)])[0] for name, rr in EDGE_SERIES.items()}
+        br = FEATURE_NAMES.index("br")
+        # Four plausible intervals span 8 s only when all are 2000 ms, a flat band.
+        for name in ("four_intervals", "span_under_8s"):
+            assert np.isfinite(np.delete(rows[name], [br])).all()
+        assert feature(rows["constant"], "sd2") == 0.0
+        assert math.isnan(feature(rows["constant"], "sd1_sd2"))
+        for name in ("four_intervals", "span_under_8s", "flat_band", "constant"):
+            assert math.isnan(feature(rows[name], "br"))
+        assert np.isnan(rows["three_accepted"]).all()
+        assert np.isfinite(feature(rows["rejected_interval"], "ibi"))
+
+    @pytest.mark.parametrize("name", EDGE_SERIES)
+    def test_block_of_one_is_the_per_window_path(self, name):
+        beats = [edge_beats(EDGE_SERIES[name])]
+        assert feature_block(beats).tobytes() == oracle_block(beats).tobytes()
+        try:
+            want = window_features(beats[0])
+        except TooFewBeatsError:
+            with pytest.raises(TooFewBeatsError):
+                compute_features(beats[0], 700.0)
+        else:
+            assert compute_features(beats[0], 700.0).as_array().tobytes() == want.tobytes()
+
+    def test_one_block_of_every_edge_case_and_several_counts(self):
+        rng = np.random.default_rng(5)
+        beats = [edge_beats(rr) for rr in EDGE_SERIES.values()]
+        beats += [beats_from_rr(rng.uniform(600.0, 1100.0, n)) for n in (4, 9, 9, 13, 30, 4)]
+        beats.insert(3, None)
+        assert feature_block(beats).tobytes() == oracle_block(beats).tobytes()
+
+    def test_a_block_where_every_window_fails(self):
+        beats = [None, edge_beats(EDGE_SERIES["three_accepted"]), None]
+        got = feature_block(beats)
+        assert got.shape == (3, len(FEATURE_NAMES))
+        assert got.tobytes() == oracle_block(beats).tobytes()
+        assert feature_block([]).shape == (0, len(FEATURE_NAMES))
+
+    @given(st.lists(
+        st.lists(st.floats(min_value=250.0, max_value=2100.0), min_size=0, max_size=50),
+        min_size=1, max_size=12,
+    ))
+    def test_any_block_is_the_per_window_path(self, series):
+        beats = [edge_beats(rr) for rr in series]
+        assert feature_block(beats).tobytes() == oracle_block(beats).tobytes()
+
+
+def test_breathing_block_peak_memory_stays_small():
+    """1,000 windows' spectra at once would take about 80 MB; chunked Welch
+    keeps the peak of the whole block to a few MB."""
+    rng = np.random.default_rng(3)
+    beat = 800.0 + 40.0 * np.sin(0.9 * np.arange(14))
+    tachograms = [_tachogram(beat + rng.normal(0.0, 5.0, 14)) for _ in range(1000)]
+    tracemalloc.start()
+    try:
+        rates = _breathing_rates(tachograms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(rates).all()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @given(arrays(
@@ -289,7 +441,7 @@ def test_welch_density_matches_scipy(n_grid):
     x = 40.0 * np.sin(2 * np.pi * 0.25 * t) + rng.normal(0.0, 10.0, n_grid)
     x = x - x.mean()
     nperseg = min(32, n_grid)
-    freqs, power = _welch_density(x, nperseg, 4096)
+    freqs, (power,) = _welch_density(_welch_segments(x)[None], 4096)
     want_freqs, want = sps.welch(
         x, fs=4.0, window="hann", nperseg=nperseg, noverlap=nperseg // 2, nfft=4096,
         detrend=False,

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hrvaffect.core import AnnotationTrack, LabelScheme, Modality, SignalRecord, ValueOutOfRangeError
+from hrvaffect.core import (
+    DISCARDED_CODES, DISCRETE_CODE_LABELS, AnnotationTrack, LabelScheme, Modality, SignalRecord,
+    ValueOutOfRangeError,
+)
 from hrvaffect.dsp import (
     DEFAULT_ECG_FILTER,
     CutoffAboveNyquistError,
@@ -127,6 +132,34 @@ class TestResolveLabelDiscrete:
         rng = np.random.default_rng(0)
         arr = np.array(codes)
         assert resolve_label_discrete(arr) == resolve_label_discrete(rng.permutation(arr))
+
+
+def isin_resolve(codes):
+    """resolve_label_discrete with the retained codes selected by np.isin."""
+    if codes.size == 0:
+        return None
+    retained = codes[~np.isin(codes, sorted(DISCARDED_CODES))]
+    if retained.size / codes.size < 0.5:
+        return None
+    mean = float(retained.mean())
+    return DISCRETE_CODE_LABELS[min(DISCRETE_CODE_LABELS, key=lambda c: (abs(mean - c), -c))]
+
+
+def test_code_table_agrees_with_isin():
+    """Every multiset of the 8 codes up to size 4, plus windows that are all
+    discarded or exactly half retained."""
+    windows = [
+        np.array(codes, dtype=np.int64)
+        for size in range(5)
+        for codes in itertools.combinations_with_replacement(range(8), size)
+    ]
+    windows += [np.array([d] * 6) for d in sorted(DISCARDED_CODES)]
+    windows += [
+        np.array([d] * 3 + [k, k + 1, k]) for d in sorted(DISCARDED_CODES) for k in (1, 2, 3)
+    ]
+    assert sum(isin_resolve(w) is None for w in windows) > 0
+    for codes in windows:
+        assert resolve_label_discrete(codes) == isin_resolve(codes), codes.tolist()
 
 
 class TestResolveLabelAv:
