@@ -31,8 +31,6 @@ class EmptyBackgroundError(ValueError):
 class ShapExplanation:
     """Per-feature attribution of one instance's class probability."""
 
-    instance_id: object
-    class_label: str
     base_value: float  # mean model output over the background set
     phi: np.ndarray  # one attribution per feature, model-output units
 
@@ -80,7 +78,6 @@ def _explain(
     x: np.ndarray,
     background_in: list[np.ndarray],
     class_label: str,
-    instance_id: object,
 ) -> ShapExplanation:
     x = np.asarray(x, dtype=np.float64).ravel()
     n_features = len(model.feature_names)
@@ -103,12 +100,7 @@ def _explain(
         base_value += float(value[a == 0].sum())
         phi += (value * weights[a, b]) @ only_x - (value * weights[b, a]) @ only_r
     n_pairs = len(model.trees) * background_in[0].shape[0]
-    return ShapExplanation(
-        instance_id=instance_id,
-        class_label=class_label,
-        base_value=base_value / n_pairs,
-        phi=phi / n_pairs,
-    )
+    return ShapExplanation(base_value=base_value / n_pairs, phi=phi / n_pairs)
 
 
 def shapley_explain(
@@ -116,7 +108,6 @@ def shapley_explain(
     x: np.ndarray,
     background: np.ndarray,
     class_label: str,
-    instance_id: object = None,
 ) -> ShapExplanation:
     """Exact Shapley attributions for one instance and one class.
 
@@ -127,7 +118,7 @@ def shapley_explain(
     rows; base_value, v(empty set), is the mean v over the pairs with A empty.
     By the Shapley identity, base_value + sum(phi) equals the probability on x.
     """
-    return _explain(model, x, _background_in(model, background), class_label, instance_id)
+    return _explain(model, x, _background_in(model, background), class_label)
 
 
 def sample_background(X: np.ndarray, size: int = DEFAULT_BACKGROUND_SIZE, seed: int = 0) -> np.ndarray:
@@ -139,6 +130,11 @@ def sample_background(X: np.ndarray, size: int = DEFAULT_BACKGROUND_SIZE, seed: 
         return X.copy()
     rng = derive_rng(seed, STREAM_BACKGROUND)
     return X[rng.choice(X.shape[0], size=size, replace=False)]
+
+
+def feature_order(means) -> list[int]:
+    """Feature indices by descending mean |phi|, ties by feature index."""
+    return sorted(range(len(means)), key=lambda i: (-means[i], i))
 
 
 def global_importance(
@@ -172,9 +168,7 @@ def global_importance(
     points = []
     background_in = _background_in(model, background)
     for idx in indices:
-        explanation = _explain(
-            model, X[idx], background_in, str(y[idx]), instance_ids[idx]
-        )
+        explanation = _explain(model, X[idx], background_in, str(y[idx]))
         abs_phi = np.abs(explanation.phi)
         abs_sum += abs_phi
         state = str(y[idx])
@@ -187,14 +181,13 @@ def global_importance(
             )
 
     global_mean = abs_sum / indices.size
-    order = sorted(range(n_features), key=lambda i: (-global_mean[i], i))
     return ImportanceReport(
         feature_names=model.feature_names,
         global_mean_abs=global_mean,
         per_state_mean_abs={
             state: state_sums[state] / state_counts[state] for state in sorted(state_sums)
         },
-        ranking=tuple(model.feature_names[i] for i in order),
+        ranking=tuple(model.feature_names[i] for i in feature_order(global_mean)),
         points=tuple(points),
         n_explained=int(indices.size),
     )

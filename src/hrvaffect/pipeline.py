@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -42,7 +42,8 @@ from .serialize import (
     write_compact_json, write_csv, write_json,
 )
 from .variance import (
-    OVERLAP_FLAG_THRESHOLD, flag_overlapping_pairs, inter_signal_variance, state_feature_stats,
+    OVERLAP_FLAG_THRESHOLD, flag_overlapping_pairs, inter_signal_variance, mean_normalized,
+    state_feature_stats,
 )
 
 FEATURES_CSV = "features.csv"
@@ -255,7 +256,7 @@ STATE_STATS = Table("state_stats.csv", {
 })
 ROC_POINTS = Table("roc_points.csv", {"modality": str, "class": str, "fpr": float, "tpr": float})
 IMPORTANCE = Table("importance.csv", {
-    "modality": str, "feature": str, "scope": str, "mean_abs_shap": float, "rank": int,
+    "modality": Modality, "feature": str, "scope": str, "mean_abs_shap": float, "rank": int,
 })
 SHAP_POINTS = Table("shap_points.csv", {
     "modality": str, "instance_id": str, "state": str, "feature": str, "phi": float,
@@ -446,14 +447,8 @@ def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> 
     VARIANCE.write(staging, series_rows, h)
     VARIANCE_SUMMARY.write(staging, summary_rows, h)
 
-    stats = state_feature_stats(
-        [((r.subject_id, r.window_id), r.modality, r.label, r.values) for r in rows]
-    )
-    STATE_STATS.write(staging, [
-        [g.feature, g.state, g.modality, g.n, g.minimum, g.q1, g.q2, g.q3, g.maximum, g.mean,
-         g.std, g.outlier_count]
-        for g in stats
-    ], h)
+    stats = state_feature_stats([(r.modality, r.label, r.values) for r in rows])
+    STATE_STATS.write(staging, map(astuple, stats), h)
 
     # Charts: the headline absolute-difference series and one state boxplot.
     chart_features = ("bpm", "ibi", "br")
@@ -643,10 +638,7 @@ def stage_importance(config: PipelineConfig, out: Path, staging: Path, h: str) -
         for scope, means in [("global", report.global_mean_abs)] + sorted(
             report.per_state_mean_abs.items()
         ):
-            order = sorted(
-                range(len(FEATURE_NAMES)), key=lambda i: (-means[i], i)
-            )
-            rank_of = {i: pos + 1 for pos, i in enumerate(order)}
+            rank_of = {i: rank for rank, i in enumerate(explain_mod.feature_order(means), 1)}
             for i, feature in enumerate(FEATURE_NAMES):
                 importance_rows.append([modality, feature, scope, means[i], rank_of[i]])
         point_rows += [[modality, *point] for point in report.points]
@@ -715,25 +707,35 @@ def stage_report(config: PipelineConfig, out: Path, staging: Path, h: str) -> Pa
                   "normalized_mean_abs_diff": normalized_mean}
         for _, (feature, _, mean, top, missing, _, normalized_mean) in VARIANCE_SUMMARY.read(out, h)
     }
-    normalized = [
-        v["normalized_mean_abs_diff"] for v in per_feature.values()
-        if not math.isnan(v["normalized_mean_abs_diff"])
-    ]
     rankings: dict[str, list[str]] = {}
+    path = out / IMPORTANCE.name
     for line, (modality, feature, scope, _, rank) in IMPORTANCE.read(out, h):
-        if scope == "global":
-            if not 1 <= rank <= len(FEATURE_NAMES):
-                raise PipelineError(
-                    f"{out / IMPORTANCE.name}:{line}: rank {rank} outside 1-{len(FEATURE_NAMES)}"
-                )
-            rankings.setdefault(modality, [None] * len(FEATURE_NAMES))[rank - 1] = feature
+        if scope != "global":
+            continue
+        slots = rankings.setdefault(modality, [None] * len(FEATURE_NAMES))
+        if not 1 <= rank <= len(FEATURE_NAMES):
+            problem = f"rank {rank} outside 1-{len(FEATURE_NAMES)}"
+        elif feature not in FEATURE_NAMES or feature in slots:
+            problem = f"unknown or repeated feature {feature!r}"
+        elif slots[rank - 1] is not None:
+            problem = f"repeated rank {rank}"
+        else:
+            slots[rank - 1] = feature
+            continue
+        raise PipelineError(f"{path}:{line}: {problem} among the {modality} global rows")
+    for modality in ("ECG", "PPG"):
+        slots = rankings.setdefault(modality, [None] * len(FEATURE_NAMES))
+        if None in slots:
+            raise PipelineError(f"{path}: no {modality} global row has rank {slots.index(None) + 1}")
 
     doc = round9({
         "config": config_to_dict(config),
         "config_hash": h,
         "extract": _read_object(out / EXTRACT_STATS_JSON, h),
         "variance": {
-            "mean_normalized_variance": float(np.mean(normalized)) if normalized else None,
+            "mean_normalized_variance": mean_normalized(
+                v["normalized_mean_abs_diff"] for v in per_feature.values()
+            ),
             "per_feature": per_feature,
             "state_overlaps": _read_object(out / STATE_OVERLAPS_JSON, h),
         },

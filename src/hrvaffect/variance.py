@@ -45,14 +45,14 @@ class InterSignalVariance:
 
     def mean_normalized(self) -> float:
         """Scale-free aggregate: mean of normalized per-feature variance."""
-        values = [
-            series.normalized_mean
-            for series in self.per_feature.values()
-            if math.isfinite(series.normalized_mean)
-        ]
-        if not values:
-            return math.nan
-        return float(np.mean(values))
+        return mean_normalized(series.normalized_mean for series in self.per_feature.values())
+
+
+def mean_normalized(values) -> float:
+    """The mean of the finite values among the normalized per-feature
+    variances, NaN when none is finite."""
+    finite = [v for v in values if math.isfinite(v)]
+    return float(np.mean(finite)) if finite else math.nan
 
 
 def inter_signal_variance(
@@ -99,7 +99,8 @@ def inter_signal_variance(
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Distribution of one feature within one (state, modality) group."""
+    """Distribution of one feature within one (state, modality) group: one
+    state_stats.csv row, its fields in column order."""
 
     feature: str
     state: str
@@ -112,71 +113,45 @@ class GroupStats:
     maximum: float
     mean: float
     std: float
-    iqr: float
     outlier_count: int
-    outlier_keys: tuple
-    insufficient: bool
+
+    @property
+    def insufficient(self) -> bool:
+        return self.n < MIN_GROUP_SIZE
 
 
-def state_feature_stats(
-    rows: list[tuple[Hashable, str, str, np.ndarray]],
-) -> list[GroupStats]:
-    """Group (key, modality, state, values) rows, values a row of the
-    FEATURE_NAMES, by (feature, state, modality).
+def state_feature_stats(rows: list[tuple[str, str, np.ndarray]]) -> list[GroupStats]:
+    """Group (modality, state, values) rows, values a row of the FEATURE_NAMES,
+    by (feature, state, modality), sorted so.
 
     Quartiles use linear interpolation between closest ranks; outliers are the
-    values beyond the 1.5*IQR Tukey fences.  Groups with fewer than 4 finite
-    values are reported with insufficient=True and NaN statistics.
+    values beyond the 1.5*IQR Tukey fences.  A group with fewer than 4 finite
+    values is insufficient and holds NaN statistics; a feature with no finite
+    value in a (state, modality) group has no group.
     """
-    groups: dict[tuple[str, str, str], list[tuple[Hashable, float]]] = {}
-    for key, modality, state, values in rows:
-        for feature, value in zip(FEATURE_NAMES, values.tolist()):
-            if math.isfinite(value):
-                groups.setdefault((feature, state, modality), []).append((key, value))
+    blocks: dict[tuple[str, str], list[np.ndarray]] = {}
+    for modality, state, values in rows:
+        blocks.setdefault((state, modality), []).append(values)
 
     out = []
-    for (feature, state, modality), members in sorted(groups.items()):
-        values = np.array([v for _, v in members])
-        if values.size < MIN_GROUP_SIZE:
-            out.append(
-                GroupStats(
-                    feature, state, modality, int(values.size),
-                    *(math.nan,) * 8, 0, (), True,
-                )
-            )
-            continue
-        q1, q2, q3 = (float(q) for q in np.quantile(values, [0.25, 0.5, 0.75]))
-        iqr = q3 - q1
-        lo_fence = q1 - 1.5 * iqr
-        hi_fence = q3 + 1.5 * iqr
-        outlier_mask = (values < lo_fence) | (values > hi_fence)
-        out.append(
-            GroupStats(
-                feature=feature,
-                state=state,
-                modality=modality,
-                n=int(values.size),
-                minimum=float(values.min()),
-                q1=q1,
-                q2=q2,
-                q3=q3,
-                maximum=float(values.max()),
-                mean=float(values.mean()),
-                std=float(np.std(values)),
-                iqr=iqr,
-                outlier_count=int(outlier_mask.sum()),
-                outlier_keys=tuple(k for (k, _), bad in zip(members, outlier_mask) if bad),
-                insufficient=False,
-            )
-        )
-    return out
-
-
-def _find_group(stats, feature, modality, state) -> GroupStats | None:
-    for g in stats:
-        if g.feature == feature and g.modality == modality and g.state == state:
-            return g
-    return None
+    for (state, modality), block in blocks.items():
+        X = np.array(block).reshape(-1, len(FEATURE_NAMES))
+        for feature, column in zip(FEATURE_NAMES, X.T):
+            values = column[np.isfinite(column)]
+            if values.size == 0:
+                continue
+            if values.size < MIN_GROUP_SIZE:
+                out.append(GroupStats(feature, state, modality, values.size, *(math.nan,) * 7, 0))
+                continue
+            q1, q2, q3 = (float(q) for q in np.quantile(values, [0.25, 0.5, 0.75]))
+            iqr = q3 - q1
+            outliers = (values < q1 - 1.5 * iqr) | (values > q3 + 1.5 * iqr)
+            out.append(GroupStats(
+                feature, state, modality, values.size, float(values.min()), q1, q2, q3,
+                float(values.max()), float(values.mean()), float(np.std(values)),
+                int(outliers.sum()),
+            ))
+    return sorted(out, key=lambda g: (g.feature, g.state, g.modality))
 
 
 def state_overlap_score(
@@ -187,8 +162,8 @@ def state_overlap_score(
     Defined as intersection length over the smaller box length; a degenerate
     box scores 1 when its point lies inside the other box, else 0.
     """
-    a = _find_group(stats, feature, modality, state_a)
-    b = _find_group(stats, feature, modality, state_b)
+    groups = {(g.state, g.modality, g.feature): g for g in stats}
+    a, b = (groups.get((state, modality, feature)) for state in (state_a, state_b))
     if a is None or b is None or a.insufficient or b.insufficient:
         raise KeyError(
             f"no stats for feature {feature!r} modality {modality!r} "

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from fractions import Fraction
 from statistics import median
 
 import numpy as np
@@ -101,7 +102,15 @@ def oracle_features(rr_ms) -> dict[str, float]:
     rmssd = math.sqrt(sum(v * v for v in d) / len(d))
     med = median(r)
     sd1 = rmssd / math.sqrt(2.0)
-    sd2 = math.sqrt(max(0.0, 2.0 * sdnn * sdnn - 0.5 * rmssd * rmssd))
+    # sd2² = 2·sdnn² − 0.5·rmssd² in exact rational arithmetic, rounded once: in
+    # floats the two terms of a constant series leave a residue of ~1e-13, and
+    # sd1_sd2 would read 0 where the ratio is 0/0.
+    q = [Fraction(v) for v in r]
+    q_mean = sum(q) / n
+    sd2_sq = 2 * sum((v - q_mean) ** 2 for v in q) / n - sum(
+        (b - a) ** 2 for a, b in zip(q, q[1:])
+    ) / (2 * (n - 1))
+    sd2 = math.sqrt(max(0.0, float(sd2_sq)))
     return {
         "bpm": 60000.0 / ibi,
         "ibi": ibi,

@@ -380,10 +380,15 @@ def test_bad_filter_fails_before_scipy_signal_is_imported(tmp_path, flags, field
     assert not (tmp_path / "run").exists()
 
 
-def _edit_first_row(text, edit):
+def _edit_rows(text, edit):
+    """The CSV text with its data rows, as lists of cells, passed through edit."""
     lines = text.splitlines(keepends=True)
-    lines[2] = ",".join(edit(lines[2].rstrip("\n").split(","))) + "\n"
-    return "".join(lines)
+    rows = edit([line.rstrip("\n").split(",") for line in lines[2:]])
+    return "".join(lines[:2] + [",".join(cells) + "\n" for cells in rows])
+
+
+def _edit_first_row(text, edit):
+    return _edit_rows(text, lambda rows: [edit(rows[0]), *rows[1:]])
 
 
 # Each edit leaves an out_dir input that the variance stage cannot use; the
@@ -457,6 +462,33 @@ CORRUPT_REPORT_INPUT = {
     "rank_out_of_range": (
         "importance.csv", lambda text: _edit_first_row(text, lambda c: [*c[:4], "0"]),
         ":3: rank 0 outside 1-13",
+    ),
+    # The first two rows are the ECG global rows of bpm and ibi.
+    "rank_repeated": (
+        "importance.csv",
+        lambda text: _edit_rows(text, lambda r: [r[0], [*r[1][:4], r[0][4]], *r[2:]]),
+        ":4: repeated rank",
+    ),
+    "feature_repeated": (
+        "importance.csv",
+        lambda text: _edit_rows(text, lambda r: [r[0], [r[1][0], r[0][1], *r[1][2:]], *r[2:]]),
+        ":4: unknown or repeated feature 'bpm'",
+    ),
+    "feature_unknown": (
+        "importance.csv", lambda text: _edit_first_row(text, lambda c: [c[0], "hr", *c[2:]]),
+        ":3: unknown or repeated feature 'hr'",
+    ),
+    "global_row_missing": (
+        "importance.csv", lambda text: _edit_rows(text, lambda rows: rows[1:]),
+        ": no ECG global row has rank",
+    ),
+    "unknown_modality": (
+        "importance.csv", lambda text: _edit_first_row(text, lambda c: ["EEG", *c[1:]]),
+        ":3: 'EEG' is not a valid Modality",
+    ),
+    "modality_missing": (
+        "importance.csv", lambda text: _edit_rows(text, lambda rows: [r for r in rows if r[0] != "ECG"]),
+        ": no ECG global row has rank 1",
     ),
 }
 

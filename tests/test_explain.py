@@ -212,7 +212,7 @@ class TestGlobalImportance:
         assert len(by_instance) == 9
         for instance_id, phis in by_instance.items():
             i = int(instance_id[1:])
-            alone = shapley_explain(model, X_nan[i], X[30:60], str(y[i]), instance_id)
+            alone = shapley_explain(model, X_nan[i], X[30:60], str(y[i]))
             assert [phis[name] for name in model.feature_names] == alone.phi.tolist()
 
     def test_duplicated_feature_importance_splits_but_sums(self):

@@ -67,6 +67,7 @@ class TestComputeFeatures:
         assert fv.ibi == pytest.approx(np.mean([800.0, 810.0, 805.0, 795.0]))
 
     @given(rr_lists)
+    @example(rr=[819.7299528687735] * 5)
     def test_matches_direct_formula_oracle(self, rr):
         fv = compute_features(beats_from_rr(rr), 700.0)
         expected = oracle_features(rr)

@@ -1,13 +1,21 @@
+import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import readme_json_blocks
 from hrvaffect.hrv import FEATURE_NAMES, FeatureVector
-from hrvaffect.pipeline import FeatureRow, feature_variance
+from hrvaffect.pipeline import (
+    STATE_STATS, FeatureRow, config_from_dict, feature_variance, read_feature_rows, run_hash,
+    stage_extract, stage_variance,
+)
 from hrvaffect.variance import (
+    GroupStats,
     NoAlignedWindowsError,
     flag_overlapping_pairs,
     inter_signal_variance,
@@ -95,10 +103,13 @@ class TestInterSignalVariance:
 
 
 def rows_from_values(feature_values, state="baseline", modality="ECG"):
-    return [
-        (i, modality, state, fv(bpm=v))
-        for i, v in enumerate(feature_values)
-    ]
+    return [(modality, state, fv(bpm=v)) for v in feature_values]
+
+
+def beyond_fences(g, values):
+    """The values beyond g's Tukey fences, in their order."""
+    iqr = g.q3 - g.q1
+    return [v for v in values if v < g.q1 - 1.5 * iqr or v > g.q3 + 1.5 * iqr]
 
 
 class TestStateFeatureStats:
@@ -117,13 +128,14 @@ class TestStateFeatureStats:
     def test_constant_group(self):
         g = self.find(state_feature_stats(rows_from_values([7, 7, 7, 7])))
         assert g.std == 0.0
-        assert g.iqr == 0.0
+        assert g.q3 - g.q1 == 0.0
         assert g.outlier_count == 0
 
     def test_outlier_above_fence(self):
-        g = self.find(state_feature_stats(rows_from_values([1, 2, 3, 4, 100])))
+        values = [1, 2, 3, 4, 100]
+        g = self.find(state_feature_stats(rows_from_values(values)))
         assert g.outlier_count == 1
-        assert g.outlier_keys == (4,)
+        assert beyond_fences(g, values) == [100]
 
     def test_insufficient_group_flagged(self):
         g = self.find(state_feature_stats(rows_from_values([1, 2, 3])))
@@ -133,7 +145,7 @@ class TestStateFeatureStats:
 
     def test_nan_values_excluded(self):
         rows = rows_from_values([1, 2, 3, 4])
-        rows.append((9, "ECG", "baseline", fv(bpm=math.nan)))
+        rows.append(("ECG", "baseline", fv(bpm=math.nan)))
         g = self.find(state_feature_stats(rows))
         assert g.n == 4
 
@@ -142,33 +154,58 @@ class TestStateFeatureStats:
         base = self.find(state_feature_stats(rows_from_values(values)))
         rng = np.random.default_rng(0)
         perm = list(rng.permutation(len(values)))
-        shuffled = [(i, "ECG", "baseline", fv(bpm=values[j])) for i, j in enumerate(perm)]
-        other = self.find(state_feature_stats(shuffled))
+        shuffled = [values[j] for j in perm]
+        other = self.find(state_feature_stats(rows_from_values(shuffled)))
         assert other.outlier_count == base.outlier_count
-        # Keys follow the rows, so compare the outliers' values as multisets.
-        assert sorted(values[perm[k]] for k in other.outlier_keys) == sorted(
-            values[k] for k in base.outlier_keys
-        )
+        assert sorted(beyond_fences(other, shuffled)) == sorted(beyond_fences(base, values))
         assert other.q1 == pytest.approx(base.q1, rel=1e-12, abs=1e-12)
 
     def test_removing_outliers_never_flags_former_inliers(self):
         values = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 50.0, -40.0]
         stats = self.find(state_feature_stats(rows_from_values(values)))
-        inliers = [v for i, v in enumerate(values) if i not in stats.outlier_keys]
+        outliers = beyond_fences(stats, values)
+        assert len(outliers) == stats.outlier_count
+        inliers = [v for v in values if v not in outliers]
         assert sorted(inliers) == [10.0, 11.0, 12.0, 13.0, 14.0, 15.0]
         again = self.find(state_feature_stats(rows_from_values(inliers)))
         assert again.outlier_count == 0
 
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["ECG", "PPG"]), st.sampled_from(["a", "b"]),
+            st.lists(st.sampled_from([math.nan, -2.5, 0.0, 1.0, 3.25, 80.0]),
+                     min_size=len(FEATURE_NAMES), max_size=len(FEATURE_NAMES)),
+        ),
+        max_size=30,
+    ))
+    def test_equals_grouping_value_by_value(self, rows):
+        """The block grouping gives the bits of collecting each group's finite
+        values one at a time, in row order."""
+        rows = [(modality, state, np.array(values)) for modality, state, values in rows]
+        groups = {}
+        for modality, state, values in rows:
+            for feature, value in zip(FEATURE_NAMES, values.tolist()):
+                if math.isfinite(value):
+                    groups.setdefault((feature, state, modality), []).append(value)
+        got = state_feature_stats(rows)
+        assert [(g.feature, g.state, g.modality) for g in got] == sorted(groups)
+        for g in got:
+            values = np.array(groups[g.feature, g.state, g.modality])
+            assert g.n == values.size
+            if g.insufficient:
+                continue
+            q1, q2, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+            expected = (values.min(), q1, q2, q3, values.max(), values.mean(), np.std(values))
+            got_floats = (g.minimum, g.q1, g.q2, g.q3, g.maximum, g.mean, g.std)
+            assert np.array(got_floats).tobytes() == np.array(expected).tobytes()
+            assert g.outlier_count == len(beyond_fences(g, values.tolist()))
+
 
 class TestStateOverlap:
     def stats_for(self, groups):
-        rows = []
-        key = 0
-        for state, values in groups.items():
-            for v in values:
-                rows.append((key, "ECG", state, fv(bpm=v)))
-                key += 1
-        return state_feature_stats(rows)
+        return state_feature_stats(
+            [("ECG", state, fv(bpm=v)) for state, values in groups.items() for v in values]
+        )
 
     def test_disjoint_boxes(self):
         stats = self.stats_for({"a": [0, 0.4, 0.6, 1], "b": [2, 2.4, 2.6, 3]})
@@ -203,3 +240,46 @@ class TestStateOverlap:
         )
         flagged = flag_overlapping_pairs(stats, "bpm", "ECG", threshold=0.5)
         assert [(a, b) for a, b, _ in flagged] == [("a", "b")]
+
+
+def test_group_stats_fields_are_the_state_stats_columns():
+    renamed = {"min": "minimum", "max": "maximum"}
+    assert len(fields(GroupStats)) == len(STATE_STATS.columns)
+    assert [f.name for f in fields(GroupStats)] == [renamed.get(c, c) for c in STATE_STATS.columns]
+
+
+def test_state_stats_rows_read_back_as_group_stats(tmp_path, monkeypatch):
+    """On the README quick-start, each state_stats.csv row read back is
+    GroupStats(*cells), and those rows give the overlaps state_overlaps.json
+    holds and, for every feature and state pair, the score of the stats the
+    variance stage computed."""
+    spec, config = readme_json_blocks()[:2]
+    monkeypatch.chdir(tmp_path)
+    Path("synth_spec.json").write_text(spec)
+    config = config_from_dict(json.loads(config))
+    stage_extract(config)
+    stage_variance(config)
+    out, h = Path(config.out_dir), run_hash(config)
+    read_back = [GroupStats(*cells) for _, cells in STATE_STATS.read(out, h)]
+    computed = state_feature_stats([(r.modality, r.label, r.values) for r in read_feature_rows(out, h)])
+    assert [(g.feature, g.state, g.modality, g.n) for g in read_back] == [
+        (g.feature, g.state, g.modality, g.n) for g in computed
+    ]
+
+    def assert_same_pairs(got, expected, rel):
+        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expected]
+        assert [s for *_, s in got] == pytest.approx([s for *_, s in expected], rel=rel)
+
+    overlaps = json.loads((out / "state_overlaps.json").read_text())
+    assert overlaps["feature"] == "bpm"
+    for modality, pairs in overlaps["flagged_pairs"].items():
+        assert_same_pairs(flag_overlapping_pairs(read_back, "bpm", modality), pairs, 1e-8)
+    # Every pair scores; quartiles kept to 9 digits move a narrow box's score
+    # by more than 1e-8 of itself.
+    for feature in FEATURE_NAMES:
+        for modality in ("ECG", "PPG"):
+            assert_same_pairs(
+                flag_overlapping_pairs(read_back, feature, modality, threshold=0.0),
+                flag_overlapping_pairs(computed, feature, modality, threshold=0.0),
+                1e-6,
+            )
