@@ -67,7 +67,17 @@ class ValueOutOfRangeError(ValidationError):
         super().__init__(message or f"value {value} at index {index} outside {AV_RANGE}")
 
 
-def _frozen_float_array(values, dtype=np.float64) -> np.ndarray:
+def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """values as a read-only C-contiguous array of dtype.  An array that
+    already is one, and that views only arrays nobody can write, is shared;
+    anything else is copied, so no caller can change a value held here."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.c_contiguous):
+        owner = values
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None:
+            return values
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
@@ -99,7 +109,7 @@ class SignalRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "modality", Modality(self.modality))
-        object.__setattr__(self, "samples", _frozen_float_array(self.samples))
+        object.__setattr__(self, "samples", _frozen_array(self.samples))
         if not self.sample_rate_hz > 0:
             raise NonPositiveRateError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         if self.samples.size == 0:
@@ -145,14 +155,13 @@ class AnnotationTrack:
     def __post_init__(self):
         object.__setattr__(self, "scheme", LabelScheme(self.scheme))
         if self.scheme is LabelScheme.DISCRETE_STATE:
-            arr = np.array(self.values, dtype=np.int64, copy=True)
+            arr = _frozen_array(self.values, np.int64)
             if arr.ndim != 1:
                 raise ValidationError("discrete annotation values must be 1-D codes")
         else:
-            arr = np.array(self.values, dtype=np.float64, copy=True)
+            arr = _frozen_array(self.values, np.float64)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValidationError("arousal/valence values must have shape (n, 2)")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if not self.sample_rate_hz > 0:
             raise NonPositiveRateError(f"annotation rate must be positive, got {self.sample_rate_hz}")
@@ -196,7 +205,7 @@ class WindowedSegment:
 
     def __post_init__(self):
         object.__setattr__(self, "modality", Modality(self.modality))
-        object.__setattr__(self, "samples", _frozen_float_array(self.samples))
+        object.__setattr__(self, "samples", _frozen_array(self.samples))
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -177,7 +177,7 @@ class SyntheticSpec:
         rates = {"ecg_rate_hz": self.ecg_rate_hz, "ppg_rate_hz": self.ppg_rate_hz}
         rendered = {name: _rendered_samples(self.duration_s, rate) / rate
                     for name, rate in rates.items()}
-        if _durations_disagree(rendered.values()):
+        if _durations_disagree([self.duration_s, *rendered.values()]):
             name = max(rendered, key=lambda k: abs(rendered[k] - self.duration_s))
             raise InvalidSpecError(
                 f"{name} {rates[name]} renders {rendered[name]:.2f}s of duration_s "
@@ -344,6 +344,9 @@ def generate_synthetic(
             arousal = AV_LOW_VALUE if label[0] == "L" else AV_HIGH_VALUE
             valence = AV_LOW_VALUE if label[2] == "L" else AV_HIGH_VALUE
             values[int(round(t0 * ann_rate)) : int(round(t1 * ann_rate))] = (arousal, valence)
+    # Frozen arrays are shared by the records, not copied.
+    for arr in (ecg, ppg, values):
+        arr.setflags(write=False)
 
     subject = SubjectData(
         subject_id=subject_id,
@@ -451,18 +454,20 @@ def _loadtxt_body(path: Path, header: str, dtype) -> np.ndarray | None:
         return None
     if rows.shape[1] != n_fields:
         return None
-    return np.ascontiguousarray(rows[:, 1] if n_fields == 2 else rows[:, 1:])
+    return (rows[:, 1] if n_fields == 2 else rows[:, 1:]).copy()
 
 
 def _read_table(path: Path, kind: str | LabelScheme) -> np.ndarray:
     """The canonical table of `kind` at `path`, in one numpy parse or, when
     that declines, in a line loop that accepts what Python's float and int
-    accept and raises ParseError on the first bad line."""
+    accept and raises ParseError on the first bad line.  The array is frozen,
+    so the record or track built from it holds it without a copy."""
     signal = kind == "signal"
     expected = _HEADERS[kind]
     dtype = np.int64 if kind is LabelScheme.DISCRETE_STATE else np.float64
     values = _loadtxt_body(path, expected, dtype)
     if values is not None:
+        values.setflags(write=False)
         return values
     n_fields = expected.count(",") + 1
     parse = int if dtype is np.int64 else float
@@ -488,6 +493,7 @@ def _read_table(path: Path, kind: str | LabelScheme) -> np.ndarray:
                 raise ParseError(path, lineno, message) from None
             rows.append(row)
     values = np.array(rows, dtype=dtype)
+    values.setflags(write=False)
     return values.ravel() if n_fields == 2 else values
 
 

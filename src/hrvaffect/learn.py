@@ -485,7 +485,7 @@ def stratified_kfold(y, k: int = DEFAULT_CV_FOLDS, seed: int = 0) -> np.ndarray:
     for c in sorted(set(y)):
         idx = np.flatnonzero(y == c)
         if idx.size < k:
-            raise ClassSmallerThanKError(f"class {c!r} has {idx.size} rows < k={k}")
+            raise ClassSmallerThanKError(f"class {str(c)!r} has {idx.size} rows < k={k}")
         idx = rng.permutation(idx)
         base, extra = divmod(idx.size, k)
         start = 0

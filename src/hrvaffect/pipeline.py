@@ -13,7 +13,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, astuple, dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, astuple, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -311,11 +312,21 @@ def stage_synth(spec_path: str | Path, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def load_subjects(config: PipelineConfig) -> tuple[list[ingest.SubjectData], LabelScheme]:
+def _each_subject(manifest: ingest.DatasetManifest, base_dir: Path):
+    """The manifest's subjects, each loaded when it is asked for.  Through
+    `yield from` no local keeps a subject once the next is asked for."""
+    for entry in manifest.subjects:
+        yield from ingest.load_dataset(replace(manifest, subjects=(entry,)), base_dir)
+
+
+def load_subjects(config: PipelineConfig) -> tuple[Iterable[ingest.SubjectData], LabelScheme]:
+    """The subjects the config names and their label scheme.  A manifest's
+    subjects are loaded one at a time as they are iterated, so only the one
+    in use is held."""
     if config.manifest_path is not None:
         manifest_path = Path(config.manifest_path)
         manifest = ingest.load_manifest(manifest_path)
-        return ingest.load_dataset(manifest, manifest_path.parent), manifest.label_scheme
+        return _each_subject(manifest, manifest_path.parent), manifest.label_scheme
     spec = ingest.load_synthetic_spec(config.synthetic_spec_path)
     subject, _ = ingest.generate_synthetic(spec)
     return [subject], ingest.synthetic_label_scheme(spec)
@@ -347,14 +358,45 @@ def _with_candidates(segments):
         yield from zip(block, threshold_candidates(windows, block[0].sample_rate_hz))
 
 
+def _subject_rows(
+    subject: ingest.SubjectData, config: PipelineConfig, stats: dict
+) -> list[FeatureRow]:
+    """Filter, window and featurize one subject, adding to stats' counters."""
+    covered_seconds(subject.ecg, subject.ppg, subject.annotations, config.window)
+    ecg = filter_signal(subject.ecg, config.ecg_filter)
+    ppg = filter_signal(subject.ppg, config.ppg_filter)
+    pairs = segment_windows(ecg, ppg, subject.annotations, config.window)
+    stats["windows_labeled"] += len(pairs)
+    rows = []
+    for segments in zip(*pairs):  # the ECG windows, then the PPG windows
+        beats = []
+        for segment, candidates in _with_candidates(segments):
+            try:
+                beats.append(detect_beats(segment, candidates))
+            except NoPlausiblePeaksError:
+                beats.append(None)
+        block = feature_block(beats)
+        counters = stats["modalities"][segments[0].modality.value]
+        failed = sum(b is None for b in beats)
+        counters["detect_failures"] += failed
+        counters["too_few_beats"] += int(np.isnan(block).all(axis=1).sum()) - failed
+        counters["rows"] += len(segments)
+        rows += [
+            FeatureRow(s.window_id, s.subject_id, s.modality.value, s.label, values)
+            for s, values in zip(segments, block)
+        ]
+    return rows
+
+
 def featurize(
-    subjects: list[ingest.SubjectData], config: PipelineConfig
+    subjects: Iterable[ingest.SubjectData], config: PipelineConfig
 ) -> tuple[list[FeatureRow], dict]:
-    """Filter, window and featurize in-memory subjects; returns rows sorted by
-    (subject, window, modality) plus counters."""
+    """Filter, window and featurize subjects, one at a time as the iterable
+    yields them; returns rows sorted by (subject, window, modality) plus
+    counters."""
     rows: list[FeatureRow] = []
     stats = {
-        "n_subjects": len(subjects),
+        "n_subjects": 0,
         "windows_labeled": 0,
         "modalities": {
             m.value: {"rows": 0, "detect_failures": 0, "too_few_beats": 0}
@@ -362,28 +404,9 @@ def featurize(
         },
     }
     for subject in subjects:
-        covered_seconds(subject.ecg, subject.ppg, subject.annotations, config.window)
-        ecg = filter_signal(subject.ecg, config.ecg_filter)
-        ppg = filter_signal(subject.ppg, config.ppg_filter)
-        pairs = segment_windows(ecg, ppg, subject.annotations, config.window)
-        stats["windows_labeled"] += len(pairs)
-        for segments in zip(*pairs):  # the ECG windows, then the PPG windows
-            beats = []
-            for segment, candidates in _with_candidates(segments):
-                try:
-                    beats.append(detect_beats(segment, candidates))
-                except NoPlausiblePeaksError:
-                    beats.append(None)
-            block = feature_block(beats)
-            counters = stats["modalities"][segments[0].modality.value]
-            failed = sum(b is None for b in beats)
-            counters["detect_failures"] += failed
-            counters["too_few_beats"] += int(np.isnan(block).all(axis=1).sum()) - failed
-            counters["rows"] += len(segments)
-            rows += [
-                FeatureRow(s.window_id, s.subject_id, s.modality.value, s.label, values)
-                for s, values in zip(segments, block)
-            ]
+        stats["n_subjects"] += 1
+        rows += _subject_rows(subject, config, stats)
+        del subject  # freed before the iterator loads the next subject
     rows.sort(key=lambda r: (r.subject_id, r.window_id, r.modality))
     return rows, stats
 

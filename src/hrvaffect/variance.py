@@ -166,8 +166,8 @@ def state_overlap_score(
     a, b = (groups.get((state, modality, feature)) for state in (state_a, state_b))
     if a is None or b is None or a.insufficient or b.insufficient:
         raise KeyError(
-            f"no stats for feature {feature!r} modality {modality!r} "
-            f"states {state_a!r}/{state_b!r}"
+            f"no stats for feature {str(feature)!r} modality {str(modality)!r} "
+            f"states {str(state_a)!r}/{str(state_b)!r}"
         )
     lo = max(a.q1, b.q1)
     hi = min(a.q3, b.q3)

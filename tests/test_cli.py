@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hrvaffect import pipeline
+from hrvaffect import ingest, pipeline
 from hrvaffect.cli import main
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER
 from hrvaffect.pipeline import (
@@ -635,6 +635,38 @@ def test_failed_extract_leaves_no_stale_features_to_read(tmp_path):
         assert payload["error"] == "ConfigHashMismatch"
         assert f"{stale} holds outputs for config" in payload["message"]
     assert _snapshot(run) == before
+
+
+def test_bad_file_in_the_last_subject_fails_after_the_others(tmp_path, monkeypatch):
+    """Subjects load one at a time: a bad ECG file in the last of three fails
+    extract after the first two are featurized, naming the file and line, and
+    out_dir keeps the last good run."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    spec = ingest.load_synthetic_spec(spec_path)
+    subjects = [ingest.generate_synthetic(replace(spec, seed=i), f"S{i}")[0] for i in (1, 2, 3)]
+    manifest_path = ingest.write_canonical(subjects, "three", tmp_path / "data")
+    run = tmp_path / "run"
+    args = ["extract", "--manifest", str(manifest_path), "--out", str(run)]
+    assert run_cli(*args).exit_code == 0
+    before = _snapshot(run)
+    ecg = tmp_path / "data" / "S3_ecg.csv"
+    lines = ecg.read_text().splitlines(keepends=True)
+    lines[5] = "4,x\n"
+    ecg.write_text("".join(lines))
+    filtered = []
+
+    def filter_signal(record, spec, original=pipeline.filter_signal):
+        filtered.append(record.subject_id)
+        return original(record, spec)
+
+    monkeypatch.setattr(pipeline, "filter_signal", filter_signal)
+    result = run_cli(*args)
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {"error": "Parse", "message": f"{ecg}:6: non-numeric value 'x'"}
+    assert filtered == ["S1", "S1", "S2", "S2"]
+    assert _snapshot(run) == before
+    assert not list(run.glob(".stage-*"))
 
 
 class TestSynthCommand:

@@ -120,6 +120,53 @@ class TestAnnotationTrack:
             AnnotationTrack(LabelScheme.AROUSAL_VALENCE, 20.0, [1.0, 2.0])
 
 
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+class TestArraySharing:
+    """A record or track holds an array that is already frozen: the right
+    dtype, C-contiguous, and neither it nor any array it views writeable.
+    Anything else is copied, so writing the source later changes nothing."""
+
+    def test_frozen_owner_is_held(self):
+        samples = _frozen(np.arange(5.0))
+        assert make_record(samples).samples is samples
+        codes = _frozen(np.array([1, 2, 3], dtype=np.int64))
+        assert AnnotationTrack(LabelScheme.DISCRETE_STATE, 700.0, codes).values is codes
+        pairs = _frozen(np.full((3, 2), 5.0))
+        assert AnnotationTrack(LabelScheme.AROUSAL_VALENCE, 20.0, pairs).values is pairs
+
+    def test_read_only_view_of_a_frozen_owner_is_held(self):
+        view = _frozen(np.arange(10.0))[2:7]
+        assert make_record(view).samples is view
+
+    @pytest.mark.parametrize("source", [
+        lambda base: base,
+        lambda base: _frozen(base[1:]),
+        lambda base: _frozen(base.astype(np.float32)),
+        lambda base: _frozen(base[::2]),
+    ], ids=["writeable", "read_only_view_of_writeable", "float32", "strided"])
+    def test_anything_else_is_copied(self, source):
+        base = np.arange(6.0)
+        held = source(base)
+        record = make_record(held)
+        expected = record.samples.tolist()
+        assert record.samples.dtype == np.float64
+        assert not np.shares_memory(record.samples, held)
+        assert not np.shares_memory(record.samples, base)
+        assert not record.samples.flags.writeable
+        base[:] = -1.0
+        assert record.samples.tolist() == expected
+
+    def test_writeable_codes_are_copied(self):
+        codes = np.array([1, 2, 3], dtype=np.int64)
+        track = AnnotationTrack(LabelScheme.DISCRETE_STATE, 700.0, codes)
+        codes[:] = 4
+        assert track.values.tolist() == [1, 2, 3]
+
+
 def test_av_quadrant_labels():
     assert av_quadrant(True, True) == "LALV"
     assert av_quadrant(True, False) == "LAHV"

@@ -230,6 +230,14 @@ class TestSegmentWindows:
         pairs = segment_windows(ecg, ppg, short_ann, WindowSpec(10.0, 1.0))
         assert [p[0].window_id for p in pairs] == [0, 1]
 
+    def test_windows_are_read_only_views_of_their_records(self):
+        ecg, ppg, ann = make_streams(30.0)
+        for ecg_seg, ppg_seg in segment_windows(ecg, ppg, ann, WindowSpec(10.0, 1.0)):
+            for record, segment in ((ecg, ecg_seg), (ppg, ppg_seg)):
+                assert np.shares_memory(segment.samples, record.samples)
+                with pytest.raises(ValueError):
+                    segment.samples.flags.writeable = True
+
     def test_mismatched_start_times_rejected(self):
         ecg, ppg, ann = make_streams(30.0)
         shifted = SignalRecord("s1", Modality.PPG, 64.0, ppg.samples, start_time_s=1.0)

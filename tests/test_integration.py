@@ -7,14 +7,24 @@ train-eval, importance, report) runs meaningfully without restricted data.
 
 import json
 import pickle
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hrvaffect.adapters import adapt_case, adapt_wesad
-from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
+from hrvaffect.ingest import (
+    StateSpec,
+    SyntheticSpec,
+    generate_synthetic,
+    load_manifest,
+    write_canonical,
+    write_manifest,
+)
 from hrvaffect.pipeline import (
     config_from_dict,
+    extract_features,
     stage_extract,
     stage_importance,
     stage_report,
@@ -163,3 +173,41 @@ def test_features_csv_round_trip(tmp_path):
         # NaN stays where it was.
         assert np.array_equal(np.isnan(a.values), np.isnan(b.values))
         np.testing.assert_allclose(a.values, b.values, rtol=1e-8, atol=0)
+
+
+def test_extract_peak_memory_follows_one_subject(tmp_path):
+    """A manifest's subjects are loaded one at a time, so extract's traced peak
+    on 8 subjects exceeds that on 2 by less than one subject's arrays.  The
+    subjects are shaped like the wearable-stress recordings: 240 s of ECG at
+    700 Hz, PPG at 64 Hz and int64 labels at 700 Hz."""
+    states = (("baseline", 70.0), ("stress", 88.0), ("amusement", 75.0), ("meditation", 66.0))
+    subject, _ = generate_synthetic(SyntheticSpec(
+        duration_s=240.0, ecg_rate_hz=700.0, ppg_rate_hz=64.0,
+        states=tuple(StateSpec(label, bpm, 40.0, 60.0) for label, bpm in states),
+        respiratory_rr_modulation_ms=30.0, noise_std=0.05, seed=3,
+    ))
+    one_subject = sum(a.nbytes for a in (subject.ecg.samples, subject.ppg.samples,
+                                         subject.annotations.values))
+    manifest = load_manifest(write_canonical([subject], "cohort", tmp_path))
+    entry = manifest.subjects[0]
+
+    def config(n_subjects):
+        # Every subject reads the same files under its own id.
+        path = tmp_path / f"manifest_{n_subjects}.json"
+        write_manifest(replace(manifest, subjects=tuple(
+            replace(entry, subject_id=f"S{i}") for i in range(n_subjects)
+        )), path)
+        return config_from_dict({"manifest_path": str(path), "out_dir": str(tmp_path / "run")})
+
+    def traced_peak(n_subjects):
+        tracemalloc.start()
+        try:
+            _, stats = extract_features(config(n_subjects))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["n_subjects"] == n_subjects
+        return peak
+
+    extract_features(config(1))  # lazy imports and caches fill, untraced
+    assert traced_peak(8) - traced_peak(2) < one_subject

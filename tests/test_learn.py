@@ -329,8 +329,8 @@ class TestSplits:
                 assert ((folds == fold) & (y == f"c{c}")).sum() == 5
 
     def test_class_smaller_than_k(self):
-        y = np.array(["a"] * 50 + ["b"] * 3)
-        with pytest.raises(ClassSmallerThanKError):
+        y = np.array(["a"] * 50 + ["amusement"] * 3)
+        with pytest.raises(ClassSmallerThanKError, match="^class 'amusement' has 3 rows < k=5$"):
             stratified_kfold(y, k=5, seed=0)
 
     def test_determinism(self):

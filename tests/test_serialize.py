@@ -188,9 +188,9 @@ def test_every_loader_refuses_a_document_off_the_rule(
 STAGES = ["extract", "variance", "train-eval", "importance", "report"]
 
 # One case per value rule a dataclass checks when it is built: a value that
-# breaks it in the config, spec or manifest; the error code; the field a
-# ConfigInvalid names, or for a spec or manifest what its message names; and
-# a direct construction the dataclass refuses.
+# breaks it at a path (or a list of paths) of the config, spec or manifest;
+# the error code; the field a ConfigInvalid names, or for a spec or manifest
+# what its message names; and a direct construction the dataclass refuses.
 RULE_CASES = {
     "filter_order": (
         "config", ("ecg_filter", "order"), 0, "ConfigInvalid", "ecg_filter",
@@ -228,6 +228,11 @@ RULE_CASES = {
         "spec", ("ppg_rate_hz",), 0.55, "InvalidSpec", "ppg_rate_hz 0.55 renders 29.09s",
         lambda: SyntheticSpec(12.5, 100.0, 1.0, (StateSpec("baseline", 65.0, 10.0, 12.5),)),
     ),
+    "spec_streams_far_from_duration": (
+        "spec", [("ecg_rate_hz",), ("ppg_rate_hz",)], 0.001, "InvalidSpec",
+        "ecg_rate_hz 0.001 renders 0.00s of duration_s 30.0",
+        lambda: SyntheticSpec(30.0, 0.001, 0.001, (StateSpec("baseline", 65.0, 10.0, 30.0),)),
+    ),
     "manifest_rate": (
         "manifest", ("subjects", 0, "ppg_rate_hz"), 0.0, "Parse", "subjects[0] ecg_rate_hz",
         lambda: SubjectFiles("s1", "e.csv", "p.csv", "a.csv", 350.0, 0.0, 350.0),
@@ -251,7 +256,10 @@ def test_each_value_rule_is_checked_on_its_dataclass(
                          where, value)
         runs = [[stage, "--config", _write(tmp_path / "config.json", config)] for stage in STAGES]
     elif document == "spec":
-        spec_path = _write(tmp_path / "spec.json", _edited(SPEC, where, value))
+        spec = SPEC
+        for path in where if isinstance(where, list) else [where]:
+            spec = _edited(spec, path, value)
+        spec_path = _write(tmp_path / "spec.json", spec)
         runs = [["synth", "--spec", spec_path, "--out", str(tmp_path / "data")]]
     else:
         manifest_path = _write(tmp_path / "manifest.json", _edited(MANIFEST, where, value))

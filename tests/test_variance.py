@@ -207,6 +207,11 @@ class TestStateOverlap:
             [("ECG", state, fv(bpm=v)) for state, values in groups.items() for v in values]
         )
 
+    def test_missing_group_names_it_as_text(self):
+        stats = self.stats_for({"a": [0, 1, 2, 3]})
+        with pytest.raises(KeyError, match="feature 'bpm' modality 'ECG' states 'a'/'b'"):
+            state_overlap_score(stats, *np.array(["bpm", "ECG", "a", "b"]))
+
     def test_disjoint_boxes(self):
         stats = self.stats_for({"a": [0, 0.4, 0.6, 1], "b": [2, 2.4, 2.6, 3]})
         assert state_overlap_score(stats, "bpm", "ECG", "a", "b") == 0.0
