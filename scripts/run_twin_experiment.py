@@ -23,7 +23,7 @@ import time
 
 from hrvaffect.hrv import FEATURE_NAMES
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
-from hrvaffect.learn import ExtraTreesParams, evaluate
+from hrvaffect.learn import LearnConfig, evaluate
 from hrvaffect.pipeline import PipelineConfig, feature_variance, featurize, modality_matrix
 
 STATES = (("baseline", 65.0), ("amusement", 67.0), ("meditation", 69.0), ("stress", 90.0))
@@ -54,15 +54,11 @@ def twin_spec(ecg_rate, ppg_rate, noise_std, seed=SEED, duration_s=DURATION_S,
 def run_twin(spec, n_trees=N_TREES):
     subject, _ = generate_synthetic(spec)
     rows, _ = featurize([subject], PipelineConfig())
+    config = LearnConfig(n_trees=n_trees, families=("extra_trees",))
     reports = {}
     for modality in ("ECG", "PPG"):
         X, y, _, _, _ = modality_matrix(rows, modality)
-        reports[modality], _ = evaluate(
-            X, y, FEATURE_NAMES,
-            families=("extra_trees",),
-            params=ExtraTreesParams(n_trees=n_trees),
-            seed=EVAL_SEED,
-        )
+        reports[modality], _ = evaluate(X, y, FEATURE_NAMES, config, EVAL_SEED)
     return feature_variance(rows), reports
 
 

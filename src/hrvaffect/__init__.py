@@ -13,8 +13,8 @@ from .ingest import (
     load_manifest,
     write_canonical,
 )
-from .learn import ExtraTreesParams, evaluate, roc_ovr, train_extra_trees
-from .explain import global_importance, sample_background, shapley_explain
+from .learn import ExtraTreesParams, LearnConfig, evaluate, roc_ovr, train_extra_trees
+from .explain import ExplainConfig, global_importance, sample_background, shapley_explain
 from .variance import inter_signal_variance, state_feature_stats, state_overlap_score
 from .pipeline import PipelineConfig, featurize
 
@@ -24,11 +24,13 @@ __all__ = [
     "AnnotationTrack",
     "BeatSeries",
     "DatasetManifest",
+    "ExplainConfig",
     "ExtraTreesParams",
     "FEATURE_NAMES",
     "FeatureVector",
     "FilterSpec",
     "LabelScheme",
+    "LearnConfig",
     "Modality",
     "PipelineConfig",
     "SignalRecord",

@@ -44,31 +44,23 @@ def main():
     """HRV feature variance and affective-state classification pipeline."""
 
 
-@main.command()
-@click.option("--spec", "spec_path", required=True, type=click.Path(), help="Synthetic spec JSON.")
-@click.option("--out", "out_dir", required=True, type=click.Path(), help="Dataset directory.")
-def synth(spec_path, out_dir):
-    """Generate a synthetic dataset in the canonical on-disk format."""
-    manifest = _run_stage(pipeline.stage_synth, spec_path, out_dir)
-    click.echo(str(manifest))
+def _dataset_command(name: str, make, source_flag: str, source_help: str, help_text: str):
+    """A command that writes a canonical dataset from one source path to --out."""
+    @main.command(name, help=help_text)
+    @click.option(source_flag, "source", required=True, type=click.Path(), help=source_help)
+    @click.option("--out", "out_dir", required=True, type=click.Path(), help="Dataset directory.")
+    def command(source, out_dir):
+        click.echo(str(_run_stage(make, source, out_dir)))
+
+    return command
 
 
-@main.command("adapt-wesad")
-@click.option("--raw", "raw_root", required=True, type=click.Path(), help="Raw export root.")
-@click.option("--out", "out_dir", required=True, type=click.Path(), help="Dataset directory.")
-def adapt_wesad(raw_root, out_dir):
-    """Adapt a wearable-stress dataset export to the canonical format."""
-    manifest = _run_stage(adapters.adapt_wesad, raw_root, out_dir)
-    click.echo(str(manifest))
-
-
-@main.command("adapt-case")
-@click.option("--raw", "raw_root", required=True, type=click.Path(), help="Raw export root.")
-@click.option("--out", "out_dir", required=True, type=click.Path(), help="Dataset directory.")
-def adapt_case(raw_root, out_dir):
-    """Adapt a continuous-annotation dataset export to the canonical format."""
-    manifest = _run_stage(adapters.adapt_case, raw_root, out_dir)
-    click.echo(str(manifest))
+_dataset_command("synth", pipeline.stage_synth, "--spec", "Synthetic spec JSON.",
+                 "Generate a synthetic dataset in the canonical on-disk format.")
+_dataset_command("adapt-wesad", adapters.adapt_wesad, "--raw", "Raw export root.",
+                 "Adapt a wearable-stress dataset export to the canonical format.")
+_dataset_command("adapt-case", adapters.adapt_case, "--raw", "Raw export root.",
+                 "Adapt a continuous-annotation dataset export to the canonical format.")
 
 
 # Flag spellings that are not the field's own name.  A bool field gets one flag

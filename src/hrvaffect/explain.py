@@ -19,12 +19,21 @@ import numpy as np
 from .core import STREAM_BACKGROUND, STREAM_EXPLAIN, derive_rng
 from .learn import DimensionMismatchError, ExtraTreesModel, routable
 
-DEFAULT_BACKGROUND_SIZE = 100
-DEFAULT_MAX_INSTANCES = 200
-
 
 class EmptyBackgroundError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class ExplainConfig:
+    """How many training rows form the background, and how many instances are explained."""
+
+    background_size: int = 100
+    max_instances: int = 200
+
+    def __post_init__(self):
+        if min(self.background_size, self.max_instances) < 1:
+            raise ValueError("background_size and max_instances must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,7 @@ def shapley_explain(
     return _explain(model, x, _background_in(model, background), class_label)
 
 
-def sample_background(X: np.ndarray, size: int = DEFAULT_BACKGROUND_SIZE, seed: int = 0) -> np.ndarray:
+def sample_background(X: np.ndarray, size: int, seed: int = 0) -> np.ndarray:
     """Seeded background subsample; all rows when fewer than `size`."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
@@ -142,11 +151,13 @@ def global_importance(
     X: np.ndarray,
     y,
     instance_ids,
-    background: np.ndarray,
-    seed: int = 0,
-    max_instances: int = DEFAULT_MAX_INSTANCES,
+    train_X: np.ndarray,
+    config: ExplainConfig,
+    seed: int,
 ) -> ImportanceReport:
-    """Mean |phi| per feature, globally and per state, over sampled instances.
+    """Mean |phi| per feature, globally and per state, over at most
+    config.max_instances sampled instances, against a background of at most
+    config.background_size rows of train_X.
 
     Each instance is explained for its own true label so the per-state
     grouping reflects what drives that state's probability.
@@ -157,37 +168,30 @@ def global_importance(
     if X.shape[0] == 0:
         raise EmptyBackgroundError("no instances to explain")
     indices = np.arange(X.shape[0])
-    if indices.size > max_instances:
+    if indices.size > config.max_instances:
         rng = derive_rng(seed, STREAM_EXPLAIN)
-        indices = np.sort(rng.choice(indices, size=max_instances, replace=False))
+        indices = np.sort(rng.choice(indices, size=config.max_instances, replace=False))
 
-    n_features = len(model.feature_names)
-    abs_sum = np.zeros(n_features)
-    state_sums: dict[str, np.ndarray] = {}
-    state_counts: dict[str, int] = {}
-    points = []
-    background_in = _background_in(model, background)
-    for idx in indices:
-        explanation = _explain(model, X[idx], background_in, str(y[idx]))
-        abs_phi = np.abs(explanation.phi)
-        abs_sum += abs_phi
-        state = str(y[idx])
-        state_sums.setdefault(state, np.zeros(n_features))
-        state_sums[state] += abs_phi
-        state_counts[state] = state_counts.get(state, 0) + 1
-        for f, name in enumerate(model.feature_names):
-            points.append(
-                (instance_ids[idx], state, name, float(explanation.phi[f]), float(X[idx, f]))
-            )
-
-    global_mean = abs_sum / indices.size
+    background_in = _background_in(model, sample_background(train_X, config.background_size, seed))
+    states = [str(label) for label in y[indices]]
+    phi = np.array([
+        _explain(model, X[idx], background_in, state).phi for idx, state in zip(indices, states)
+    ])  # (instances, features)
+    abs_phi = np.abs(phi)
+    global_mean = abs_phi.sum(axis=0) / indices.size
+    of_state = np.array(states)
     return ImportanceReport(
         feature_names=model.feature_names,
         global_mean_abs=global_mean,
         per_state_mean_abs={
-            state: state_sums[state] / state_counts[state] for state in sorted(state_sums)
+            state: abs_phi[of_state == state].sum(axis=0) / np.count_nonzero(of_state == state)
+            for state in sorted(set(states))
         },
         ranking=tuple(model.feature_names[i] for i in feature_order(global_mean)),
-        points=tuple(points),
+        points=tuple(
+            (instance_ids[idx], state, name, p, v)
+            for idx, state, row in zip(indices, states, phi.tolist())
+            for name, p, v in zip(model.feature_names, row, X[idx].tolist())
+        ),
         n_explained=int(indices.size),
     )

@@ -22,9 +22,6 @@ from .core import STREAM_FOLDS, STREAM_SPLIT, STREAM_TREES, derive_rng
 
 DEFAULT_N_TREES = 100
 DEFAULT_MIN_SAMPLES_LEAF = 2
-DEFAULT_KNN_K = 5
-DEFAULT_CV_FOLDS = 5
-DEFAULT_HOLDOUT_FRACTION = 0.2
 FAMILY_NAMES = ("extra_trees", "knn", "gaussian_nb")
 
 
@@ -117,6 +114,36 @@ class ExtraTreesParams:
             raise ValueError(f"k_features must be >= 1 when set, got {self.k_features}")
         if self.min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+
+
+@dataclass(frozen=True)
+class LearnConfig:
+    """The evaluation protocol: model families, their settings, and the splits."""
+
+    n_trees: int = DEFAULT_N_TREES
+    k_features: int | None = None
+    min_samples_leaf: int = DEFAULT_MIN_SAMPLES_LEAF
+    knn_k: int = 5
+    cv_folds: int = 5
+    holdout_fraction: float = 0.2
+    families: tuple[str, ...] = FAMILY_NAMES
+    subject_wise: bool = False
+
+    def __post_init__(self):
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if not 0 < self.holdout_fraction < 1:
+            raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
+        if not self.families or not set(self.families) <= set(FAMILY_NAMES):
+            raise ValueError(
+                f"families must name one or more of {FAMILY_NAMES}, got {self.families}"
+            )
+        self.tree_params()
+
+    def tree_params(self) -> ExtraTreesParams:
+        return ExtraTreesParams(self.n_trees, self.k_features, self.min_samples_leaf)
 
 
 @dataclass(frozen=True)
@@ -404,7 +431,7 @@ def zscore_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def train_knn(X: np.ndarray, y, k: int = DEFAULT_KNN_K) -> KnnModel:
+def train_knn(X: np.ndarray, y, k: int) -> KnnModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     _check_matrix(X, y)
@@ -461,13 +488,12 @@ def train_gaussian_nb(X: np.ndarray, y) -> GaussianNbModel:
 
 
 def train_family(
-    family: str, X, y, feature_names, params, seed: int, knn_k: int = DEFAULT_KNN_K,
-    fold: int | None = None,
+    family: str, X, y, feature_names, config: LearnConfig, seed: int, fold: int | None = None
 ):
     if family == "extra_trees":
-        return train_extra_trees(X, y, feature_names, params, seed, fold)
+        return train_extra_trees(X, y, feature_names, config.tree_params(), seed, fold)
     if family == "knn":
-        return train_knn(X, y, knn_k)
+        return train_knn(X, y, config.knn_k)
     if family == "gaussian_nb":
         return train_gaussian_nb(X, y)
     raise ValueError(f"unknown model family {family!r}; known: {FAMILY_NAMES}")
@@ -477,7 +503,7 @@ def train_family(
 # Splits
 # ---------------------------------------------------------------------------
 
-def stratified_kfold(y, k: int = DEFAULT_CV_FOLDS, seed: int = 0) -> np.ndarray:
+def stratified_kfold(y, k: int, seed: int = 0) -> np.ndarray:
     """Fold assignment per row; per-class counts across folds differ by <= 1."""
     y = np.asarray(y)
     rng = derive_rng(seed, STREAM_FOLDS)
@@ -496,7 +522,7 @@ def stratified_kfold(y, k: int = DEFAULT_CV_FOLDS, seed: int = 0) -> np.ndarray:
     return folds
 
 
-def holdout_split(y, fraction: float = DEFAULT_HOLDOUT_FRACTION, seed: int = 0):
+def holdout_split(y, fraction: float, seed: int = 0):
     """Stratified (train_ids, test_ids); deterministic in seed."""
     y = np.asarray(y)
     rng = derive_rng(seed, STREAM_SPLIT)
@@ -510,7 +536,7 @@ def holdout_split(y, fraction: float = DEFAULT_HOLDOUT_FRACTION, seed: int = 0):
     return train, test
 
 
-def subject_holdout_split(y, subjects, fraction: float = DEFAULT_HOLDOUT_FRACTION, seed: int = 0):
+def subject_holdout_split(y, subjects, fraction: float, seed: int = 0):
     """Hold out whole subjects until roughly `fraction` of rows are reserved."""
     subjects = np.asarray(subjects)
     uniq = sorted(set(subjects))
@@ -531,7 +557,7 @@ def subject_holdout_split(y, subjects, fraction: float = DEFAULT_HOLDOUT_FRACTIO
     return np.flatnonzero(~mask), np.flatnonzero(mask)
 
 
-def subject_kfold(subjects, k: int = DEFAULT_CV_FOLDS, seed: int = 0) -> np.ndarray:
+def subject_kfold(subjects, k: int, seed: int = 0) -> np.ndarray:
     """Fold assignment keeping each subject's rows together."""
     subjects = np.asarray(subjects)
     uniq = sorted(set(subjects))
@@ -640,16 +666,13 @@ def evaluate(
     X: np.ndarray,
     y,
     feature_names: tuple[str, ...],
-    families: tuple[str, ...] = FAMILY_NAMES,
-    params: ExtraTreesParams = ExtraTreesParams(),
-    seed: int = 0,
-    folds: int = DEFAULT_CV_FOLDS,
-    holdout_fraction: float = DEFAULT_HOLDOUT_FRACTION,
-    knn_k: int = DEFAULT_KNN_K,
+    config: LearnConfig,
+    seed: int,
     subjects=None,
-    subject_wise: bool = False,
 ) -> tuple[EvalReport, dict]:
-    """Hold out 20%, cross-validate each family on the rest, refit the winner.
+    """Hold out config.holdout_fraction of the rows (whole subjects when
+    config.subject_wise), cross-validate each family on the rest in
+    config.cv_folds folds, and refit the winner.
 
     Selection is highest mean CV accuracy, ties broken by lower standard
     deviation then family order.  The winner refits on the full training
@@ -660,13 +683,14 @@ def evaluate(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     _check_matrix(X, y)
-    if subject_wise:
+    folds, families = config.cv_folds, config.families
+    if config.subject_wise:
         if subjects is None:
             raise ValueError("subject_wise evaluation requires subjects")
-        train_ids, holdout_ids = subject_holdout_split(y, subjects, holdout_fraction, seed)
+        train_ids, holdout_ids = subject_holdout_split(y, subjects, config.holdout_fraction, seed)
         fold_of = subject_kfold(np.asarray(subjects)[train_ids], folds, seed)
     else:
-        train_ids, holdout_ids = holdout_split(y, holdout_fraction, seed)
+        train_ids, holdout_ids = holdout_split(y, config.holdout_fraction, seed)
         fold_of = stratified_kfold(y[train_ids], folds, seed)
     X_train, y_train = X[train_ids], y[train_ids]
     X_hold, y_hold = X[holdout_ids], y[holdout_ids]
@@ -677,8 +701,7 @@ def evaluate(
         for fold in range(folds):
             val = fold_of == fold
             model = train_family(
-                family, X_train[~val], y_train[~val], feature_names, params,
-                seed, knn_k, fold,
+                family, X_train[~val], y_train[~val], feature_names, config, seed, fold
             )
             predicted = most_probable(model.classes, model.predict_proba(X_train[val]))
             fold_acc.append(accuracy(y_train[val], predicted))
@@ -695,7 +718,7 @@ def evaluate(
     ).family
 
     fitted = {
-        family: train_family(family, X_train, y_train, feature_names, params, seed, knn_k)
+        family: train_family(family, X_train, y_train, feature_names, config, seed)
         for family in sorted({selected, "extra_trees"})
     }
     best_model = fitted[selected]

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import explain as explain_mod
-from . import learn as learn_mod
 from . import ingest, svgplot
 from .core import LabelScheme, Modality
 from .dsp import (
@@ -37,7 +36,8 @@ from .hrv import (
     feature_block,
     threshold_candidates,
 )
-from .learn import ExtraTreesParams, evaluate, model_from_dict, model_to_dict
+from .explain import ExplainConfig
+from .learn import LearnConfig, evaluate, model_from_dict, model_to_dict
 from .serialize import (
     DecodeError, config_hash, decode, fmt9, read_csv, read_json, round9, round9_array,
     write_compact_json, write_csv, write_json,
@@ -89,44 +89,6 @@ class ConfigInvalidError(PipelineError):
 
 class ConfigHashMismatchError(PipelineError):
     code = "ConfigHashMismatch"
-
-
-@dataclass(frozen=True)
-class LearnConfig:
-    n_trees: int = learn_mod.DEFAULT_N_TREES
-    k_features: int | None = None
-    min_samples_leaf: int = learn_mod.DEFAULT_MIN_SAMPLES_LEAF
-    knn_k: int = learn_mod.DEFAULT_KNN_K
-    cv_folds: int = learn_mod.DEFAULT_CV_FOLDS
-    holdout_fraction: float = learn_mod.DEFAULT_HOLDOUT_FRACTION
-    families: tuple[str, ...] = learn_mod.FAMILY_NAMES
-    subject_wise: bool = False
-
-    def __post_init__(self):
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if not 0 < self.holdout_fraction < 1:
-            raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
-        if not self.families or not set(self.families) <= set(learn_mod.FAMILY_NAMES):
-            raise ValueError(
-                f"families must name one or more of {learn_mod.FAMILY_NAMES}, got {self.families}"
-            )
-        self.tree_params()
-
-    def tree_params(self) -> ExtraTreesParams:
-        return ExtraTreesParams(self.n_trees, self.k_features, self.min_samples_leaf)
-
-
-@dataclass(frozen=True)
-class ExplainConfig:
-    background_size: int = explain_mod.DEFAULT_BACKGROUND_SIZE
-    max_instances: int = explain_mod.DEFAULT_MAX_INSTANCES
-
-    def __post_init__(self):
-        if min(self.background_size, self.max_instances) < 1:
-            raise ValueError("background_size and max_instances must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -542,23 +504,12 @@ def modality_matrix(rows: list[FeatureRow], modality: str):
 @_stage
 def stage_train_eval(config: PipelineConfig, out: Path, staging: Path, h: str) -> dict:
     rows = read_feature_rows(out, h)
-    params = config.learn.tree_params()
     metrics: dict = {"seed": config.seed, "modalities": {}}
     models_doc: dict = {"modalities": {}}
     roc_rows = []
     for modality in ("ECG", "PPG"):
         X, y, ids, subjects, dropped = modality_matrix(rows, modality)
-        report, fitted = evaluate(
-            X, y, FEATURE_NAMES,
-            families=config.learn.families,
-            params=params,
-            seed=config.seed,
-            folds=config.learn.cv_folds,
-            holdout_fraction=config.learn.holdout_fraction,
-            knn_k=config.learn.knn_k,
-            subjects=subjects,
-            subject_wise=config.learn.subject_wise,
-        )
+        report, fitted = evaluate(X, y, FEATURE_NAMES, config.learn, config.seed, subjects)
         metrics["modalities"][modality] = {
             "n_rows": int(X.shape[0]),
             "dropped_rows": dropped,
@@ -646,17 +597,9 @@ def stage_importance(config: PipelineConfig, out: Path, staging: Path, h: str) -
     for modality in ("ECG", "PPG"):
         X, y, ids, _, _ = modality_matrix(rows, modality)
         model, train_ids, holdout_ids = _model_entry(models_doc, modality, ids)
-        background = explain_mod.sample_background(
-            X[train_ids], config.explain.background_size, config.seed
-        )
         report = explain_mod.global_importance(
-            model,
-            X[holdout_ids],
-            y[holdout_ids],
-            [ids[i] for i in holdout_ids],
-            background,
-            seed=config.seed,
-            max_instances=config.explain.max_instances,
+            model, X[holdout_ids], y[holdout_ids], [ids[i] for i in holdout_ids], X[train_ids],
+            config.explain, config.seed,
         )
         for scope, means in [("global", report.global_mean_abs)] + sorted(
             report.per_state_mean_abs.items()

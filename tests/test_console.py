@@ -1,10 +1,12 @@
 """Console-script checks, on the README's quick-start documents or on specs
 of their own.  The quick-start chain runs as processes of the `hrvaffect`
 console script when one is on PATH, else of `python -m hrvaffect`; the other
-checks invoke the click command in this process."""
+checks invoke the click command in this process.  The README's "Library use"
+block runs here too, so the documented calls keep up with the signatures."""
 
 import json
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -14,8 +16,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hrvaffect import pipeline
 from hrvaffect.cli import main
-from helpers import package_env, readme_json_blocks
+from hrvaffect.explain import global_importance
+from hrvaffect.hrv import FEATURE_NAMES
+from hrvaffect.learn import evaluate, model_from_dict
+from hrvaffect.serialize import fmt9, read_json, round9
+from helpers import README, package_env, readme_json_blocks
 
 ENTRY_POINT = shutil.which("hrvaffect")
 CONSOLE = [ENTRY_POINT] if ENTRY_POINT else [sys.executable, "-m", "hrvaffect"]
@@ -84,6 +91,66 @@ def test_readme_quick_start_through_the_console_script(readme):
         )
         assert proc.returncode == 0, f"{stage}: {proc.stderr}"
     assert Path("run/report.json").stat().st_size > 0
+
+
+def test_each_stage_passes_its_whole_config_section(readme):
+    """The quick-start under a learn and an explain section off their
+    defaults: per modality, metrics.json holds what evaluate returns on the
+    learn section, and importance.csv what global_importance returns on the
+    explain section, so no stage drops a setting or adds one."""
+    doc = json.loads(Path("config.json").read_text())
+    doc["learn"] = {"families": ["knn", "extra_trees"], "cv_folds": 3, "knn_k": 3}
+    doc["explain"] = {"background_size": 20, "max_instances": 7}
+    Path("config.json").write_text(json.dumps(doc))
+    for stage in ("extract", "variance", "train-eval", "importance", "report"):
+        assert invoke(stage, "--config", "config.json").exit_code == 0
+    config = pipeline.config_from_dict(doc)
+    h = pipeline.run_hash(config)
+    out = Path(config.out_dir)
+    rows = pipeline.read_feature_rows(out, h)
+    metrics = read_json(out / pipeline.METRICS_JSON)["modalities"]
+    models = read_json(out / pipeline.MODEL_JSON)["modalities"]
+    importance = pipeline.IMPORTANCE.read(out, h)
+    for modality in ("ECG", "PPG"):
+        X, y, ids, subjects, _ = pipeline.modality_matrix(rows, modality)
+        report, _ = evaluate(X, y, FEATURE_NAMES, config.learn, config.seed, subjects)
+        expected = round9({
+            "folds": report.folds,
+            "families": {
+                name: {"fold_accuracies": list(res.fold_accuracies),
+                       "mean_cv_accuracy": res.mean_accuracy, "std_cv_accuracy": res.std_accuracy}
+                for name, res in report.families.items()
+            },
+            "selected_family": report.selected_family,
+            "holdout_accuracy": report.holdout_accuracy,
+            "n_train": report.n_train,
+            "n_holdout": report.n_holdout,
+            "confusion": {"labels": list(report.confusion_labels),
+                          "matrix": report.confusion_matrix.tolist()},
+            "roc_auc": {label: curve.auc for label, curve in report.roc.items()},
+        })
+        assert {key: metrics[modality][key] for key in expected} == expected
+        assert expected["folds"] == 3 and set(expected["families"]) == {"knn", "extra_trees"}
+
+        hold = report.holdout_ids
+        explained = global_importance(
+            model_from_dict(models[modality]["model"]), X[hold], y[hold],
+            [ids[i] for i in hold], X[report.train_ids], config.explain, config.seed,
+        )
+        assert explained.n_explained == 7 < hold.size
+        means = {"global": explained.global_mean_abs, **explained.per_state_mean_abs}
+        assert sorted(
+            (scope, feature, mean) for _, (m, feature, scope, mean, _) in importance
+            if m == modality
+        ) == sorted(
+            (scope, feature, float(fmt9(values[i])))
+            for scope, values in means.items() for i, feature in enumerate(FEATURE_NAMES)
+        )
+
+
+def test_library_use_block_of_the_readme_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_synth_writes_the_canonical_csv_extract_reads(readme):

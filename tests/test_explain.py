@@ -5,6 +5,7 @@ import pytest
 
 from hrvaffect.explain import (
     EmptyBackgroundError,
+    ExplainConfig,
     global_importance,
     sample_background,
     shapley_explain,
@@ -171,7 +172,8 @@ class TestGlobalImportance:
     def test_driving_feature_ranks_first(self, fitted):
         model, X, y = fitted
         report = global_importance(
-            model, X[:30], y[:30], list(range(30)), X[30:60], seed=0, max_instances=12
+            model, X[:30], y[:30], list(range(30)), X[30:60],
+            ExplainConfig(max_instances=12), seed=0,
         )
         assert report.ranking[0] == "f0"
         assert report.n_explained == 12
@@ -180,7 +182,8 @@ class TestGlobalImportance:
     def test_per_state_groups_cover_labels(self, fitted):
         model, X, y = fitted
         report = global_importance(
-            model, X[:30], y[:30], list(range(30)), X[30:60], seed=0, max_instances=12
+            model, X[:30], y[:30], list(range(30)), X[30:60],
+            ExplainConfig(max_instances=12), seed=0,
         )
         assert set(report.per_state_mean_abs) <= {"hi", "lo"}
         for means in report.per_state_mean_abs.values():
@@ -190,7 +193,8 @@ class TestGlobalImportance:
     def test_points_carry_feature_values(self, fitted):
         model, X, y = fitted
         report = global_importance(
-            model, X[:10], y[:10], list(range(10)), X[30:60], seed=0, max_instances=5
+            model, X[:10], y[:10], list(range(10)), X[30:60],
+            ExplainConfig(max_instances=5), seed=0,
         )
         assert len(report.points) == 5 * 4
         instance_id, state, feature, phi, value = report.points[0]
@@ -204,7 +208,7 @@ class TestGlobalImportance:
         X_nan[7, 2] = -np.inf
         report = global_importance(
             model, X_nan, y[:20], [f"w{i}" for i in range(20)], X[30:60],
-            seed=1, max_instances=9,
+            ExplainConfig(max_instances=9), seed=1,
         )
         by_instance = {}
         for instance_id, state, feature, phi, value in report.points:
@@ -236,11 +240,11 @@ class TestGlobalImportance:
         )
         rep_single = global_importance(
             single, X_single[:40], y[:40], list(range(40)), X_single[60:110],
-            seed=1, max_instances=20,
+            ExplainConfig(max_instances=20), seed=1,
         )
         rep_double = global_importance(
             double, X_double[:40], y[:40], list(range(40)), X_double[60:110],
-            seed=1, max_instances=20,
+            ExplainConfig(max_instances=20), seed=1,
         )
         lone = rep_single.global_mean_abs[0]
         pair = rep_double.global_mean_abs[0] + rep_double.global_mean_abs[1]

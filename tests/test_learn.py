@@ -15,6 +15,7 @@ from hrvaffect.learn import (
     EmptyMatrixError,
     ExtraTreesModel,
     ExtraTreesParams,
+    LearnConfig,
     SingleClassInputError,
     Tree,
     accuracy,
@@ -61,8 +62,7 @@ class TestExtraTrees:
     def test_separable_data_perfect_holdout(self):
         X, y = separable_fixture()
         report, _ = evaluate(
-            X, y, FEATURES, families=("extra_trees",),
-            params=ExtraTreesParams(n_trees=25), seed=3,
+            X, y, FEATURES, LearnConfig(n_trees=25, families=("extra_trees",)), seed=3,
         )
         assert report.holdout_accuracy == 1.0
 
@@ -307,8 +307,7 @@ class TestBaselines:
         X[:200, 0] -= 3.0
         X[200:, 0] += 3.0
         report, _ = evaluate(
-            X, y, FEATURES, families=("gaussian_nb",),
-            params=ExtraTreesParams(n_trees=5), seed=0,
+            X, y, FEATURES, LearnConfig(n_trees=5, families=("gaussian_nb",)), seed=0,
         )
         assert report.holdout_accuracy >= 0.95
 
@@ -415,7 +414,7 @@ class TestRoc:
 class TestEvaluate:
     def test_report_always_five_folds(self):
         X, y = separable_fixture(n=150, n_classes=3)
-        report, _ = evaluate(X, y, FEATURES, params=ExtraTreesParams(n_trees=10), seed=0)
+        report, _ = evaluate(X, y, FEATURES, LearnConfig(n_trees=10), seed=0)
         assert report.folds == 5
         for res in report.families.values():
             assert len(res.fold_accuracies) == 5
@@ -425,21 +424,20 @@ class TestEvaluate:
         X = rng.normal(size=(400, 13))
         y = np.array([f"c{i % 4}" for i in range(400)])
         report, _ = evaluate(
-            X, y, FEATURES, families=("extra_trees",),
-            params=ExtraTreesParams(n_trees=25), seed=7,
+            X, y, FEATURES, LearnConfig(n_trees=25, families=("extra_trees",)), seed=7,
         )
         assert 0.15 <= report.holdout_accuracy <= 0.35
 
     def test_selection_prefers_higher_mean_cv(self):
         X, y = separable_fixture(n=200, n_classes=2)
-        report, fitted = evaluate(X, y, FEATURES, params=ExtraTreesParams(n_trees=10), seed=0)
+        report, fitted = evaluate(X, y, FEATURES, LearnConfig(n_trees=10), seed=0)
         best = max(report.families.values(), key=lambda r: r.mean_accuracy)
         assert report.families[report.selected_family].mean_accuracy == best.mean_accuracy
         assert "extra_trees" in fitted  # always fitted for downstream explanation
 
     def test_confusion_matrix_row_sums(self):
         X, y = separable_fixture(n=150, n_classes=3)
-        report, _ = evaluate(X, y, FEATURES, params=ExtraTreesParams(n_trees=10), seed=0)
+        report, _ = evaluate(X, y, FEATURES, LearnConfig(n_trees=10), seed=0)
         assert report.confusion_matrix.sum() == report.n_holdout
         per_class = {c: (y[report.holdout_ids] == c).sum() for c in report.confusion_labels}
         for i, c in enumerate(report.confusion_labels):
@@ -458,8 +456,8 @@ class TestEvaluate:
         monkeypatch.setattr(learn_mod, "derive_rng", recording_rng)
         X, y = separable_fixture(n=60, n_classes=2)
         n_trees, folds = 3, 2
-        evaluate(X, y, FEATURES, families=("extra_trees",),
-                 params=ExtraTreesParams(n_trees=n_trees), seed=seed, folds=folds)
+        evaluate(X, y, FEATURES, LearnConfig(n_trees=n_trees, cv_folds=folds,
+                 families=("extra_trees",)), seed=seed)
         tree_keys = [k for k in keys if k[1:2] == (STREAM_TREES,)]
         fold_keys, refit_keys = tree_keys[:-n_trees], tree_keys[-n_trees:]
         assert refit_keys == [(seed, STREAM_TREES, t) for t in range(n_trees)]
