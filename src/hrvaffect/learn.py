@@ -117,12 +117,9 @@ class ExtraTreesParams:
 
 
 @dataclass(frozen=True)
-class LearnConfig:
+class LearnConfig(ExtraTreesParams):
     """The evaluation protocol: model families, their settings, and the splits."""
 
-    n_trees: int = DEFAULT_N_TREES
-    k_features: int | None = None
-    min_samples_leaf: int = DEFAULT_MIN_SAMPLES_LEAF
     knn_k: int = 5
     cv_folds: int = 5
     holdout_fraction: float = 0.2
@@ -140,10 +137,7 @@ class LearnConfig:
             raise ValueError(
                 f"families must name one or more of {FAMILY_NAMES}, got {self.families}"
             )
-        self.tree_params()
-
-    def tree_params(self) -> ExtraTreesParams:
-        return ExtraTreesParams(self.n_trees, self.k_features, self.min_samples_leaf)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -491,7 +485,7 @@ def train_family(
     family: str, X, y, feature_names, config: LearnConfig, seed: int, fold: int | None = None
 ):
     if family == "extra_trees":
-        return train_extra_trees(X, y, feature_names, config.tree_params(), seed, fold)
+        return train_extra_trees(X, y, feature_names, config, seed, fold)
     if family == "knn":
         return train_knn(X, y, config.knn_k)
     if family == "gaussian_nb":

@@ -43,8 +43,8 @@ from .serialize import (
     write_compact_json, write_csv, write_json,
 )
 from .variance import (
-    OVERLAP_FLAG_THRESHOLD, flag_overlapping_pairs, inter_signal_variance, mean_normalized,
-    state_feature_stats,
+    OVERLAP_FLAG_THRESHOLD, FeatureVariance, flag_overlapping_pairs, inter_signal_variance,
+    mean_normalized, state_feature_stats,
 )
 
 FEATURES_CSV = "features.csv"
@@ -392,11 +392,18 @@ def stage_extract(config: PipelineConfig, out: Path, staging: Path, h: str) -> P
 
 
 def read_feature_rows(out_dir: str | Path, h: str) -> list[FeatureRow]:
-    """The rows of out_dir's features.csv, which must be stamped with h."""
-    return [
-        FeatureRow(window_id, subject_id, modality, label, np.array(values))
-        for _, (window_id, subject_id, modality, label, *values) in FEATURES.read(Path(out_dir), h)
-    ]
+    """The rows of out_dir's features.csv, which must be stamped with h and
+    hold each (subject_id, window_id, modality) once."""
+    rows, seen = [], set()
+    for line, (window_id, subject_id, modality, label, *values) in FEATURES.read(Path(out_dir), h):
+        if (subject_id, window_id, modality) in seen:
+            raise PipelineError(
+                f"{Path(out_dir) / FEATURES_CSV}:{line}: repeated {modality} row for window "
+                f"{window_id} of subject {subject_id!r}"
+            )
+        seen.add((subject_id, window_id, modality))
+        rows.append(FeatureRow(window_id, subject_id, modality, label, np.array(values)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -417,35 +424,24 @@ def feature_variance(rows: list[FeatureRow]):
 def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> dict:
     rows = read_feature_rows(out, h)
     isv = feature_variance(rows)
-
-    series_rows = []
-    summary_rows = []
-    for feature in FEATURE_NAMES:
-        series = isv.per_feature[feature]
-        for (subject_id, window_id), diff in zip(series.window_keys, series.abs_diff):
-            series_rows.append([window_id, subject_id, feature, diff])
-        summary_rows.append([
-            feature, len(series.window_keys), series.mean, series.max, series.missing_count,
-            series.pooled_mean_abs, series.normalized_mean,
-        ])
-    series_rows.sort(key=lambda r: (r[1], r[0], FEATURE_NAMES.index(r[2])))
-    VARIANCE.write(staging, series_rows, h)
-    VARIANCE_SUMMARY.write(staging, summary_rows, h)
+    VARIANCE.write(staging, [
+        [window_id, subject_id, feature, diff]
+        for (subject_id, window_id), diffs in zip(isv.keys, isv.abs_diff.tolist())
+        for feature, diff in zip(FEATURE_NAMES, diffs)
+        if not math.isnan(diff)
+    ], h)
+    VARIANCE_SUMMARY.write(staging, map(astuple, isv.summary), h)
 
     stats = state_feature_stats([(r.modality, r.label, r.values) for r in rows])
     STATE_STATS.write(staging, map(astuple, stats), h)
 
     # Charts: the headline absolute-difference series and one state boxplot.
-    chart_features = ("bpm", "ibi", "br")
+    window_ids = [float(window_id) for _, window_id in isv.keys]
     svgplot.line_chart(
         staging / "variance_series.svg",
         [
-            (
-                feature,
-                [float(k[1]) for k in isv.per_feature[feature].window_keys],
-                list(isv.per_feature[feature].abs_diff),
-            )
-            for feature in chart_features
+            (feature, window_ids, isv.abs_diff[:, FEATURE_NAMES.index(feature)].tolist())
+            for feature in ("bpm", "ibi", "br")
         ],
         "Absolute ECG-PPG feature difference per window",
         "window id",
@@ -668,11 +664,16 @@ def validate_schema(doc, schema, path="$") -> list[str]:
 
 @_stage
 def stage_report(config: PipelineConfig, out: Path, staging: Path, h: str) -> Path:
-    per_feature = {
-        feature: {"mean_abs_diff": mean, "max_abs_diff": top, "missing_count": missing,
-                  "normalized_mean_abs_diff": normalized_mean}
-        for _, (feature, _, mean, top, missing, _, normalized_mean) in VARIANCE_SUMMARY.read(out, h)
-    }
+    summary: dict[str, FeatureVariance] = {}
+    path = out / VARIANCE_SUMMARY.name
+    for line, cells in VARIANCE_SUMMARY.read(out, h):
+        row = FeatureVariance(*cells)
+        if row.feature not in FEATURE_NAMES or row.feature in summary:
+            raise PipelineError(f"{path}:{line}: unknown or repeated feature {row.feature!r}")
+        summary[row.feature] = row
+    for feature in FEATURE_NAMES:
+        if feature not in summary:
+            raise PipelineError(f"{path}: no row for feature {feature!r}")
     rankings: dict[str, list[str]] = {}
     path = out / IMPORTANCE.name
     for line, (modality, feature, scope, _, rank) in IMPORTANCE.read(out, h):
@@ -699,10 +700,13 @@ def stage_report(config: PipelineConfig, out: Path, staging: Path, h: str) -> Pa
         "config_hash": h,
         "extract": _read_object(out / EXTRACT_STATS_JSON, h),
         "variance": {
-            "mean_normalized_variance": mean_normalized(
-                v["normalized_mean_abs_diff"] for v in per_feature.values()
-            ),
-            "per_feature": per_feature,
+            "mean_normalized_variance": mean_normalized(summary.values()),
+            "per_feature": {
+                v.feature: {"mean_abs_diff": v.mean_abs_diff, "max_abs_diff": v.max_abs_diff,
+                            "missing_count": v.missing_count,
+                            "normalized_mean_abs_diff": v.normalized_mean_abs_diff}
+                for v in summary.values()
+            },
             "state_overlaps": _read_object(out / STATE_OVERLAPS_JSON, h),
         },
         "metrics": _read_object(out / METRICS_JSON, h),

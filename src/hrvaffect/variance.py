@@ -26,44 +26,45 @@ class NoAlignedWindowsError(ValueError):
 
 
 @dataclass(frozen=True)
-class FeatureVarianceSeries:
-    """Aligned |ECG - PPG| series for one feature, with summary statistics."""
+class FeatureVariance:
+    """|ECG - PPG| of one feature over the aligned windows: one
+    variance_summary.csv row, its fields in column order."""
 
     feature: str
-    window_keys: tuple  # keys where both sides are present
-    abs_diff: np.ndarray
-    missing_count: int  # aligned windows where either side is NaN
-    mean: float
-    max: float
+    n_windows: int  # aligned windows where both sides are finite
+    mean_abs_diff: float
+    max_abs_diff: float
+    missing_count: int  # aligned windows where either side is not finite
     pooled_mean_abs: float  # mean |value| over both signals, for normalization
-    normalized_mean: float  # mean / pooled_mean_abs
+    normalized_mean_abs_diff: float  # mean_abs_diff / pooled_mean_abs
+
+
+def mean_normalized(summary) -> float:
+    """Scale-free aggregate of FeatureVariance rows: the mean of their finite
+    normalized variances, NaN when none is finite."""
+    finite = [v for v in (row.normalized_mean_abs_diff for row in summary) if math.isfinite(v)]
+    return float(np.mean(finite)) if finite else math.nan
 
 
 @dataclass(frozen=True)
 class InterSignalVariance:
-    per_feature: dict[str, FeatureVarianceSeries]
+    keys: tuple  # the window keys both mappings hold, sorted
+    abs_diff: np.ndarray  # keys x FEATURE_NAMES, read-only; NaN where either side is not finite
+    summary: tuple[FeatureVariance, ...]  # one per feature, in FEATURE_NAMES order
 
     def mean_normalized(self) -> float:
-        """Scale-free aggregate: mean of normalized per-feature variance."""
-        return mean_normalized(series.normalized_mean for series in self.per_feature.values())
-
-
-def mean_normalized(values) -> float:
-    """The mean of the finite values among the normalized per-feature
-    variances, NaN when none is finite."""
-    finite = [v for v in values if math.isfinite(v)]
-    return float(np.mean(finite)) if finite else math.nan
+        return mean_normalized(self.summary)
 
 
 def inter_signal_variance(
     ecg_features: Mapping[Hashable, np.ndarray],
     ppg_features: Mapping[Hashable, np.ndarray],
 ) -> InterSignalVariance:
-    """Per-feature |ECG - PPG| over windows present in both mappings, each
-    value a row of the FEATURE_NAMES.
+    """Per-window |ECG - PPG| over the windows present in both mappings, each
+    value a row of the FEATURE_NAMES, and its summary per feature.
 
-    Windows where either side is missing (NaN) are excluded from the series
-    and counted.  Symmetric in its two arguments.
+    A window where either side of a feature is missing (NaN) is left out of
+    that feature's summary and counted.  Symmetric in its two arguments.
     """
     keys = sorted(set(ecg_features) & set(ppg_features))
     if not keys:
@@ -72,29 +73,21 @@ def inter_signal_variance(
     ecg = np.array([ecg_features[k] for k in keys], dtype=np.float64)
     ppg = np.array([ppg_features[k] for k in keys], dtype=np.float64)
     present = np.isfinite(ecg) & np.isfinite(ppg)
-    per_feature: dict[str, FeatureVarianceSeries] = {}
+    abs_diff = np.where(present, np.abs(ecg - ppg), np.nan)
+    summary = []
     for j, feature in enumerate(FEATURE_NAMES):
         both = present[:, j]
-        ecg_vals, ppg_vals = ecg[both, j], ppg[both, j]
-        diffs = np.abs(ecg_vals - ppg_vals)
-        pooled = np.concatenate([ecg_vals, ppg_vals])
+        diffs = abs_diff[both, j]
+        pooled = np.concatenate([ecg[both, j], ppg[both, j]])
         pooled_mean_abs = float(np.mean(np.abs(pooled))) if pooled.size else math.nan
         mean = float(diffs.mean()) if diffs.size else math.nan
-        per_feature[feature] = FeatureVarianceSeries(
-            feature=feature,
-            window_keys=tuple(k for k, ok in zip(keys, both) if ok),
-            abs_diff=diffs,
-            missing_count=int((~both).sum()),
-            mean=mean,
-            max=float(diffs.max()) if diffs.size else math.nan,
-            pooled_mean_abs=pooled_mean_abs,
-            normalized_mean=(
-                mean / pooled_mean_abs
-                if diffs.size and pooled_mean_abs and pooled_mean_abs > 0
-                else math.nan
-            ),
-        )
-    return InterSignalVariance(per_feature=per_feature)
+        summary.append(FeatureVariance(
+            feature, diffs.size, mean, float(diffs.max()) if diffs.size else math.nan,
+            int((~both).sum()), pooled_mean_abs,
+            mean / pooled_mean_abs if pooled_mean_abs > 0 else math.nan,  # NaN when no window
+        ))
+    abs_diff.flags.writeable = False
+    return InterSignalVariance(tuple(keys), abs_diff, tuple(summary))
 
 
 @dataclass(frozen=True)

@@ -418,6 +418,11 @@ CORRUPT_OUT_DIR = {
         "features.csv", lambda text: _edit_first_row(text, lambda c: [c[0], "", *c[2:]]),
         ":3: empty cell in a text column",
     ),
+    # Line 5 is the ECG row of window 1; its copy lands on line 6.
+    "feature_row_repeated": (
+        "features.csv", lambda text: _edit_rows(text, lambda r: [*r[:3], r[2], *r[3:]]),
+        ":6: repeated ECG row for window 1 of subject 'synthetic'",
+    ),
 }
 
 
@@ -454,6 +459,21 @@ CORRUPT_REPORT_INPUT = {
     "summary_renamed_column": (
         "variance_summary.csv", lambda text: text.replace(",max_abs_diff,", ",max,", 1),
         ": expected columns",
+    ),
+    # The summary rows are bpm, ibi, sdnn, ... on lines 3, 4, 5, ...
+    "summary_feature_missing": (
+        "variance_summary.csv", lambda text: _edit_rows(text, lambda rows: rows[1:]),
+        ": no row for feature 'bpm'",
+    ),
+    "summary_feature_unknown": (
+        "variance_summary.csv",
+        lambda text: _edit_rows(text, lambda r: [*r[:2], ["xyz", *r[2][1:]], *r[3:]]),
+        ":5: unknown or repeated feature 'xyz'",
+    ),
+    "summary_feature_repeated": (
+        "variance_summary.csv",
+        lambda text: _edit_rows(text, lambda r: [r[0], ["bpm", *r[1][1:]], *r[2:]]),
+        ":4: unknown or repeated feature 'bpm'",
     ),
     "rank_not_an_integer": (
         "importance.csv", lambda text: _edit_first_row(text, lambda c: [*c[:4], "first"]),

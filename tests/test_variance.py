@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import fields
+import shutil
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from helpers import readme_json_blocks
 from hrvaffect.hrv import FEATURE_NAMES, FeatureVector
 from hrvaffect.pipeline import (
-    STATE_STATS, FeatureRow, config_from_dict, feature_variance, read_feature_rows, run_hash,
-    stage_extract, stage_variance,
+    STATE_STATS, VARIANCE, VARIANCE_SUMMARY, FeatureRow, config_from_dict, feature_variance,
+    read_feature_rows, run_hash, stage_extract, stage_variance,
 )
+from hrvaffect.serialize import fmt9
 from hrvaffect.variance import (
+    FeatureVariance,
     GroupStats,
     NoAlignedWindowsError,
     flag_overlapping_pairs,
@@ -32,31 +35,47 @@ def fv(bpm=60.0, **overrides) -> np.ndarray:
     return FeatureVector(**values).as_array()
 
 
+def finite_keys(isv, feature):
+    """The keys where the feature's |ECG - PPG| is finite, in key order."""
+    finite = np.isfinite(isv.abs_diff[:, FEATURE_NAMES.index(feature)])
+    return tuple(k for k, ok in zip(isv.keys, finite) if ok)
+
+
+def finite_column(isv, feature):
+    """The feature's finite |ECG - PPG| values, in key order."""
+    column = isv.abs_diff[:, FEATURE_NAMES.index(feature)]
+    return column[np.isfinite(column)]
+
+
+def summary_of(isv, feature):
+    return isv.summary[FEATURE_NAMES.index(feature)]
+
+
 class TestInterSignalVariance:
     def test_identical_sequences_zero(self):
         features = {0: fv(), 1: fv()}
         isv = inter_signal_variance(features, dict(features))
-        assert np.all(isv.per_feature["bpm"].abs_diff == 0.0)
-        assert isv.per_feature["bpm"].mean == 0.0
+        assert np.all(finite_column(isv, "bpm") == 0.0)
+        assert summary_of(isv, "bpm").mean_abs_diff == 0.0
 
     def test_absolute_difference_series(self):
         ecg = {0: fv(bpm=60.0), 1: fv(bpm=62.0)}
         ppg = {0: fv(bpm=61.0), 1: fv(bpm=59.0)}
-        series = inter_signal_variance(ecg, ppg).per_feature["bpm"]
-        assert list(series.abs_diff) == [1.0, 3.0]
-        assert series.mean == 2.0
-        assert series.max == 3.0
+        isv = inter_signal_variance(ecg, ppg)
+        assert list(finite_column(isv, "bpm")) == [1.0, 3.0]
+        assert summary_of(isv, "bpm").mean_abs_diff == 2.0
+        assert summary_of(isv, "bpm").max_abs_diff == 3.0
 
     def test_missing_side_excluded_and_counted(self):
         ecg = {0: fv(), 5: fv(br=math.nan), 7: fv()}
         ppg = {0: fv(), 5: fv(), 7: fv()}
-        series = inter_signal_variance(ecg, ppg).per_feature["br"]
-        assert series.missing_count == 1
-        assert 5 not in [k for k in series.window_keys]
+        isv = inter_signal_variance(ecg, ppg)
+        assert summary_of(isv, "br").missing_count == 1
+        assert 5 not in [k for k in finite_keys(isv, "br")]
 
     def test_unaligned_keys_ignored(self):
         series = inter_signal_variance({0: fv(), 2: fv()}, {0: fv(), 3: fv()})
-        assert series.per_feature["bpm"].window_keys == (0,)
+        assert series.keys == (0,)
 
     def test_no_aligned_windows(self):
         with pytest.raises(NoAlignedWindowsError):
@@ -68,15 +87,15 @@ class TestInterSignalVariance:
         a = inter_signal_variance(ecg, ppg)
         b = inter_signal_variance(ppg, ecg)
         for name in FEATURE_NAMES:
-            assert np.array_equal(a.per_feature[name].abs_diff, b.per_feature[name].abs_diff)
+            assert np.array_equal(finite_column(a, name), finite_column(b, name))
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=20), st.floats(0, 50))
     def test_shift_bounded_by_triangle_inequality(self, bpms, shift):
         ecg = {i: fv(bpm=b) for i, b in enumerate(bpms)}
         ppg = {i: fv(bpm=b + 1.0) for i, b in enumerate(bpms)}
-        base = inter_signal_variance(ecg, ppg).per_feature["bpm"].abs_diff
+        base = finite_column(inter_signal_variance(ecg, ppg), "bpm")
         shifted_ecg = {i: fv(bpm=b + shift) for i, b in enumerate(bpms)}
-        moved = inter_signal_variance(shifted_ecg, ppg).per_feature["bpm"].abs_diff
+        moved = finite_column(inter_signal_variance(shifted_ecg, ppg), "bpm")
         assert np.all(np.abs(moved - base) <= shift + 1e-9)
 
     def test_feature_variance_leaves_out_windows_that_failed_detection(self):
@@ -89,17 +108,17 @@ class TestInterSignalVariance:
             for window_id, pair in sides.items() for modality, values in zip(("ECG", "PPG"), pair)
         ]
         isv = feature_variance(rows)
-        assert isv.per_feature["bpm"].window_keys == (("s", 0), ("s", 3))
-        assert isv.per_feature["bpm"].missing_count == 0
-        assert isv.per_feature["br"].window_keys == (("s", 0),)
-        assert isv.per_feature["br"].missing_count == 1
+        assert finite_keys(isv, "bpm") == (("s", 0), ("s", 3))
+        assert summary_of(isv, "bpm").missing_count == 0
+        assert finite_keys(isv, "br") == (("s", 0),)
+        assert summary_of(isv, "br").missing_count == 1
 
     def test_normalized_by_pooled_mean(self):
         ecg = {0: fv(bpm=100.0), 1: fv(bpm=100.0)}
         ppg = {0: fv(bpm=90.0), 1: fv(bpm=110.0)}
-        series = inter_signal_variance(ecg, ppg).per_feature["bpm"]
+        series = summary_of(inter_signal_variance(ecg, ppg), "bpm")
         assert series.pooled_mean_abs == pytest.approx(100.0)
-        assert series.normalized_mean == pytest.approx(0.1)
+        assert series.normalized_mean_abs_diff == pytest.approx(0.1)
 
 
 def rows_from_values(feature_values, state="baseline", modality="ECG"):
@@ -288,3 +307,62 @@ def test_state_stats_rows_read_back_as_group_stats(tmp_path, monkeypatch):
                 flag_overlapping_pairs(computed, feature, modality, threshold=0.0),
                 1e-6,
             )
+
+
+def test_feature_variance_fields_are_the_variance_summary_columns():
+    assert [f.name for f in fields(FeatureVariance)] == list(VARIANCE_SUMMARY.columns)
+
+
+@pytest.fixture(scope="module")
+def quickstart_variance(tmp_path_factory):
+    """The README quick-start through the variance stage: its out_dir, run
+    hash, and the inter-signal variance of the features.csv it wrote."""
+    spec, config = readme_json_blocks()[:2]
+    folder = tmp_path_factory.mktemp("quickstart")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(folder)
+        Path("synth_spec.json").write_text(spec)
+        config = config_from_dict(json.loads(config))
+        stage_extract(config)
+        stage_variance(config)
+    out, h = folder / config.out_dir, run_hash(config)
+    return config, out, h, feature_variance(read_feature_rows(out, h))
+
+
+def test_variance_summary_rows_read_back_as_feature_variance(quickstart_variance):
+    """Each variance_summary.csv row read back is FeatureVariance(*cells), the
+    in-memory summary to 9 significant digits."""
+    _, out, h, isv = quickstart_variance
+
+    def nine_digits(row):
+        return [fmt9(v) if isinstance(v, float) else v for v in astuple(row)]
+
+    read_back = [FeatureVariance(*cells) for _, cells in VARIANCE_SUMMARY.read(out, h)]
+    assert [nine_digits(v) for v in read_back] == [nine_digits(v) for v in isv.summary]
+    assert math.isfinite(isv.mean_normalized())
+
+
+def test_variance_csv_rows_are_the_finite_cells_of_abs_diff(quickstart_variance, tmp_path):
+    """variance.csv holds one row per finite |ECG - PPG| cell, walking the keys
+    in order and, within a key, the FEATURE_NAMES in order; here one br cell
+    of the quick-start features is blanked, so its cell is left out."""
+    config, quickstart_out, h, _ = quickstart_variance
+    out = tmp_path / "run"
+    shutil.copytree(quickstart_out, out)
+    lines = (out / "features.csv").read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[4 + FEATURE_NAMES.index("br")] = ""
+    lines[2] = ",".join(cells)
+    (out / "features.csv").write_text("".join(lines))
+    stage_variance(replace(config, out_dir=str(out)))
+    isv = feature_variance(read_feature_rows(out, h))
+    assert np.isnan(isv.abs_diff).sum() == 1
+    cells = [
+        (subject_id, window_id, feature, diff)
+        for (subject_id, window_id), row in zip(isv.keys, isv.abs_diff)
+        for feature, diff in zip(FEATURE_NAMES, row)
+        if np.isfinite(diff)
+    ]
+    rows = [row for _, row in VARIANCE.read(out, h)]
+    assert [(s, w, f) for w, s, f, _ in rows] == [(s, w, f) for s, w, f, _ in cells]
+    assert [fmt9(d) for *_, d in rows] == [fmt9(d) for *_, d in cells]
