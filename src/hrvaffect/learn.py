@@ -6,8 +6,9 @@ k candidate features per node with one uniform threshold each inside that
 feature's node-local range, and keeps the split with the largest Gini decrease
 (Geurts, Ernst & Wehenkel, Mach. Learn. 2006).  All trees of a forest grow
 together, level by level: one numpy pass splits every open node of every tree
-at that depth.  Two simple baselines (kNN on z-scored features, Gaussian
-naive Bayes) share the predict_proba contract for model selection.
+at that depth, and a prediction walks every tree's nodes together the same
+way.  Two simple baselines (kNN on z-scored features, Gaussian naive Bayes)
+share the predict_proba contract for model selection.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .core import STREAM_FOLDS, STREAM_SPLIT, STREAM_TREES, derive_rng
 DEFAULT_N_TREES = 100
 DEFAULT_MIN_SAMPLES_LEAF = 2
 FAMILY_NAMES = ("extra_trees", "knn", "gaussian_nb")
+# (tree, row) pairs per forest pass: with 4 classes the leaf probabilities of
+# one pass take 2 MB, whatever the number of rows or trees.
+FOREST_CHUNK_PAIRS = 1 << 16
 
 
 class SingleClassInputError(ValueError):
@@ -73,7 +77,8 @@ class Tree:
     probs: np.ndarray  # (n_nodes, n_classes); class distribution at every node
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per row; X must be C-contiguous float64."""
+        """Leaf node id per row of this tree alone; X must be C-contiguous
+        float64.  Predictions route every tree at once (FlatForest.leaves)."""
         n, n_features = X.shape
         flat = X.reshape(-1)
         # children[2i] = right child of node i, children[2i+1] = left child,
@@ -97,8 +102,36 @@ class Tree:
                 rows, nodes = rows[alive], nodes[alive]
         return out
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.probs[self.leaf_ids(X)]
+
+@dataclass(frozen=True)
+class FlatForest:
+    """Every tree's nodes in one set of arrays: node i of tree t is node
+    roots[t] + i, and children[2j] / children[2j+1] are node j's right / left
+    child, so the boolean "goes left" indexes the pair directly."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    probs: np.ndarray
+    roots: np.ndarray
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf reached by every (tree, row) pair, tree-major; X must be
+        C-contiguous float64.  One numpy step moves every pair still at an
+        internal node one depth down: x <= threshold goes left, so NaN and
+        +inf go right at every finite split and -inf left."""
+        n, n_features = X.shape
+        flat = X.reshape(-1)
+        nodes = np.repeat(self.roots, n)
+        offsets = np.tile(np.arange(n) * n_features, self.roots.size)
+        live = np.flatnonzero(self.feature[nodes] >= 0)
+        while live.size:
+            at = nodes[live]
+            go_left = flat[offsets[live] + self.feature[at]] <= self.threshold[at]
+            at = self.children[2 * at + go_left]
+            nodes[live] = at
+            live = live[self.feature[at] >= 0]
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -149,15 +182,41 @@ class ExtraTreesModel:
     feature_names: tuple[str, ...]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean leaf distribution over the trees; each row's trees are added
+        in index order, whatever the chunking."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise DimensionMismatchError(
                 f"expected (n, {len(self.feature_names)}) matrix, got {X.shape}"
             )
+        forest = self.forest
+        n_trees = len(self.trees)
         total = np.zeros((X.shape[0], len(self.classes)))
-        for tree in self.trees:
-            total += tree.predict_proba(X)
-        return total / len(self.trees)
+        step = max(1, FOREST_CHUNK_PAIRS // n_trees)
+        for start in range(0, X.shape[0], step):
+            chunk = X[start : start + step]
+            block = forest.probs[forest.leaves(chunk)].reshape(n_trees, chunk.shape[0], -1)
+            out = total[start : start + step]
+            for tree_probs in block:
+                out += tree_probs
+        return total / n_trees
+
+    @cached_property
+    def forest(self) -> FlatForest:
+        trees = self.trees
+        sizes = [tree.feature.size for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+        children = np.empty(2 * sum(sizes), dtype=np.int64)
+        children[0::2] = np.concatenate([tree.right for tree in trees]) + offset
+        children[1::2] = np.concatenate([tree.left for tree in trees]) + offset
+        return FlatForest(
+            feature=np.concatenate([tree.feature for tree in trees]),
+            threshold=np.concatenate([tree.threshold for tree in trees]),
+            children=children,
+            probs=np.concatenate([tree.probs for tree in trees]),
+            roots=roots,
+        )
 
     @cached_property
     def leaf_boxes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -167,8 +226,9 @@ class ExtraTreesModel:
 
 
 def routable(values: np.ndarray) -> np.ndarray:
-    """Values as leaf boxes must see them to route them as Tree.leaf_ids
-    does: NaN and +inf go right at every finite split, -inf left."""
+    """Values as leaf boxes must see them to route them as the forest walk
+    of ExtraTreesModel.predict_proba does: NaN and +inf go right at every
+    finite split, -inf left."""
     return np.nan_to_num(values, nan=np.inf, posinf=np.inf, neginf=np.finfo(np.float64).min)
 
 
@@ -184,7 +244,7 @@ def _leaf_boxes(tree: Tree, n_features: int):
         left, right, thr = tree.left[node], tree.right[node], tree.threshold[node]
         lo[[left, right]] = lo[node]
         hi[[left, right]] = hi[node]
-        hi[left, f] = min(hi[node, f], thr)  # x <= threshold goes left
+        hi[left, f] = min(hi[node, f], thr)  # x <= threshold goes left, as in predict_proba
         lo[right, f] = max(lo[node, f], thr)
         stack += [left, right]
     leaves = np.flatnonzero(tree.feature < 0)
@@ -331,8 +391,11 @@ def train_extra_trees(
         [derive_rng(seed, *stream, t) for t in range(params.n_trees)],
     )
     return ExtraTreesModel(
-        trees=trees, params=params, seed=seed, classes=classes,
-        feature_names=tuple(feature_names),
+        trees=trees,
+        # Only the forest's own fields, as model_from_dict rebuilds them, even
+        # when params is a whole LearnConfig.
+        params=ExtraTreesParams(params.n_trees, params.k_features, params.min_samples_leaf),
+        seed=seed, classes=classes, feature_names=tuple(feature_names),
     )
 
 

@@ -6,10 +6,10 @@ direct summation, the breathing spectrum by an explicit segment-and-window
 loop, AUC by brute force over positive/negative pairs, Shapley values by full
 permutation enumeration, and filter gains by evaluating the transfer function.
 
-The per-window feature path at the end is the exception: it is the library's
-numpy code as it ran one window at a time, before the features and the
-breathing spectrum were computed for a block of windows.  The block code must
-give its bits exactly.
+The per-window feature path and the per-tree forest prediction at the end
+are the exceptions: each is the library's numpy code as it ran before it was
+batched, one window or one tree at a time.  The batched code must give its
+bits exactly.
 """
 
 from __future__ import annotations
@@ -253,3 +253,17 @@ def window_features(beats) -> np.ndarray:
         [bpm, ibi, sdnn, sdsd, rmssd, pnn20, pnn50, mad, br, sd1, sd2, s, sd1_sd2],
         dtype=np.float64,
     )
+
+
+# ---------------------------------------------------------------------------
+# The per-tree forest prediction
+# ---------------------------------------------------------------------------
+
+def per_tree_proba(model, X) -> np.ndarray:
+    """ExtraTreesModel.predict_proba one tree at a time: each tree's leaf
+    distributions, added in tree index order, over the tree count."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    total = np.zeros((X.shape[0], len(model.classes)))
+    for tree in model.trees:
+        total += tree.probs[tree.leaf_ids(X)]
+    return total / len(model.trees)

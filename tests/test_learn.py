@@ -1,10 +1,11 @@
+import dataclasses
 import functools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hrvaffect import learn as learn_mod
@@ -33,7 +34,7 @@ from hrvaffect.learn import (
     train_extra_trees,
     train_knn,
 )
-from oracles import oracle_auc
+from oracles import oracle_auc, per_tree_proba
 
 FEATURES = tuple(f"f{i}" for i in range(13))
 
@@ -144,7 +145,8 @@ class TestExtraTrees:
 
 
 def node_rows(tree, X):
-    """Training rows reaching each node, routed as Tree.leaf_ids routes them."""
+    """Training rows reaching each node, routed as the forest walk of
+    ExtraTreesModel.predict_proba routes them: x <= threshold goes left."""
     reach = {0: np.arange(X.shape[0])}
     for node in range(tree.feature.size):  # children follow their parent
         f = tree.feature[node]
@@ -244,6 +246,47 @@ def test_exactly_one_leaf_box_admits_each_row_the_leaf_leaf_ids_gives(X):
         admits = ((routed > lo) & (routed <= hi)).all(axis=2)
         assert (admits.sum(axis=1) == 1).all()
         assert np.array_equal(leaves[admits.argmax(axis=1)], tree.leaf_ids(X))
+
+
+def forests_to_check():
+    """tied_forest, its first tree alone, and the forest with a bare root
+    leaf inserted among its trees."""
+    model = tied_forest()
+    with_leaf = model.trees[:4] + (leaf([0.25, 0.5, 0.25]),) + model.trees[4:]
+    return {
+        "tied": model,
+        "one_tree": dataclasses.replace(
+            model, trees=model.trees[:1], params=ExtraTreesParams(n_trees=1)
+        ),
+        "root_leaf": dataclasses.replace(
+            model, trees=with_leaf, params=ExtraTreesParams(n_trees=len(with_leaf))
+        ),
+    }
+
+
+@pytest.mark.parametrize("chunk_pairs", [learn_mod.FOREST_CHUNK_PAIRS, 16])
+@pytest.mark.parametrize("forest", ["tied", "one_tree", "root_leaf"])
+@given(X=rows_on_the_edges())
+@example(X=np.empty((0, len(FEATURES))))
+def test_forest_pass_is_bit_equal_to_the_per_tree_sum(forest, chunk_pairs, X):
+    model = forests_to_check()[forest]
+    with pytest.MonkeyPatch.context() as patch:
+        # 16 pairs hold one row of a 10- or 11-tree forest, 16 of one tree.
+        patch.setattr(learn_mod, "FOREST_CHUNK_PAIRS", chunk_pairs)
+        proba = model.predict_proba(X)
+    assert proba.tobytes() == per_tree_proba(model, X).tobytes()
+
+
+def test_forest_pass_does_not_call_the_per_tree_walk(monkeypatch):
+    model = tied_forest()
+    X, _ = tied_fixture(n=30, seed=5)
+    expected = per_tree_proba(model, X)
+
+    def refuse(self, X):
+        raise AssertionError("Tree.leaf_ids called")
+
+    monkeypatch.setattr(Tree, "leaf_ids", refuse)
+    assert model.predict_proba(X).tobytes() == expected.tobytes()
 
 
 def hand_model(trees, n_features=2, classes=("a", "b")):

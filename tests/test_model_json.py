@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from hrvaffect.learn import ExtraTreesParams, model_from_dict, model_to_dict, train_extra_trees
+from hrvaffect.learn import (
+    ExtraTreesParams,
+    LearnConfig,
+    model_from_dict,
+    model_to_dict,
+    train_extra_trees,
+    train_family,
+)
 from hrvaffect.serialize import read_json, write_json
 
 FEATURES = tuple(f"f{i}" for i in range(13))
@@ -41,6 +48,12 @@ def test_saved_model_loads_node_for_node(model, tmp_path):
         # write_json keeps 9 significant digits; a leaf's NaN threshold survives.
         for name in ("threshold", "probs"):
             np.testing.assert_array_equal(getattr(after, name), round9(getattr(before, name)))
+
+
+def test_forest_fitted_under_a_learn_config_keeps_its_params_through_json():
+    X, y = three_class_fixture()
+    fitted = train_family("extra_trees", X, y, FEATURES, LearnConfig(n_trees=3), 0)
+    assert model_from_dict(model_to_dict(fitted)).params == fitted.params
 
 
 @pytest.mark.parametrize("params", [
