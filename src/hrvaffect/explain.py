@@ -6,7 +6,10 @@ instance's values, pushed through the model, averaged.  Each tree leaf is a
 box of (lo, hi] edges, and per background row its share of that game has a
 closed-form Shapley value (interventional Tree SHAP; Lundberg et al., Nature
 MI 2020): exact attributions at a cost linear in leaves x background rows,
-with no 2^F coalition enumeration.
+with no 2^F coalition enumeration.  One pass over every tree's leaves at once
+(ExtraTreesModel.leaf_boxes) explains an instance; a box's admission of a row
+is one bit per feature, packed along the feature axis into a leading axis of
+bytes.
 """
 
 from __future__ import annotations
@@ -68,9 +71,16 @@ def _pair_weights(n_features: int) -> np.ndarray:
     return w
 
 
-def _background_in(model: ExtraTreesModel, background: np.ndarray) -> list[np.ndarray]:
-    """Per tree, (rows, leaves, features): where each leaf box admits each
-    background row.  It does not depend on the instance explained."""
+def _admits(model: ExtraTreesModel, row: np.ndarray) -> np.ndarray:
+    """(bytes, leaves): whether each leaf box admits a routable row, one bit
+    per feature, packed along the first axis."""
+    _, lo, hi = model.leaf_boxes
+    return np.packbits(((row > lo) & (row <= hi)).T, axis=0)
+
+
+def _background_in(model: ExtraTreesModel, background: np.ndarray) -> np.ndarray:
+    """(bytes, rows, leaves): _admits for each background row.  It does not
+    depend on the instance explained."""
     background = np.asarray(background, dtype=np.float64)
     if background.ndim != 2 or background.shape[0] == 0:
         raise EmptyBackgroundError("background must be a non-empty (n, features) matrix")
@@ -78,14 +88,13 @@ def _background_in(model: ExtraTreesModel, background: np.ndarray) -> list[np.nd
         raise DimensionMismatchError(
             f"instance/background must have {len(model.feature_names)} features"
         )
-    background = routable(background)[:, None, :]
-    return [(background > lo) & (background <= hi) for _, lo, hi in model.leaf_boxes]
+    return np.stack([_admits(model, row) for row in routable(background)], axis=1)
 
 
 def _explain(
     model: ExtraTreesModel,
     x: np.ndarray,
-    background_in: list[np.ndarray],
+    background_in: np.ndarray,
     class_label: str,
 ) -> ShapExplanation:
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -95,21 +104,22 @@ def _explain(
             f"instance/background must have {n_features} features"
         )
     class_index = model.classes.index(class_label)
-    x = routable(x)
+    x_in = _admits(model, routable(x))
+    # The byte axis leads, so the reduction over it runs on whole planes.
+    every = np.packbits(np.ones(n_features, dtype=bool))[:, None, None]
+    rows, cols = np.nonzero(((x_in[:, None, :] | background_in) == every).all(axis=0))
+    x_in, r_in = x_in[:, cols], background_in[:, rows, cols]  # (bytes, pairs)
+    only_x, only_r = x_in & ~r_in, r_in & ~x_in
+    a = np.bitwise_count(only_x).sum(axis=0)
+    b = np.bitwise_count(only_r).sum(axis=0)
+    value = model.forest.probs[model.leaf_boxes[0][cols], class_index]
     weights = _pair_weights(n_features)
-    phi = np.zeros(n_features)
-    base_value = 0.0
-    for tree, (leaves, lo, hi), r_in in zip(model.trees, model.leaf_boxes, background_in):
-        x_in = (x > lo) & (x <= hi)  # (leaves, features)
-        rows, cols = np.nonzero((x_in | r_in).all(axis=2))
-        only_x = x_in[cols] & ~r_in[rows, cols]
-        only_r = r_in[rows, cols] & ~x_in[cols]
-        a, b = only_x.sum(axis=1), only_r.sum(axis=1)
-        value = tree.probs[leaves[cols], class_index]
-        base_value += float(value[a == 0].sum())
-        phi += (value * weights[a, b]) @ only_x - (value * weights[b, a]) @ only_r
-    n_pairs = len(model.trees) * background_in[0].shape[0]
-    return ShapExplanation(base_value=base_value / n_pairs, phi=phi / n_pairs)
+    phi = (
+        np.unpackbits(only_x, axis=0, count=n_features) @ (value * weights[a, b])
+        - np.unpackbits(only_r, axis=0, count=n_features) @ (value * weights[b, a])
+    )
+    n_pairs = model.forest.roots.size * background_in.shape[1]
+    return ShapExplanation(base_value=float(value[a == 0].sum()) / n_pairs, phi=phi / n_pairs)
 
 
 def shapley_explain(

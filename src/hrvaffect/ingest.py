@@ -175,6 +175,9 @@ class SyntheticSpec:
         if self.noise_std < 0:
             raise InvalidSpecError("noise_std must be >= 0")
         rates = {"ecg_rate_hz": self.ecg_rate_hz, "ppg_rate_hz": self.ppg_rate_hz}
+        for name, rate in rates.items():
+            if not math.isfinite(self.duration_s * rate):
+                raise InvalidSpecError(f"{name} {rate} renders a sample count that is not finite")
         rendered = {name: _rendered_samples(self.duration_s, rate) / rate
                     for name, rate in rates.items()}
         if _durations_disagree([self.duration_s, *rendered.values()]):

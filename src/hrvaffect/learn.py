@@ -6,9 +6,10 @@ k candidate features per node with one uniform threshold each inside that
 feature's node-local range, and keeps the split with the largest Gini decrease
 (Geurts, Ernst & Wehenkel, Mach. Learn. 2006).  All trees of a forest grow
 together, level by level: one numpy pass splits every open node of every tree
-at that depth, and a prediction walks every tree's nodes together the same
-way.  Two simple baselines (kNN on z-scored features, Gaussian naive Bayes)
-share the predict_proba contract for model selection.
+at that depth.  Every pass over a fitted forest (prediction, the leaf boxes
+that Shapley reads as one leaf set, the model.json check) goes the same way
+over one flat node set.  Two simple baselines (kNN on z-scored features,
+Gaussian naive Bayes) share the predict_proba contract for model selection.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _encode_labels(y) -> tuple[tuple[str, ...], np.ndarray]:
 
 @dataclass(frozen=True)
 class Tree:
-    """One tree in flat arrays; feature[i] == -1 marks node i as a leaf."""
+    """One tree in flat arrays, the unit a model and model.json take; feature -1 marks a leaf."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -77,30 +78,9 @@ class Tree:
     probs: np.ndarray  # (n_nodes, n_classes); class distribution at every node
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per row of this tree alone; X must be C-contiguous
-        float64.  Predictions route every tree at once (FlatForest.leaves)."""
-        n, n_features = X.shape
-        flat = X.reshape(-1)
-        # children[2i] = right child of node i, children[2i+1] = left child,
-        # so the boolean go_left indexes the pair directly.
-        children = np.empty(2 * self.feature.size, dtype=np.int64)
-        children[0::2] = self.right
-        children[1::2] = self.left
-        internal = self.feature >= 0
-        out = np.zeros(n, dtype=np.int64)
-        rows = np.arange(n, dtype=np.int64)
-        nodes = np.zeros(n, dtype=np.int64)
-        alive = internal[nodes]
-        rows, nodes = rows[alive], nodes[alive]
-        while rows.size:
-            go_left = flat[rows * n_features + self.feature[nodes]] <= self.threshold[nodes]
-            nodes = children[2 * nodes + go_left]
-            alive = internal[nodes]
-            if not alive.all():
-                done = ~alive
-                out[rows[done]] = nodes[done]
-                rows, nodes = rows[alive], nodes[alive]
-        return out
+        """Leaf node id per row of this tree alone, by the forest walk over
+        this one tree; X must be C-contiguous float64."""
+        return FlatForest.of((self,)).leaves(X)
 
 
 @dataclass(frozen=True)
@@ -114,6 +94,22 @@ class FlatForest:
     children: np.ndarray
     probs: np.ndarray
     roots: np.ndarray
+
+    @classmethod
+    def of(cls, trees: tuple[Tree, ...]) -> FlatForest:
+        sizes = [tree.feature.size for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+        children = np.empty(2 * sum(sizes), dtype=np.int64)
+        children[0::2] = np.concatenate([tree.right for tree in trees]) + offset
+        children[1::2] = np.concatenate([tree.left for tree in trees]) + offset
+        return cls(
+            feature=np.concatenate([tree.feature for tree in trees]),
+            threshold=np.concatenate([tree.threshold for tree in trees]),
+            children=children,
+            probs=np.concatenate([tree.probs for tree in trees]),
+            roots=roots,
+        )
 
     def leaves(self, X: np.ndarray) -> np.ndarray:
         """Leaf reached by every (tree, row) pair, tree-major; X must be
@@ -203,26 +199,29 @@ class ExtraTreesModel:
 
     @cached_property
     def forest(self) -> FlatForest:
-        trees = self.trees
-        sizes = [tree.feature.size for tree in trees]
-        roots = np.cumsum([0] + sizes[:-1])
-        offset = np.repeat(roots, sizes)
-        children = np.empty(2 * sum(sizes), dtype=np.int64)
-        children[0::2] = np.concatenate([tree.right for tree in trees]) + offset
-        children[1::2] = np.concatenate([tree.left for tree in trees]) + offset
-        return FlatForest(
-            feature=np.concatenate([tree.feature for tree in trees]),
-            threshold=np.concatenate([tree.threshold for tree in trees]),
-            children=children,
-            probs=np.concatenate([tree.probs for tree in trees]),
-            roots=roots,
-        )
+        return FlatForest.of(self.trees)
 
     @cached_property
-    def leaf_boxes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per tree (leaves, lo, hi): a row reaches leaves[j] iff
-        lo[j] < routable(row) <= hi[j]."""
-        return tuple(_leaf_boxes(tree, len(self.feature_names)) for tree in self.trees)
+    def leaf_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(leaves, lo, hi) over every tree's leaves, tree-major: a row reaches
+        forest node leaves[j] iff lo[j] < routable(row) <= hi[j].  Built a
+        depth at a time for all trees: a child takes its parent's box, cut at
+        the threshold, where x <= threshold goes left as in predict_proba."""
+        forest = self.forest
+        shape = (forest.feature.size, len(self.feature_names))
+        lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
+        nodes = forest.roots[forest.feature[forest.roots] >= 0]
+        while nodes.size:
+            f, thr = forest.feature[nodes], forest.threshold[nodes]
+            right, left = forest.children[2 * nodes], forest.children[2 * nodes + 1]
+            lo[left] = lo[right] = lo[nodes]
+            hi[left] = hi[right] = hi[nodes]
+            hi[left, f] = np.fmin(hi[nodes, f], thr)
+            lo[right, f] = np.fmax(lo[nodes, f], thr)
+            nodes = np.concatenate([left, right])
+            nodes = nodes[forest.feature[nodes] >= 0]
+        leaves = np.flatnonzero(forest.feature < 0)
+        return leaves, lo[leaves], hi[leaves]
 
 
 def routable(values: np.ndarray) -> np.ndarray:
@@ -230,25 +229,6 @@ def routable(values: np.ndarray) -> np.ndarray:
     of ExtraTreesModel.predict_proba does: NaN and +inf go right at every
     finite split, -inf left."""
     return np.nan_to_num(values, nan=np.inf, posinf=np.inf, neginf=np.finfo(np.float64).min)
-
-
-def _leaf_boxes(tree: Tree, n_features: int):
-    lo = np.full((tree.feature.size, n_features), -np.inf)
-    hi = np.full((tree.feature.size, n_features), np.inf)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        f = tree.feature[node]
-        if f < 0:
-            continue
-        left, right, thr = tree.left[node], tree.right[node], tree.threshold[node]
-        lo[[left, right]] = lo[node]
-        hi[[left, right]] = hi[node]
-        hi[left, f] = min(hi[node, f], thr)  # x <= threshold goes left, as in predict_proba
-        lo[right, f] = max(lo[node, f], thr)
-        stack += [left, right]
-    leaves = np.flatnonzero(tree.feature < 0)
-    return leaves, lo[leaves], hi[leaves]
 
 
 def _grow_forest(
@@ -399,27 +379,8 @@ def train_extra_trees(
     )
 
 
-_TREE_FIELDS = ("feature", "threshold", "left", "right", "probs")
-
-
-def _tree_from_dict(doc: dict, n_classes: int, n_features: int) -> Tree:
-    """A Tree from its node arrays, checked so that every walk ends at a leaf."""
-    feature, left, right = (np.asarray(doc[k], dtype=np.int64) for k in ("feature", "left", "right"))
-    threshold, probs = (np.asarray(doc[k], dtype=np.float64) for k in ("threshold", "probs"))
-    n = feature.size
-    if any(a.shape != (n,) for a in (feature, threshold, left, right)):
-        raise ValueError("tree node arrays must be one-dimensional and of one length")
-    if probs.shape != (n, n_classes):
-        raise ValueError(f"tree probs must be ({n}, {n_classes}), got {probs.shape}")
-    if ((feature < -1) | (feature >= n_features)).any():
-        raise ValueError(f"tree feature ids must be -1 (leaf) or below {n_features}")
-    # Child ids above their parent's rule out cycles; distinct ones, shared subtrees.
-    parents = np.flatnonzero(feature >= 0)
-    children = np.concatenate([left[parents], right[parents]])
-    misplaced = (children <= np.tile(parents, 2)) | (children >= n)
-    if misplaced.any() or np.unique(children).size != children.size:
-        raise ValueError("tree child ids must be distinct, above their parent's and in range")
-    return Tree(feature=feature, threshold=threshold, left=left, right=right, probs=probs)
+_TREE_FIELDS = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+                "right": np.int64, "probs": np.float64}
 
 
 def model_to_dict(model: ExtraTreesModel) -> dict:
@@ -444,12 +405,33 @@ def model_from_dict(doc: dict) -> ExtraTreesModel:
         classes = tuple(doc["classes"])
         feature_names = tuple(doc["feature_names"])
         params = ExtraTreesParams(int(doc["n_trees"]), doc["k_features"], int(doc["min_samples_leaf"]))
-        trees = tuple(_tree_from_dict(t, len(classes), len(feature_names)) for t in doc["trees"])
+        trees = tuple(
+            Tree(**{key: np.asarray(t[key], dtype=dtype) for key, dtype in _TREE_FIELDS.items()})
+            for t in doc["trees"]
+        )
         seed = int(doc["seed"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from None
     if len(trees) != params.n_trees:
         raise ValueError(f"model has {len(trees)} trees, n_trees says {params.n_trees}")
+    for tree in trees:
+        n = tree.feature.size
+        if any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right)):
+            raise ValueError("tree node arrays must be one-dimensional and of one length")
+        if tree.probs.shape != (n, len(classes)):
+            raise ValueError(f"tree probs must be ({n}, {len(classes)}), got {tree.probs.shape}")
+    # Child ids above their parent's and below their tree's end rule out
+    # cycles and walks into the next tree; distinct ones, shared subtrees.
+    forest = FlatForest.of(trees)
+    if ((forest.feature < -1) | (forest.feature >= len(feature_names))).any():
+        raise ValueError(f"tree feature ids must be -1 (leaf) or below {len(feature_names)}")
+    parents = np.flatnonzero(forest.feature >= 0)
+    ends = np.append(forest.roots[1:], forest.feature.size)
+    ends = np.tile(ends[np.searchsorted(forest.roots, parents, side="right") - 1], 2)
+    children = forest.children[np.concatenate([2 * parents, 2 * parents + 1])]
+    misplaced = (children <= np.tile(parents, 2)) | (children >= ends)
+    if misplaced.any() or np.unique(children).size != children.size:
+        raise ValueError("tree child ids must be distinct, above their parent's and in range")
     return ExtraTreesModel(trees, params, seed, classes, feature_names)
 
 

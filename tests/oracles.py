@@ -6,10 +6,11 @@ direct summation, the breathing spectrum by an explicit segment-and-window
 loop, AUC by brute force over positive/negative pairs, Shapley values by full
 permutation enumeration, and filter gains by evaluating the transfer function.
 
-The per-window feature path and the per-tree forest prediction at the end
-are the exceptions: each is the library's numpy code as it ran before it was
-batched, one window or one tree at a time.  The batched code must give its
-bits exactly.
+The per-window feature path and the per-tree forest walk, prediction and
+Shapley pass at the end are the exceptions: each is the library's numpy code
+as it ran before it was batched, one window or one tree at a time.  The
+batched prediction must give its bits exactly; the one Shapley pass sums in
+another order, so it must agree to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from statistics import median
 
 import numpy as np
 
+from hrvaffect.explain import _pair_weights
 from hrvaffect.hrv import InsufficientSpanError, TooFewBeatsError
+from hrvaffect.learn import routable
 
 BREATH_BAND = (0.1, 0.4)
 GRID_RATE = 4.0
@@ -256,8 +259,35 @@ def window_features(beats) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The per-tree forest prediction
+# The per-tree forest walk, prediction and Shapley pass
 # ---------------------------------------------------------------------------
+
+def per_tree_leaf_ids(tree, X) -> np.ndarray:
+    """Leaf node id per row of one tree, walked on its own node arrays; X must
+    be C-contiguous float64."""
+    n, n_features = X.shape
+    flat = X.reshape(-1)
+    # children[2i] = right child of node i, children[2i+1] = left child,
+    # so the boolean go_left indexes the pair directly.
+    children = np.empty(2 * tree.feature.size, dtype=np.int64)
+    children[0::2] = tree.right
+    children[1::2] = tree.left
+    internal = tree.feature >= 0
+    out = np.zeros(n, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
+    nodes = np.zeros(n, dtype=np.int64)
+    alive = internal[nodes]
+    rows, nodes = rows[alive], nodes[alive]
+    while rows.size:
+        go_left = flat[rows * n_features + tree.feature[nodes]] <= tree.threshold[nodes]
+        nodes = children[2 * nodes + go_left]
+        alive = internal[nodes]
+        if not alive.all():
+            done = ~alive
+            out[rows[done]] = nodes[done]
+            rows, nodes = rows[alive], nodes[alive]
+    return out
+
 
 def per_tree_proba(model, X) -> np.ndarray:
     """ExtraTreesModel.predict_proba one tree at a time: each tree's leaf
@@ -265,5 +295,51 @@ def per_tree_proba(model, X) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     total = np.zeros((X.shape[0], len(model.classes)))
     for tree in model.trees:
-        total += tree.probs[tree.leaf_ids(X)]
+        total += tree.probs[per_tree_leaf_ids(tree, X)]
     return total / len(model.trees)
+
+
+def per_tree_leaf_boxes(tree, n_features: int):
+    """(leaves, lo, hi) of one tree by a depth-first walk: a row reaches
+    leaves[j] iff lo[j] < routable(row) <= hi[j]."""
+    lo = np.full((tree.feature.size, n_features), -np.inf)
+    hi = np.full((tree.feature.size, n_features), np.inf)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        f = tree.feature[node]
+        if f < 0:
+            continue
+        left, right, thr = tree.left[node], tree.right[node], tree.threshold[node]
+        lo[[left, right]] = lo[node]
+        hi[[left, right]] = hi[node]
+        hi[left, f] = min(hi[node, f], thr)  # x <= threshold goes left
+        lo[right, f] = max(lo[node, f], thr)
+        stack += [left, right]
+    leaves = np.flatnonzero(tree.feature < 0)
+    return leaves, lo[leaves], hi[leaves]
+
+
+def per_tree_shapley(model, x, background, class_label) -> tuple[float, np.ndarray]:
+    """(base_value, phi) of shapley_explain one tree at a time, on boolean
+    admission masks: per tree, sum each reachable (row, leaf) pair's share."""
+    n_features = len(model.feature_names)
+    class_index = model.classes.index(class_label)
+    x = routable(np.asarray(x, dtype=np.float64).ravel())
+    background = routable(np.asarray(background, dtype=np.float64))[:, None, :]
+    weights = _pair_weights(n_features)
+    phi = np.zeros(n_features)
+    base_value = 0.0
+    for tree in model.trees:
+        leaves, lo, hi = per_tree_leaf_boxes(tree, n_features)
+        r_in = (background > lo) & (background <= hi)  # (rows, leaves, features)
+        x_in = (x > lo) & (x <= hi)  # (leaves, features)
+        rows, cols = np.nonzero((x_in | r_in).all(axis=2))
+        only_x = x_in[cols] & ~r_in[rows, cols]
+        only_r = r_in[rows, cols] & ~x_in[cols]
+        a, b = only_x.sum(axis=1), only_r.sum(axis=1)
+        value = tree.probs[leaves[cols], class_index]
+        base_value += float(value[a == 0].sum())
+        phi += (value * weights[a, b]) @ only_x - (value * weights[b, a]) @ only_r
+    n_pairs = len(model.trees) * background.shape[0]
+    return base_value / n_pairs, phi / n_pairs

@@ -360,6 +360,24 @@ def test_empty_window_fails_before_scipy_signal_is_imported(tmp_path):
     assert "scipy.signal" not in proc.stderr
 
 
+def test_spec_rate_that_overflows_is_one_json_error(tmp_path):
+    """A rate whose sample count over duration_s is not finite is refused as
+    InvalidSpec before anything is rendered, not raised as an OverflowError."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(FLAG_SPEC, ecg_rate_hz=1e308)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrvaffect", "extract",
+         "--synthetic-spec", str(spec_path), "--out", str(tmp_path / "run")],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "InvalidSpec"
+    assert "ecg_rate_hz" in payload["message"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--ecg-order", "0"], "ecg_filter"),
     (["--ppg-low-hz", "9"], "ppg_filter"),

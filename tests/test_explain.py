@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hrvaffect.explain import (
     EmptyBackgroundError,
@@ -17,7 +20,8 @@ from hrvaffect.learn import (
     Tree,
     train_extra_trees,
 )
-from oracles import oracle_shapley_permutations
+from oracles import oracle_shapley_permutations, per_tree_shapley
+from test_learn import forests_to_check, rows_on_the_edges
 
 
 def leaf_tree(probs):
@@ -141,6 +145,36 @@ class TestShapleyExplain:
         model = make_model([leaf_tree([1.0, 0.0])], n_features=3)
         with pytest.raises(DimensionMismatchError):
             shapley_explain(model, np.zeros(2), np.zeros((4, 2)), "a")
+
+
+@functools.cache
+def wide_forest():
+    """20 features, so an admission mask packs into 3 bytes with 4 padding
+    bits; feature 19 is constant, so no tree splits on it."""
+    rng = np.random.default_rng(4)
+    X = np.round(rng.normal(size=(120, 20)), 1)
+    X[:, 19] = 0.5
+    y = np.where(X[:, 0] + X[:, 7] > 0, "a", "b")
+    return train_extra_trees(
+        X, y, tuple(f"f{i}" for i in range(20)), ExtraTreesParams(n_trees=10), seed=6
+    )
+
+
+@pytest.mark.parametrize("forest", ["tied", "one_tree", "root_leaf", "wide"])
+@given(data=st.data())
+def test_one_pass_agrees_with_the_per_tree_sum(forest, data):
+    """The packed pass over the whole leaf set sums the per-tree shares in
+    another order, so it agrees with the per-tree loop to rounding."""
+    model = wide_forest() if forest == "wide" else forests_to_check()[forest]
+    background = data.draw(rows_on_the_edges(model), label="background")
+    x = data.draw(rows_on_the_edges(model), label="instance")[0]
+    label = data.draw(st.sampled_from(model.classes), label="class")
+    explanation = shapley_explain(model, x, background, label)
+    base_value, phi = per_tree_shapley(model, x, background, label)
+    assert abs(explanation.base_value - base_value) <= 1e-12
+    assert np.abs(explanation.phi - phi).max() <= 1e-12
+    if forest == "wide":
+        assert explanation.phi[19] == 0.0
 
 
 class TestSampleBackground:

@@ -34,7 +34,7 @@ from hrvaffect.learn import (
     train_extra_trees,
     train_knn,
 )
-from oracles import oracle_auc, per_tree_proba
+from oracles import oracle_auc, per_tree_leaf_ids, per_tree_proba
 
 FEATURES = tuple(f"f{i}" for i in range(13))
 
@@ -221,12 +221,12 @@ def tied_forest():
 
 
 @st.composite
-def rows_on_the_edges(draw):
+def rows_on_the_edges(draw, model=None):
     """Rows of NaN, +-inf, finite values and each column's split thresholds
-    themselves, where a tie goes left."""
-    model = tied_forest()
+    in `model` (tied_forest by default) themselves, where a tie goes left."""
+    model = model or tied_forest()
     columns = []
-    for f in range(len(FEATURES)):
+    for f in range(len(model.feature_names)):
         ties = sorted({float(t.threshold[i])
                        for t in model.trees for i in np.flatnonzero(t.feature == f)})
         columns.append(st.one_of(
@@ -240,12 +240,20 @@ def rows_on_the_edges(draw):
 
 @given(rows_on_the_edges())
 def test_exactly_one_leaf_box_admits_each_row_the_leaf_leaf_ids_gives(X):
-    model = tied_forest()
+    """Over the forest's one leaf set: per tree, exactly one of its boxes
+    admits each row, and it is the leaf the oracle walk of that tree gives."""
     routed = routable(X)[:, None, :]
-    for tree, (leaves, lo, hi) in zip(model.trees, model.leaf_boxes):
-        admits = ((routed > lo) & (routed <= hi)).all(axis=2)
-        assert (admits.sum(axis=1) == 1).all()
-        assert np.array_equal(leaves[admits.argmax(axis=1)], tree.leaf_ids(X))
+    for model in (tied_forest(), forests_to_check()["root_leaf"]):
+        leaves, lo, hi = model.leaf_boxes
+        roots = model.forest.roots
+        admits = ((routed > lo) & (routed <= hi)).all(axis=2)  # (rows, leaves)
+        tree_of = np.searchsorted(roots, leaves, side="right") - 1
+        for t, tree in enumerate(model.trees):
+            mine = admits[:, tree_of == t]
+            assert (mine.sum(axis=1) == 1).all()
+            walked = per_tree_leaf_ids(tree, X)
+            assert np.array_equal(leaves[tree_of == t][mine.argmax(axis=1)], roots[t] + walked)
+            assert np.array_equal(tree.leaf_ids(X), walked)
 
 
 def forests_to_check():

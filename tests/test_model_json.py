@@ -1,5 +1,7 @@
 """model.json: each tree is stored as its Tree node arrays and loaded checked."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,26 @@ def test_stump_document_loads():
     np.testing.assert_array_equal(proba, [[1.0, 0.0, 0.0], [0.0, 0.8, 0.2]])
 
 
+def test_two_tree_document_loads():
+    doc = stump_doc()
+    _two_trees(lambda first, second: None)(doc)
+    model = model_from_dict(doc)
+    proba = model.predict_proba(np.array([[0.0] * 13, [1.0] * 13]))
+    np.testing.assert_array_equal(proba, [[1.0, 0.0, 0.0], [0.0, 0.8, 0.2]])
+
+
 def _tree(doc):
     return doc["trees"][0]
+
+
+def _two_trees(edit):
+    """The stump document with a copy of its tree as a second tree, then `edit`
+    applied to the two trees."""
+    def mutate(doc):
+        doc["n_trees"] = 2
+        doc["trees"].append(copy.deepcopy(_tree(doc)))
+        edit(*doc["trees"])
+    return mutate
 
 
 MALFORMED = {
@@ -117,6 +137,12 @@ MALFORMED = {
         "feature": 2, "threshold": 0.5,
         "left": {"probs": [1.0, 0.0, 0.0]}, "right": {"probs": [0.0, 0.8, 0.2]},
     }]),
+    # Node ids 0-2 of the second tree are 3-5 of the forest's one node set.
+    "child_in_next_tree": _two_trees(lambda first, second: first["right"].__setitem__(0, 3)),
+    "probs_rows_traded": _two_trees(
+        lambda first, second: (first["probs"].pop(), second["probs"].append([1.0, 0.0, 0.0]))
+    ),
+    "cycle_in_second_tree": _two_trees(lambda first, second: second["left"].__setitem__(0, 0)),
 }
 
 

@@ -233,6 +233,10 @@ RULE_CASES = {
         "ecg_rate_hz 0.001 renders 0.00s of duration_s 30.0",
         lambda: SyntheticSpec(30.0, 0.001, 0.001, (StateSpec("baseline", 65.0, 10.0, 30.0),)),
     ),
+    "spec_rate_overflows": (
+        "spec", ("ecg_rate_hz",), 1e308, "InvalidSpec", "ecg_rate_hz 1e+308 renders a sample count",
+        lambda: SyntheticSpec(30.0, 1e308, 64.0, (StateSpec("baseline", 65.0, 10.0, 30.0),)),
+    ),
     "manifest_rate": (
         "manifest", ("subjects", 0, "ppg_rate_hz"), 0.0, "Parse", "subjects[0] ecg_rate_hz",
         lambda: SubjectFiles("s1", "e.csv", "p.csv", "a.csv", 350.0, 0.0, 350.0),
