@@ -32,6 +32,8 @@ DURATION_S = 2400.0
 JITTER_MS = 50.0
 N_TREES = 100
 EVAL_SEED = 7
+# (ECG rate, PPG rate, noise_std) of each twin.
+FIDELITY = {"high": (1000.0, 1000.0, 0.01), "low": (700.0, 64.0, 0.3)}
 
 
 def twin_spec(ecg_rate, ppg_rate, noise_std, seed=SEED, duration_s=DURATION_S,
@@ -80,17 +82,17 @@ def main(argv=None):
     parser.add_argument("--duration", type=float, default=DURATION_S)
     parser.add_argument("--jitter-ms", type=float, default=JITTER_MS)
     parser.add_argument("--n-trees", type=int, default=N_TREES)
-    parser.add_argument("--low-noise", type=float, default=0.01)
-    parser.add_argument("--high-noise", type=float, default=0.3)
+    parser.add_argument("--low-noise", type=float, default=FIDELITY["high"][2])
+    parser.add_argument("--high-noise", type=float, default=FIDELITY["low"][2])
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
     high_var, high = run_twin(
-        twin_spec(1000.0, 1000.0, args.low_noise, args.seed, args.duration, args.jitter_ms),
+        twin_spec(*FIDELITY["high"][:2], args.low_noise, args.seed, args.duration, args.jitter_ms),
         args.n_trees,
     )
     low_var, low = run_twin(
-        twin_spec(700.0, 64.0, args.high_noise, args.seed, args.duration, args.jitter_ms),
+        twin_spec(*FIDELITY["low"][:2], args.high_noise, args.seed, args.duration, args.jitter_ms),
         args.n_trees,
     )
 

@@ -2,9 +2,12 @@
 
 The processing order is filter first, then window.  Defaults follow the
 conventional HRV-preserving bands: ECG 0.67-40 Hz, PPG 0.5-8 Hz, third order,
-zero-phase so beat timing survives filtering.  scipy.signal is imported in
-the functions that filter: importing it takes several times as long as the
-rest of the package, and the stages that never filter should not pay that.
+zero-phase so beat timing survives filtering.  The filter streams both of
+its passes through one n-sample buffer, a chunk at a time, and equals
+scipy's sosfiltfilt (causal mode: sosfilt) bit for bit.  scipy.signal is
+imported in the functions that filter: importing it takes several times as
+long as the rest of the package, and the stages that never filter should
+not pay that.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from .core import (
     av_quadrant,
     check_av_range,
 )
+
+
+# The filter runs over this many samples per scipy call, so its temporaries
+# stay at a few hundred kB whatever the record's length.
+FILTER_CHUNK_SAMPLES = 2**16
 
 
 class CutoffAboveNyquistError(ValueError):
@@ -95,23 +103,45 @@ def design_butterworth_bandpass(spec: FilterSpec, sample_rate_hz: float) -> np.n
     )
 
 
+def _sosfilt_chunks(sos, x: np.ndarray, zi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Run the cascade over x from state zi into out (which may be x itself),
+    FILTER_CHUNK_SAMPLES at a time; returns the final state.  The cascade
+    carries its state from sample to sample, so chunking changes no bit."""
+    from scipy import signal as sps
+
+    for start in range(0, x.size, FILTER_CHUNK_SAMPLES):
+        part = slice(start, start + FILTER_CHUNK_SAMPLES)
+        out[part], zi = sps.sosfilt(sos, x[part], zi=zi)
+    return zi
+
+
 def filter_signal(record: SignalRecord, spec: FilterSpec) -> SignalRecord:
     """Apply the band-pass to a record, preserving length and metadata.
 
     Zero-phase mode runs the cascade forward and backward (squared magnitude
     response, no phase shift) over an even-reflection padding of 3 x order
-    samples per end, with step-matched initial conditions.
+    samples per end, with step-matched initial conditions.  Both passes write
+    into one n-sample buffer, which the returned record shares.
     """
     from scipy import signal as sps
 
     sos = design_butterworth_bandpass(spec, record.sample_rate_hz)
     x = record.samples
+    zi = sps.sosfilt_zi(sos)
+    pad = min(3 * spec.order, x.size - 1) if spec.zero_phase else 0
+    y, tail = np.empty(x.size), np.empty(pad)
+    # Forward over the left pad (for its state only), the record and the
+    # right pad; causal mode has no pad and stops here.
+    state = _sosfilt_chunks(sos, x[pad:0:-1], zi * x[pad], tail)
+    state = _sosfilt_chunks(sos, x, state, y)
+    _sosfilt_chunks(sos, x[-2 : -pad - 2 : -1], state, tail)
     if spec.zero_phase:
-        padlen = min(3 * spec.order, x.size - 1)
-        y = sps.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
-    else:
-        zi = sps.sosfilt_zi(sos) * x[0]
-        y, _ = sps.sosfilt(sos, x, zi=zi)
+        # Backward from the last forward output, over the right pad and then
+        # the record in place.  The left pad's backward outputs are dropped,
+        # so that pass is not run.
+        state = _sosfilt_chunks(sos, tail[::-1], zi * (tail if pad else y)[-1], tail[::-1])
+        _sosfilt_chunks(sos, y[::-1], state, y[::-1])
+    y.setflags(write=False)
     return replace(record, samples=y)
 
 

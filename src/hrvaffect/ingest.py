@@ -50,8 +50,12 @@ BPM_RANGE = (30.0, 220.0)
 RESPIRATORY_RANGE_HZ = (0.1, 0.4)
 _INT64 = np.iinfo(np.int64)
 # Beats are rendered in chunks of at most this many (beat, sample) cells, so
-# the grids of one chunk stay at a few MB at any sample rate.
+# the grids of one chunk stay at a few MB at any sample rate; noise is added
+# in slices of this many samples.
 RENDER_BLOCK_SAMPLES = 2**16
+# No spec stream renders more samples than this: 1 GiB per float64 array, or
+# about 37 h at 1 kHz.
+MAX_RENDERED_SAMPLES = 2**27
 
 
 class ParseError(ValueError):
@@ -178,6 +182,11 @@ class SyntheticSpec:
         for name, rate in rates.items():
             if not math.isfinite(self.duration_s * rate):
                 raise InvalidSpecError(f"{name} {rate} renders a sample count that is not finite")
+            if _rendered_samples(self.duration_s, rate) > MAX_RENDERED_SAMPLES:
+                raise InvalidSpecError(
+                    f"{name} {rate} renders more than {MAX_RENDERED_SAMPLES} samples "
+                    f"over duration_s {self.duration_s}"
+                )
         rendered = {name: _rendered_samples(self.duration_s, rate) / rate
                     for name, rate in rates.items()}
         if _durations_disagree([self.duration_s, *rendered.values()]):
@@ -329,8 +338,11 @@ def generate_synthetic(
     n_ppg = _rendered_samples(spec.duration_s, spec.ppg_rate_hz)
     ecg = _render(n_ecg, spec.ecg_rate_hz, beat_times, _ECG_WAVES)
     ppg = _render(n_ppg, spec.ppg_rate_hz, beat_times, _PPG_WAVES)
-    ecg += rng_noise.normal(0.0, spec.noise_std, n_ecg)
-    ppg += rng_noise.normal(0.0, spec.noise_std, n_ppg)
+    for samples in (ecg, ppg):
+        # Drawn a slice at a time, the noise takes the values one draw would.
+        for start in range(0, samples.size, RENDER_BLOCK_SAMPLES):
+            block = samples[start : start + RENDER_BLOCK_SAMPLES]
+            block += rng_noise.normal(0.0, spec.noise_std, block.size)
 
     scheme = synthetic_label_scheme(spec)
     ann_rate = spec.ecg_rate_hz

@@ -426,6 +426,12 @@ def model_from_dict(doc: dict) -> ExtraTreesModel:
     if ((forest.feature < -1) | (forest.feature >= len(feature_names))).any():
         raise ValueError(f"tree feature ids must be -1 (leaf) or below {len(feature_names)}")
     parents = np.flatnonzero(forest.feature >= 0)
+    if not np.isfinite(forest.threshold[parents]).all():
+        raise ValueError("tree thresholds must be finite at every split")
+    probs = forest.probs
+    if not (np.isfinite(probs).all() and (probs >= 0).all()
+            and (np.abs(probs.sum(axis=1) - 1.0) <= 1e-6).all()):
+        raise ValueError("tree probs rows must be finite, non-negative and sum to 1")
     ends = np.append(forest.roots[1:], forest.feature.size)
     ends = np.tile(ends[np.searchsorted(forest.roots, parents, side="right") - 1], 2)
     children = forest.children[np.concatenate([2 * parents, 2 * parents + 1])]

@@ -275,23 +275,27 @@ def stage_synth(spec_path: str | Path, out_dir: str | Path) -> Path:
 
 
 def _each_subject(manifest: ingest.DatasetManifest, base_dir: Path):
-    """The manifest's subjects, each loaded when it is asked for.  Through
-    `yield from` no local keeps a subject once the next is asked for."""
+    """The manifest's subjects, each loaded when it is asked for.  No local
+    keeps the subject it yields."""
     for entry in manifest.subjects:
-        yield from ingest.load_dataset(replace(manifest, subjects=(entry,)), base_dir)
+        yield ingest.load_dataset(replace(manifest, subjects=(entry,)), base_dir)[0]
+
+
+def _synthetic_subject(spec: ingest.SyntheticSpec):
+    """The spec's one subject, generated when it is asked for and not kept."""
+    yield ingest.generate_synthetic(spec)[0]
 
 
 def load_subjects(config: PipelineConfig) -> tuple[Iterable[ingest.SubjectData], LabelScheme]:
-    """The subjects the config names and their label scheme.  A manifest's
-    subjects are loaded one at a time as they are iterated, so only the one
-    in use is held."""
+    """The subjects the config names and their label scheme.  The subjects
+    are loaded or generated one at a time as they are iterated, and the
+    iterator keeps none of them."""
     if config.manifest_path is not None:
         manifest_path = Path(config.manifest_path)
         manifest = ingest.load_manifest(manifest_path)
         return _each_subject(manifest, manifest_path.parent), manifest.label_scheme
     spec = ingest.load_synthetic_spec(config.synthetic_spec_path)
-    subject, _ = ingest.generate_synthetic(spec)
-    return [subject], ingest.synthetic_label_scheme(spec)
+    return _synthetic_subject(spec), ingest.synthetic_label_scheme(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +324,8 @@ def _with_candidates(segments):
         yield from zip(block, threshold_candidates(windows, block[0].sample_rate_hz))
 
 
-def _subject_rows(
-    subject: ingest.SubjectData, config: PipelineConfig, stats: dict
-) -> list[FeatureRow]:
-    """Filter, window and featurize one subject, adding to stats' counters."""
-    covered_seconds(subject.ecg, subject.ppg, subject.annotations, config.window)
-    ecg = filter_signal(subject.ecg, config.ecg_filter)
-    ppg = filter_signal(subject.ppg, config.ppg_filter)
-    pairs = segment_windows(ecg, ppg, subject.annotations, config.window)
+def _window_rows(pairs, stats: dict) -> list[FeatureRow]:
+    """Featurize one subject's aligned windows, adding to stats' counters."""
     stats["windows_labeled"] += len(pairs)
     rows = []
     for segments in zip(*pairs):  # the ECG windows, then the PPG windows
@@ -355,7 +353,8 @@ def featurize(
 ) -> tuple[list[FeatureRow], dict]:
     """Filter, window and featurize subjects, one at a time as the iterable
     yields them; returns rows sorted by (subject, window, modality) plus
-    counters."""
+    counters.  Each raw record is dropped once its filtered record exists,
+    unless the caller keeps the subject (as a list of subjects does)."""
     rows: list[FeatureRow] = []
     stats = {
         "n_subjects": 0,
@@ -367,8 +366,13 @@ def featurize(
     }
     for subject in subjects:
         stats["n_subjects"] += 1
-        rows += _subject_rows(subject, config, stats)
-        del subject  # freed before the iterator loads the next subject
+        ecg, ppg, annotations = subject.ecg, subject.ppg, subject.annotations
+        del subject
+        covered_seconds(ecg, ppg, annotations, config.window)
+        ecg = filter_signal(ecg, config.ecg_filter)
+        ppg = filter_signal(ppg, config.ppg_filter)
+        rows += _window_rows(segment_windows(ecg, ppg, annotations, config.window), stats)
+        del ecg, ppg, annotations  # freed before the iterator loads the next subject
     rows.sort(key=lambda r: (r.subject_id, r.window_id, r.modality))
     return rows, stats
 

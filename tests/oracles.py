@@ -177,6 +177,14 @@ def sos_gain(sos, freq_hz: float, sample_rate_hz: float) -> float:
     return abs(h)
 
 
+def zero_phase(sos, x: np.ndarray, order: int) -> np.ndarray:
+    """scipy's forward-backward cascade over an even padding of 3 x order
+    samples per end (at most n - 1), as filter_signal defines it."""
+    from scipy import signal as sps
+
+    return sps.sosfiltfilt(sos, x, padtype="even", padlen=min(3 * order, x.size - 1))
+
+
 def sine_amplitude(samples: np.ndarray) -> float:
     """Peak amplitude of an (assumed) sinusoid from interior samples."""
     interior = samples[len(samples) // 4 : -len(samples) // 4]

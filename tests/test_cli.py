@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from hrvaffect import ingest, pipeline
 from hrvaffect.cli import main
+from hrvaffect.core import Modality
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER
 from hrvaffect.pipeline import (
     ConfigInvalidError,
@@ -705,6 +707,46 @@ def test_bad_file_in_the_last_subject_fails_after_the_others(tmp_path, monkeypat
     assert filtered == ["S1", "S1", "S2", "S2"]
     assert _snapshot(run) == before
     assert not list(run.glob(".stage-*"))
+
+
+@pytest.mark.parametrize("source", ["spec", "manifest"])
+def test_raw_ecg_is_freed_before_ppg_is_filtered(tmp_path, monkeypatch, source):
+    """extract holds a subject's raw ECG only until its filtered record
+    exists, so the raw samples are gone when the PPG filter starts, and the
+    last subject's filtered records are gone when the next subject loads.
+    A list of subjects passed to featurize keeps the raw ones, which shows
+    the check bites."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    spec = ingest.load_synthetic_spec(spec_path)
+    if source == "spec":
+        args, n_checks = ["--synthetic-spec", str(spec_path)], 1
+    else:
+        subjects = [ingest.generate_synthetic(replace(spec, seed=i), f"S{i}")[0] for i in (1, 2)]
+        manifest_path = ingest.write_canonical(subjects, "two", tmp_path / "data")
+        del subjects
+        args, n_checks = ["--manifest", str(manifest_path)], 4  # two loads, two PPG filters
+    raw_ecg, filtered, gone = [], [], []
+
+    def load_dataset(manifest, base_dir, original=ingest.load_dataset):
+        gone.append(all(ref() is None for ref in filtered))
+        return original(manifest, base_dir)
+
+    def filter_signal(record, spec, original=pipeline.filter_signal):
+        if record.modality is Modality.ECG:
+            raw_ecg.append(weakref.ref(record.samples))
+        else:
+            gone.append(raw_ecg[-1]() is None)
+        out = original(record, spec)
+        filtered.append(weakref.ref(out.samples))
+        return out
+
+    monkeypatch.setattr(ingest, "load_dataset", load_dataset)
+    monkeypatch.setattr(pipeline, "filter_signal", filter_signal)
+    assert run_cli("extract", *args, "--out", str(tmp_path / "run")).exit_code == 0
+    assert gone == [True] * n_checks
+    pipeline.featurize([ingest.generate_synthetic(spec)[0]], pipeline.PipelineConfig())
+    assert gone[-1] is False
 
 
 class TestSynthCommand:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hrvaffect.core import (
 )
 from hrvaffect.dsp import (
     DEFAULT_ECG_FILTER,
+    FILTER_CHUNK_SAMPLES,
     CutoffAboveNyquistError,
     FilterSpec,
     NoCompleteWindowError,
@@ -21,7 +23,7 @@ from hrvaffect.dsp import (
     resolve_label_discrete,
     segment_windows,
 )
-from oracles import sine_amplitude, sos_gain
+from oracles import sine_amplitude, sos_gain, zero_phase
 
 
 def sine_record(freq_hz, rate=700.0, duration_s=30.0, amplitude=1.0):
@@ -101,6 +103,64 @@ class TestFilterSignal:
         rec = sine_record(5.0, duration_s=5.0)
         out = filter_signal(rec, FilterSpec(3, 0.67, 40.0, zero_phase=False))
         assert out.n_samples == rec.n_samples
+
+
+# Lengths around the pad and the chunk edges, written in terms of the order.
+EDGE_LENGTHS = {
+    "one": lambda order: 1,
+    "two": lambda order: 2,
+    "pad_plus_one": lambda order: 3 * order + 1,
+    "chunk_minus_one": lambda order: FILTER_CHUNK_SAMPLES - 1,
+    "chunk": lambda order: FILTER_CHUNK_SAMPLES,
+    "chunk_plus_one": lambda order: FILTER_CHUNK_SAMPLES + 1,
+    "two_chunks_and_seven": lambda order: 2 * FILTER_CHUNK_SAMPLES + 7,
+}
+
+
+@pytest.mark.parametrize("length", EDGE_LENGTHS.values(), ids=EDGE_LENGTHS.keys())
+@given(
+    order=st.integers(1, 8),
+    band=st.sampled_from([(700.0, 0.67, 40.0), (64.0, 0.5, 8.0), (1000.0, 0.67, 40.0)]),
+    kind=st.sampled_from(["constant", "step", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_filter_is_scipy_bit_for_bit(length, order, band, kind, seed):
+    """Both modes equal scipy's one-call filters exactly: zero-phase the
+    oracle's sosfiltfilt, causal sosfilt from the step-matched state."""
+    from scipy import signal as sps
+
+    n = length(order)
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        x = np.full(n, rng.normal())
+    elif kind == "step":
+        x = np.where(np.arange(n) < rng.integers(0, n + 1), 0.0, rng.normal())
+    else:
+        x = rng.normal(size=n)
+    rate, low, high = band
+    record = SignalRecord("s1", Modality.ECG, rate, x)
+    sos = design_butterworth_bandpass(FilterSpec(order, low, high), rate)
+    streamed = filter_signal(record, FilterSpec(order, low, high)).samples
+    assert streamed.tobytes() == zero_phase(sos, x, order).tobytes()
+    causal = filter_signal(record, FilterSpec(order, low, high, zero_phase=False)).samples
+    expected, _ = sps.sosfilt(sos, x, zi=sps.sosfilt_zi(sos) * x[0])
+    assert causal.tobytes() == expected.tobytes()
+
+
+def test_filter_allocates_little_beyond_its_output():
+    """The streamed filter holds one n-sample buffer, which the record it
+    returns shares, plus chunk-sized temporaries."""
+    rng = np.random.default_rng(8)
+    record = SignalRecord("s1", Modality.ECG, 1000.0, rng.normal(size=1_800_000))
+    filter_signal(record, DEFAULT_ECG_FILTER)  # imports scipy.signal outside the trace
+    tracemalloc.start()
+    try:
+        out = filter_signal(record, DEFAULT_ECG_FILTER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.samples.base is None and not out.samples.flags.writeable
+    assert peak < 1.25 * record.samples.nbytes
 
 
 class TestResolveLabelDiscrete:

@@ -143,7 +143,22 @@ MALFORMED = {
         lambda first, second: (first["probs"].pop(), second["probs"].append([1.0, 0.0, 0.0]))
     ),
     "cycle_in_second_tree": _two_trees(lambda first, second: second["left"].__setitem__(0, 0)),
+    # A split compares against a number; only a leaf stores NaN.
+    "nan_threshold_at_split": lambda doc: _tree(doc)["threshold"].__setitem__(0, None),
+    "inf_threshold_at_split": lambda doc: _tree(doc)["threshold"].__setitem__(0, float("inf")),
+    # Each probs row, at a leaf or a split, is a distribution over the classes.
+    "probs_not_finite": lambda doc: _tree(doc)["probs"].__setitem__(1, [None, -3.0, 7.0]),
+    "probs_negative": lambda doc: _tree(doc)["probs"].__setitem__(2, [-0.5, 1.0, 0.5]),
+    "probs_sum_short": lambda doc: _tree(doc)["probs"].__setitem__(2, [0.0, 0.8, 0.19]),
+    "probs_sum_over_at_split": lambda doc: _tree(doc)["probs"].__setitem__(0, [0.4, 0.4, 0.3]),
 }
+
+
+def test_probs_rows_off_one_by_rounding_load():
+    """write_json keeps 9 digits, which moves a row's sum by about 1e-9."""
+    doc = stump_doc()
+    _tree(doc)["probs"] = [[1 / 3, 1 / 3, 0.333333333], [1.0, 0.0, 0.0], [0.0, 0.8, 0.2000001]]
+    model_from_dict(doc)
 
 
 @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())

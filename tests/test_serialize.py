@@ -4,6 +4,7 @@ synthetic spec and the manifest are decoded under one rule."""
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from click.testing import CliRunner
 from hrvaffect.cli import main
 from hrvaffect.dsp import FilterSpec, WindowSpec
 from hrvaffect.ingest import (
-    InvalidSpecError, ParseError, StateSpec, SubjectFiles, SyntheticSpec, load_manifest,
-    load_synthetic_spec,
+    MAX_RENDERED_SAMPLES, InvalidSpecError, ParseError, StateSpec, SubjectFiles, SyntheticSpec,
+    load_manifest, load_synthetic_spec,
 )
 from hrvaffect.learn import ExtraTreesParams, model_to_dict, train_extra_trees
 from hrvaffect.pipeline import (
@@ -237,6 +238,16 @@ RULE_CASES = {
         "spec", ("ecg_rate_hz",), 1e308, "InvalidSpec", "ecg_rate_hz 1e+308 renders a sample count",
         lambda: SyntheticSpec(30.0, 1e308, 64.0, (StateSpec("baseline", 65.0, 10.0, 30.0),)),
     ),
+    # A finite count above MAX_RENDERED_SAMPLES: 5.4e9 samples (43 GB per
+    # array) at 1e7 Hz over 540 s, and far beyond numpy's limit at 1e20 Hz.
+    "spec_rate_above_cap": (
+        "spec", ("ecg_rate_hz",), 1e7, "InvalidSpec", "ecg_rate_hz 10000000.0 renders more than",
+        lambda: SyntheticSpec(540.0, 1e7, 64.0, (StateSpec("baseline", 65.0, 10.0, 540.0),)),
+    ),
+    "spec_rate_far_above_cap": (
+        "spec", ("ppg_rate_hz",), 1e20, "InvalidSpec", "ppg_rate_hz 1e+20 renders more than",
+        lambda: SyntheticSpec(540.0, 350.0, 1e20, (StateSpec("baseline", 65.0, 10.0, 540.0),)),
+    ),
     "manifest_rate": (
         "manifest", ("subjects", 0, "ppg_rate_hz"), 0.0, "Parse", "subjects[0] ecg_rate_hz",
         lambda: SubjectFiles("s1", "e.csv", "p.csv", "a.csv", 350.0, 0.0, 350.0),
@@ -280,6 +291,23 @@ def test_each_value_rule_is_checked_on_its_dataclass(
             assert field in payload["message"]
     # No stage that fails leaves an out_dir it made.
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("rate", [1e7, 1e20])
+def test_rate_above_the_sample_cap_is_refused_before_anything_is_allocated(tmp_path, rate):
+    spec_path = _write(tmp_path / "spec.json", dict(
+        SPEC, duration_s=540.0, ecg_rate_hz=rate,
+        states=[{"label": "baseline", "mean_bpm": 65.0, "bpm_jitter_ms": 10.0,
+                 "duration_s": 540.0}],
+    ))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpecError, match=f"more than {MAX_RENDERED_SAMPLES} samples"):
+            load_synthetic_spec(spec_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_integral_number_loads_as_int():
