@@ -23,6 +23,7 @@ from .core import (
     KNOWN_CODES,
     AnnotationTrack,
     LabelScheme,
+    NonFiniteSampleError,
     SignalRecord,
     WindowedSegment,
     av_quadrant,
@@ -36,6 +37,10 @@ FILTER_CHUNK_SAMPLES = 2**16
 
 
 class CutoffAboveNyquistError(ValueError):
+    pass
+
+
+class FilterOverflowError(ValueError):
     pass
 
 
@@ -121,7 +126,8 @@ def filter_signal(record: SignalRecord, spec: FilterSpec) -> SignalRecord:
     Zero-phase mode runs the cascade forward and backward (squared magnitude
     response, no phase shift) over an even-reflection padding of 3 x order
     samples per end, with step-matched initial conditions.  Both passes write
-    into one n-sample buffer, which the returned record shares.
+    into one n-sample buffer, which the returned record shares.  Raises
+    FilterOverflowError when a finite record filters to a non-finite sample.
     """
     from scipy import signal as sps
 
@@ -142,7 +148,14 @@ def filter_signal(record: SignalRecord, spec: FilterSpec) -> SignalRecord:
         state = _sosfilt_chunks(sos, tail[::-1], zi * (tail if pad else y)[-1], tail[::-1])
         _sosfilt_chunks(sos, y[::-1], state, y[::-1])
     y.setflags(write=False)
-    return replace(record, samples=y)
+    try:
+        return replace(record, samples=y)
+    except NonFiniteSampleError as exc:
+        raise FilterOverflowError(
+            f"{spec.low_cut_hz}-{spec.high_cut_hz} Hz band-pass of subject "
+            f"{record.subject_id!r} {record.modality.value} overflows to a non-finite "
+            f"output at sample {exc.index}"
+        ) from None
 
 
 # Whether each known code is retained, indexed by code: an AnnotationTrack

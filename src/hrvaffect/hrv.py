@@ -17,8 +17,17 @@ higher factor is compared on the previous factor's candidate samples alone,
 and the runs of all factors and their first argmaxes are found in one pass.
 The pipeline cuts a subject's windows into blocks of at most BLOCK_SAMPLES
 samples (2^15, but at least one window), so the temporaries stay at a few MB
-at any sample rate; detect_beats then chooses each window's factor from its
-candidates, one window at a time.
+at any sample rate.
+
+Each window's factor is then chosen for many windows at once (choose_peaks):
+the (window, factor) candidate sets with the same peak count are stacked into
+one C-contiguous array and their RR mean and standard deviation are reduced
+along its rows.  A row reduces with the same pairwise blocking as the 1-D
+array, so every statistic, and with it every near-tie, has the bits of the
+one-window loop; padding rows to one width, or a segment reduction, would
+sum in another order, so there is neither.  The pipeline holds at most
+CHOICE_CHUNK_PEAKS candidate peaks before it chooses, and detect_beats only
+assembles a window's BeatSeries from its chosen peaks.
 
 The features and the breathing spectrum are likewise computed for a block of
 windows (feature_block): the statistics for the windows of one accepted-RR
@@ -40,6 +49,8 @@ from .core import WindowedSegment
 THRESHOLD_FACTORS = (1.05, 1.10, 1.20, 1.30, 1.50, 2.00, 2.50, 3.00)
 ROLLING_MEAN_SPAN_S = 0.75
 BLOCK_SAMPLES = 2**15
+# Candidate peaks held before their factors are chosen: 1 MB of int64.
+CHOICE_CHUNK_PEAKS = 2**17
 BPM_VALID_RANGE = (40.0, 180.0)
 RR_PLAUSIBLE_MS = (300.0, 2000.0)
 
@@ -194,38 +205,49 @@ def threshold_candidates(windows: np.ndarray, rate: float) -> list[tuple[np.ndar
     return [tuple(per_key[k * w + r] for k in range(n_factors)) for r in range(w)]
 
 
-def detect_beats(
-    window: WindowedSegment, candidates: tuple[np.ndarray, ...] | None = None
-) -> BeatSeries:
+def choose_peaks(candidates: list[tuple[np.ndarray, ...]], rate: float) -> list[np.ndarray]:
+    """Each window's chosen peaks, from its per-factor candidate peaks as
+    threshold_candidates returns them.
+
+    The factor whose implied BPM falls inside the plausible range with
+    minimal RR standard deviation wins; ties go to the smallest factor.  A
+    window where no factor has at least 2 peaks and a plausible BPM gets an
+    empty array.  The candidate sets of one peak count are reduced as one
+    stack (see the module docstring), so a window's choice does not depend on
+    the other windows passed with it.
+    """
+    flat = [peaks for window in candidates for peaks in window]
+    counts = np.array([peaks.size for peaks in flat], dtype=np.int64)
+    rr_std = np.full(counts.size, np.inf)
+    for m in np.unique(counts[counts >= 2]):
+        members = np.flatnonzero(counts == m)
+        rr_ms = np.diff(np.stack([flat[i] for i in members]), axis=1) / rate * 1000.0
+        bpm = 60000.0 / rr_ms.mean(axis=1)
+        plausible = (bpm >= BPM_VALID_RANGE[0]) & (bpm <= BPM_VALID_RANGE[1])
+        rr_std[members] = np.where(plausible, np.std(rr_ms, axis=1), np.inf)
+    rr_std = rr_std.reshape(len(candidates), len(THRESHOLD_FACTORS))
+    best = np.argmin(rr_std, axis=1).tolist()
+    found = np.isfinite(rr_std.min(axis=1)).tolist()
+    none = np.empty(0, dtype=np.int64)
+    return [window[k] if ok else none for window, k, ok in zip(candidates, best, found)]
+
+
+def detect_beats(window: WindowedSegment, peaks: np.ndarray | None = None) -> BeatSeries:
     """Locate beats in a filtered window via adaptive threshold selection.
 
-    candidates are the window's per-factor candidate peaks from
-    threshold_candidates; when omitted they are computed for this window
-    alone.  The factor whose implied BPM falls inside the plausible range with
-    minimal RR standard deviation wins (ties go to the smallest factor).  RR
+    peaks are the window's chosen peaks from choose_peaks; when omitted they
+    are chosen for this window alone, a block of one.  An empty peaks array
+    means no factor was plausible and raises NoPlausiblePeaksError.  RR
     intervals outside 300-2000 ms are rejected but kept visible in the mask.
     """
     rate = window.sample_rate_hz
-    if candidates is None:
-        (candidates,) = threshold_candidates(window.samples[None, :], rate)
-
-    best: tuple[float, float, np.ndarray] | None = None  # (rr_std, factor, peaks)
-    for factor, peaks in zip(THRESHOLD_FACTORS, candidates):
-        if peaks.size < 2:
-            continue
-        rr_ms = np.diff(peaks) / rate * 1000.0
-        bpm = 60000.0 / rr_ms.mean()
-        if not BPM_VALID_RANGE[0] <= bpm <= BPM_VALID_RANGE[1]:
-            continue
-        rr_std = float(np.std(rr_ms))
-        if best is None or rr_std < best[0]:
-            best = (rr_std, factor, peaks)
-    if best is None:
+    if peaks is None:
+        (peaks,) = choose_peaks(threshold_candidates(window.samples[None, :], rate), rate)
+    if peaks.size == 0:
         raise NoPlausiblePeaksError(
             f"no threshold factor yields BPM in {BPM_VALID_RANGE} "
             f"(window {window.window_id}, {window.modality.value})"
         )
-    peaks = best[2]
     rr_ms = np.diff(peaks) / rate * 1000.0
     accepted = (rr_ms >= RR_PLAUSIBLE_MS[0]) & (rr_ms <= RR_PLAUSIBLE_MS[1])
     return BeatSeries(peak_indices=peaks, rr_ms=rr_ms, accepted=accepted)

@@ -6,11 +6,12 @@ direct summation, the breathing spectrum by an explicit segment-and-window
 loop, AUC by brute force over positive/negative pairs, Shapley values by full
 permutation enumeration, and filter gains by evaluating the transfer function.
 
-The per-window feature path and the per-tree forest walk, prediction and
-Shapley pass at the end are the exceptions: each is the library's numpy code
-as it ran before it was batched, one window or one tree at a time.  The
-batched prediction must give its bits exactly; the one Shapley pass sums in
-another order, so it must agree to rounding.
+The per-window threshold-factor choice and feature path, and the per-tree
+forest walk, prediction and Shapley pass at the end are the exceptions: each
+is the library's numpy code as it ran before it was batched, one window or
+one tree at a time.  The grouped factor choice and the batched prediction must
+give their bits exactly; the one Shapley pass sums in another order, so it
+must agree to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,16 @@ from statistics import median
 import numpy as np
 
 from hrvaffect.explain import _pair_weights
-from hrvaffect.hrv import InsufficientSpanError, TooFewBeatsError
+from hrvaffect.hrv import (
+    BPM_VALID_RANGE,
+    RR_PLAUSIBLE_MS,
+    THRESHOLD_FACTORS,
+    BeatSeries,
+    InsufficientSpanError,
+    NoPlausiblePeaksError,
+    TooFewBeatsError,
+    threshold_candidates,
+)
 from hrvaffect.learn import routable
 
 BREATH_BAND = (0.1, 0.4)
@@ -229,6 +239,38 @@ def window_breathing(rr_ms) -> float:
     if band_power.size == 0 or band_power.max() <= 1e-10:
         return math.nan
     return float(freqs[band][int(np.argmax(band_power))])
+
+
+def per_window_detect(window, candidates=None) -> BeatSeries:
+    """One window's beats, its threshold factor chosen by a loop over the
+    factors: candidates are its per-factor peaks from threshold_candidates,
+    computed for this window alone when omitted.  The factor whose implied
+    BPM falls inside the plausible range with minimal RR standard deviation
+    wins (ties go to the smallest factor); raises NoPlausiblePeaksError."""
+    rate = window.sample_rate_hz
+    if candidates is None:
+        (candidates,) = threshold_candidates(window.samples[None, :], rate)
+
+    best = None  # (rr_std, factor, peaks)
+    for factor, peaks in zip(THRESHOLD_FACTORS, candidates):
+        if peaks.size < 2:
+            continue
+        rr_ms = np.diff(peaks) / rate * 1000.0
+        bpm = 60000.0 / rr_ms.mean()
+        if not BPM_VALID_RANGE[0] <= bpm <= BPM_VALID_RANGE[1]:
+            continue
+        rr_std = float(np.std(rr_ms))
+        if best is None or rr_std < best[0]:
+            best = (rr_std, factor, peaks)
+    if best is None:
+        raise NoPlausiblePeaksError(
+            f"no threshold factor yields BPM in {BPM_VALID_RANGE} "
+            f"(window {window.window_id}, {window.modality.value})"
+        )
+    peaks = best[2]
+    rr_ms = np.diff(peaks) / rate * 1000.0
+    accepted = (rr_ms >= RR_PLAUSIBLE_MS[0]) & (rr_ms <= RR_PLAUSIBLE_MS[1])
+    return BeatSeries(peak_indices=peaks, rr_ms=rr_ms, accepted=accepted)
 
 
 def window_features(beats) -> np.ndarray:

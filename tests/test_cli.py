@@ -709,6 +709,38 @@ def test_bad_file_in_the_last_subject_fails_after_the_others(tmp_path, monkeypat
     assert not list(run.glob(".stage-*"))
 
 
+def test_ecg_whose_band_pass_overflows_is_one_json_error(tmp_path):
+    """An ECG file of finite samples at +-1e308 overflows in the band-pass;
+    extract names the subject, signal, band and first non-finite output
+    sample instead of reporting a non-finite input, and out_dir keeps the
+    last good run."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    subject = ingest.generate_synthetic(ingest.load_synthetic_spec(spec_path), "S1")[0]
+    manifest_path = ingest.write_canonical([subject], "one", tmp_path / "data")
+    run = tmp_path / "run"
+    args = ["extract", "--manifest", str(manifest_path), "--out", str(run)]
+    assert run_cli(*args).exit_code == 0
+    before = _snapshot(run)
+    ecg = tmp_path / "data" / "S1_ecg.csv"
+    header, *rows = ecg.read_text().splitlines()
+    ecg.write_text(header + "\n" + "".join(f"{i},{(-1) ** i * 1e308!r}\n" for i in range(len(rows))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrvaffect", *args],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    payload = json.loads(proc.stderr)
+    assert payload == {
+        "error": "FilterOverflow",
+        "message": "0.67-40.0 Hz band-pass of subject 'S1' ECG overflows to a non-finite "
+                   "output at sample 0",
+    }
+    assert _snapshot(run) == before
+
+
 @pytest.mark.parametrize("source", ["spec", "manifest"])
 def test_raw_ecg_is_freed_before_ppg_is_filtered(tmp_path, monkeypatch, source):
     """extract holds a subject's raw ECG only until its filtered record

@@ -4,9 +4,11 @@ per-window path.
 The oracle below is the detector as it ran one window at a time: one full
 threshold mask per factor, and a Python loop over the mask's runs.
 threshold_candidates must give, for every factor, exactly its peaks.
-feature_block must give the bytes of the per-window feature path in
-tests/oracles.py, NaN positions and signed zeros included.  The breathing
-spectrum, which replaced scipy.signal.welch, is checked against it at the end.
+choose_peaks must choose, for every window, the factor that the per-factor
+loop in tests/oracles.py chooses, and feature_block must give the bytes of
+the per-window feature path there, NaN positions and signed zeros included.
+The breathing spectrum, which replaced scipy.signal.welch, is checked against
+it at the end.
 """
 
 import math
@@ -20,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 from hrvaffect.core import Modality, WindowedSegment
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, WindowSpec, filter_signal, segment_windows
+from hrvaffect import pipeline
 from hrvaffect.hrv import (
     FEATURE_NAMES,
     ROLLING_MEAN_SPAN_S,
@@ -32,6 +35,7 @@ from hrvaffect.hrv import (
     _tachogram,
     _welch_density,
     _welch_segments,
+    choose_peaks,
     compute_features,
     detect_beats,
     feature_block,
@@ -40,7 +44,7 @@ from hrvaffect.hrv import (
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic, load_synthetic_spec
 from hrvaffect.pipeline import PipelineConfig, featurize
 from helpers import beats_from_rr, readme_json_blocks
-from oracles import window_features
+from oracles import per_window_detect, window_features
 from run_twin_experiment import twin_spec
 
 
@@ -98,11 +102,21 @@ def assert_same_beats(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-def detect_or_error(segment, candidates=None):
+def detect_or_error(detect, segment, *args):
     try:
-        return detect_beats(segment, candidates)
+        return detect(segment, *args)
     except NoPlausiblePeaksError as exc:
         return str(exc)
+
+
+def assert_detected_as_the_oracle(segment, *args):
+    """detect_beats(segment, *args) gives the per-factor loop's beats, or its
+    error message."""
+    got, want = detect_or_error(detect_beats, segment, *args), detect_or_error(per_window_detect, segment)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_beats(got, want)
 
 
 def segment(samples, rate, window_id=0):
@@ -161,27 +175,24 @@ class TestRecordings:
 
     def test_detect_beats_with_block_candidates_equals_one_window(self, recording_windows):
         for segments in recording_windows:
-            windows = np.stack([s.samples for s in segments])
-            block = threshold_candidates(windows, segments[0].sample_rate_hz)
-            for seg, candidates in zip(segments, block):
-                alone, batched = detect_or_error(seg), detect_or_error(seg, candidates)
-                if isinstance(alone, str):
-                    assert alone == batched
-                else:
-                    assert_same_beats(alone, batched)
-
+            rate = segments[0].sample_rate_hz
+            chosen = choose_peaks(threshold_candidates(np.stack([s.samples for s in segments]), rate), rate)
+            for seg, peaks in zip(segments, chosen):
+                assert_detected_as_the_oracle(seg, peaks)
+                assert_detected_as_the_oracle(seg)
 
     def test_feature_block_is_the_per_window_path_bit_for_bit(self, recording_windows):
         for segments in recording_windows:
-            windows = np.stack([s.samples for s in segments])
-            block = threshold_candidates(windows, segments[0].sample_rate_hz)
-            beats = [detect_or_none(seg, c) for seg, c in zip(segments, block)]
-            assert feature_block(beats).tobytes() == oracle_block(beats).tobytes()
+            rate = segments[0].sample_rate_hz
+            chosen = choose_peaks(threshold_candidates(np.stack([s.samples for s in segments]), rate), rate)
+            beats = [detect_or_none(detect_beats, seg, peaks) for seg, peaks in zip(segments, chosen)]
+            want = [detect_or_none(per_window_detect, seg) for seg in segments]
+            assert feature_block(beats).tobytes() == oracle_block(want).tobytes()
 
     def test_featurize_counts_what_the_per_window_path_counts(self, recording, recording_windows):
         rows, stats = featurize([recording], PipelineConfig())
         for segments in recording_windows:
-            beats = [detect_or_none(seg) for seg in segments]
+            beats = [detect_or_none(per_window_detect, seg) for seg in segments]
             too_few = sum(b is not None and b.accepted.sum() < 4 for b in beats)
             counters = stats["modalities"][segments[0].modality.value]
             assert counters["detect_failures"] == beats.count(None)
@@ -197,9 +208,9 @@ def test_the_noisy_recording_has_both_kinds_of_failed_window():
     assert stats["modalities"]["ECG"]["too_few_beats"] > 0
 
 
-def detect_or_none(segment, candidates=None):
+def detect_or_none(detect, segment, *args):
     try:
-        return detect_beats(segment, candidates)
+        return detect(segment, *args)
     except NoPlausiblePeaksError:
         return None
 
@@ -331,7 +342,7 @@ def test_featurize_at_one_and_many_windows_per_block():
     for pair in segment_windows(ecg, ppg, subject.annotations, WindowSpec()):
         for seg in pair:
             try:
-                values = compute_features(detect_beats(seg), seg.sample_rate_hz).as_array()
+                values = compute_features(per_window_detect(seg), seg.sample_rate_hz).as_array()
             except (NoPlausiblePeaksError, TooFewBeatsError):
                 values = np.full(len(FEATURE_NAMES), np.nan)
             want[(seg.window_id, seg.modality.value)] = values
@@ -383,12 +394,9 @@ def test_edge_window_matches_the_per_factor_oracle(window):
 def test_edge_window_detection_with_and_without_candidates(window):
     rate, samples = window
     seg = segment(samples, rate)
-    (candidates,) = threshold_candidates(samples[None, :], rate)
-    alone, batched = detect_or_error(seg), detect_or_error(seg, candidates)
-    if isinstance(alone, str):
-        assert alone == batched
-    else:
-        assert_same_beats(alone, batched)
+    (peaks,) = choose_peaks(threshold_candidates(samples[None, :], rate), rate)
+    assert_detected_as_the_oracle(seg, peaks)
+    assert_detected_as_the_oracle(seg)
 
 
 def test_a_sample_equal_to_its_threshold_is_not_a_candidate():
@@ -426,6 +434,185 @@ def test_candidates_do_not_depend_on_the_block_split(rate, n, n_windows, seed, c
     for a, b in zip(whole, pieces):
         for got, want in zip(a, b):
             np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The threshold-factor choice, one stack per peak count
+# ---------------------------------------------------------------------------
+
+def oracle_choice(candidates, rate):
+    """The per-factor loop's peaks for each window's candidates, or an empty
+    array where it finds no plausible factor."""
+    chosen = []
+    for window in candidates:
+        beats = detect_or_none(per_window_detect, segment(np.zeros(2), rate), window)
+        chosen.append(np.empty(0, dtype=np.int64) if beats is None else beats.peak_indices)
+    return chosen
+
+
+def assert_chosen_as_the_oracle(candidates, rate):
+    got = choose_peaks(candidates, rate)
+    assert len(got) == len(candidates)
+    for a, b in zip(got, oracle_choice(candidates, rate)):
+        assert a.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+    return got
+
+
+def peaks_from(intervals):
+    """Ascending int64 peak indices, 10 samples in, with these sample gaps."""
+    return np.cumsum(np.concatenate([[10], intervals])).astype(np.int64)
+
+
+def ladder(*peaks):
+    """A window's candidates: the given per-factor peaks, then none."""
+    none = np.empty(0, dtype=np.int64)
+    return tuple(peaks) + (none,) * (len(THRESHOLD_FACTORS) - len(peaks))
+
+
+def test_equal_std_goes_to_the_smallest_factor():
+    """Both factors give a constant RR series at a plausible BPM, so both
+    stds are 0.0: the first factor's peaks win, as the strict < keeps them."""
+    steady, more = peaks_from([100] * 6), peaks_from([80] * 9)
+    (got,) = assert_chosen_as_the_oracle([ladder(steady, more)], 100.0)
+    np.testing.assert_array_equal(got, steady)
+    (got,) = assert_chosen_as_the_oracle([ladder(more, steady)], 100.0)
+    np.testing.assert_array_equal(got, more)
+
+
+def test_permuted_rr_series_choose_as_the_loop_does():
+    """An RR series and a permutation of it have equal stds in exact
+    arithmetic, but not always in the bits np.std gives; the choice must
+    follow those bits, whichever factor holds which order.  Some draws must
+    show unequal bits, or the case shows nothing."""
+    rng = np.random.default_rng(11)
+    differing = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        intervals = rng.integers(60, 110, n)
+        a, b = peaks_from(intervals), peaks_from(rng.permutation(intervals))
+        rr_a, rr_b = np.diff(a) / 100.0 * 1000.0, np.diff(b) / 100.0 * 1000.0
+        differing += np.std(rr_a) != np.std(rr_b)
+        assert_chosen_as_the_oracle([ladder(a, b), ladder(b, a), ladder(a, a, b)], 100.0)
+    assert differing >= 20
+
+
+@pytest.mark.parametrize("rate, inside, outside, bpm", [
+    (300.0, 450, 451, 40.0), (300.0, 100, 99, 180.0),
+], ids=["bpm_40", "bpm_180"])
+def test_bpm_exactly_on_the_range_bounds_is_plausible(rate, inside, outside, bpm):
+    on_bound, beyond = peaks_from([inside] * 5), peaks_from([outside] * 5)
+    assert 60000.0 / (np.diff(on_bound) / rate * 1000.0).mean() == bpm
+    (got,) = assert_chosen_as_the_oracle([ladder(beyond, on_bound)], rate)
+    np.testing.assert_array_equal(got, on_bound)
+    (got,) = assert_chosen_as_the_oracle([ladder(beyond)], rate)
+    assert got.size == 0
+
+
+def test_windows_without_a_plausible_factor_choose_nothing():
+    """Fewer than 2 peaks at every factor, or only implausible BPMs, leave an
+    empty choice, and detect_beats raises the loop's error for it."""
+    none = np.empty(0, dtype=np.int64)
+    one_peak = ladder(*([np.array([50], dtype=np.int64)] * len(THRESHOLD_FACTORS)))
+    too_fast, too_slow = peaks_from([20] * 8), peaks_from([1000] * 3)
+    windows = [
+        ladder(), one_peak, ladder(too_fast, too_slow, np.array([5], dtype=np.int64)),
+        ladder(none, too_fast, peaks_from([90, 95, 100])),
+    ]
+    got = assert_chosen_as_the_oracle(windows, 100.0)
+    assert [c.size for c in got] == [0, 0, 0, 4]
+    seg = segment(np.zeros(2), 100.0, window_id=3)
+    with pytest.raises(NoPlausiblePeaksError, match=r"window 3, ECG\)$"):
+        detect_beats(seg, got[0])
+    assert choose_peaks([], 100.0) == []
+
+
+@pytest.mark.parametrize("lengths", [range(1, 8), range(8, 129, 15), (129, 200, 513)],
+                         ids=["rr_1_to_7", "rr_8_to_128", "rr_above_128"])
+def test_every_pairwise_regime_chooses_as_the_loop_does(lengths):
+    """numpy sums up to 7 values in a plain loop, 8-128 in eight partial sums
+    and more in halves; many windows of each RR length share one stack.  The
+    factors of a window hold permutations of one RR series, whose stds are
+    equal but for their rounding, so the choice follows the last bits."""
+    rng = np.random.default_rng(len(lengths))
+    windows = []
+    for n in lengths:
+        for _ in range(6):
+            base = rng.integers(60, 120, n)
+            windows.append(ladder(*(peaks_from(rng.permutation(base)) for _ in THRESHOLD_FACTORS)))
+    assert_chosen_as_the_oracle(windows, 100.0)
+
+
+@st.composite
+def candidate_blocks(draw):
+    """Windows of random per-factor candidates, many of one peak count, and
+    cuts splitting them into chunks."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    n_windows = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(seed)
+    windows = []
+    for _ in range(n_windows):
+        sizes = rng.integers(0, 6, len(THRESHOLD_FACTORS))
+        windows.append(tuple(
+            peaks_from(rng.integers(40, 160, max(0, k - 1)))[: k] for k in sizes.tolist()
+        ))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=n_windows - 1))) if n_windows > 1 else set()
+    return windows, sorted(cuts)
+
+
+@given(candidate_blocks())
+def test_the_choice_does_not_depend_on_the_chunk_split(block):
+    windows, cuts = block
+    whole = assert_chosen_as_the_oracle(windows, 100.0)
+    bounds = [0, *cuts, len(windows)]
+    pieces = [p for a, b in zip(bounds, bounds[1:]) for p in choose_peaks(windows[a:b], 100.0)]
+    assert len(pieces) == len(whole)
+    for got, want in zip(pieces, whole):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_featurize_chooses_in_chunks_of_the_peak_bound(monkeypatch):
+    """With a bound of one peak, extract chooses after every window; the
+    rows are the bytes of one choice per signal."""
+    subject = generate_synthetic(NOISY_SPEC)[0]
+    want, want_stats = featurize([subject], PipelineConfig())
+    calls = []
+
+    def counted(candidates, rate, original=pipeline.choose_peaks):
+        calls.append(len(candidates))
+        return original(candidates, rate)
+
+    monkeypatch.setattr(pipeline, "choose_peaks", counted)
+    featurize([subject], PipelineConfig())
+    assert calls.count(0) == 0 and len(calls) == 2
+    calls.clear()
+    monkeypatch.setattr(pipeline, "CHOICE_CHUNK_PEAKS", 1)
+    got, got_stats = featurize([subject], PipelineConfig())
+    assert calls == [1] * want_stats["windows_labeled"] * 2
+    assert got_stats == want_stats
+    assert [r.values.tobytes() for r in got] == [r.values.tobytes() for r in want]
+
+
+def test_extract_detects_each_window_once(monkeypatch):
+    """perfbench counts one detect_beats call per window and modality, and a
+    failure per window without a plausible factor; the grouped choice keeps
+    both counts."""
+    calls, failures = {"ECG": 0, "PPG": 0}, {"ECG": 0, "PPG": 0}
+
+    def counted(window, *args, original=pipeline.detect_beats):
+        calls[window.modality.value] += 1
+        try:
+            return original(window, *args)
+        except NoPlausiblePeaksError:
+            failures[window.modality.value] += 1
+            raise
+
+    monkeypatch.setattr(pipeline, "detect_beats", counted)
+    _, stats = featurize([generate_synthetic(NOISY_SPEC)[0]], PipelineConfig())
+    for modality in ("ECG", "PPG"):
+        assert calls[modality] == stats["windows_labeled"]
+        assert failures[modality] == stats["modalities"][modality]["detect_failures"]
+    assert failures["ECG"] > 0
 
 
 # ---------------------------------------------------------------------------
