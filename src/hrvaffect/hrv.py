@@ -25,9 +25,9 @@ one C-contiguous array and their RR mean and standard deviation are reduced
 along its rows.  A row reduces with the same pairwise blocking as the 1-D
 array, so every statistic, and with it every near-tie, has the bits of the
 one-window loop; padding rows to one width, or a segment reduction, would
-sum in another order, so there is neither.  The pipeline holds at most
-CHOICE_CHUNK_PEAKS candidate peaks before it chooses, and detect_beats only
-assembles a window's BeatSeries from its chosen peaks.
+sum in another order, so there is neither.  The pipeline chooses whenever it
+holds CHOICE_CHUNK_PEAKS candidate peaks, and detect_beats only assembles a
+window's BeatSeries from its chosen peaks.
 
 The features and the breathing spectrum are likewise computed for a block of
 windows (feature_block): the statistics for the windows of one accepted-RR
