@@ -34,9 +34,15 @@ from .core import (
 # The filter runs over this many samples per scipy call, so its temporaries
 # stay at a few hundred kB whatever the record's length.
 FILTER_CHUNK_SAMPLES = 2**16
+# Design at this order takes about 10 ms; far higher orders take minutes.
+MAX_FILTER_ORDER = 100
 
 
 class CutoffAboveNyquistError(ValueError):
+    pass
+
+
+class FilterDesignError(ValueError):
     pass
 
 
@@ -58,8 +64,8 @@ class FilterSpec:
     zero_phase: bool = True
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+        if not 1 <= self.order <= MAX_FILTER_ORDER:
+            raise ValueError(f"order must lie in [1, {MAX_FILTER_ORDER}], got {self.order}")
         if not 0 < self.low_cut_hz < self.high_cut_hz:
             raise ValueError(f"band [{self.low_cut_hz}, {self.high_cut_hz}] must satisfy 0 < low < high")
 
@@ -90,7 +96,9 @@ def design_butterworth_bandpass(spec: FilterSpec, sample_rate_hz: float) -> np.n
     """Second-order-section cascade for the requested band at this rate.
 
     Designed via the bilinear transform with frequency pre-warping; raises if
-    the band does not fit under Nyquist, the one rule that needs the rate.
+    the band does not fit under Nyquist, the one rule that needs the rate, and
+    FilterDesignError if the design overflows or is not finite (a high order
+    with a cutoff near Nyquist or near zero).
     """
     nyquist = sample_rate_hz / 2.0
     if spec.high_cut_hz >= nyquist:
@@ -99,13 +107,23 @@ def design_butterworth_bandpass(spec: FilterSpec, sample_rate_hz: float) -> np.n
         )
     from scipy import signal as sps
 
-    return sps.butter(
-        spec.order,
-        [spec.low_cut_hz, spec.high_cut_hz],
-        btype="bandpass",
-        fs=sample_rate_hz,
-        output="sos",
-    )
+    try:
+        with np.errstate(all="ignore"):
+            sos = sps.butter(
+                spec.order,
+                [spec.low_cut_hz, spec.high_cut_hz],
+                btype="bandpass",
+                fs=sample_rate_hz,
+                output="sos",
+            )
+    except OverflowError:
+        sos = None
+    if sos is None or not np.isfinite(sos).all():
+        raise FilterDesignError(
+            f"order-{spec.order} {spec.low_cut_hz}-{spec.high_cut_hz} Hz band-pass at "
+            f"{sample_rate_hz} Hz overflows in design"
+        )
+    return sos
 
 
 def _sosfilt_chunks(sos, x: np.ndarray, zi: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ computed over the accepted RR intervals with population statistics throughout,
 which makes the Poincare identities exact and testable.
 
 Candidates are found for a block of equal-length windows at once
-(threshold_candidates), because numpy's per-call overhead, not arithmetic,
+(_threshold_candidates), because numpy's per-call overhead, not arithmetic,
 dominates a single window.  The eight threshold masks are nested: the rolling
 mean r is never negative and rounding is monotone, so for factors f1 < f2,
 fl(f1 * r) <= fl(f2 * r); taking the maximum with the amplitude floor keeps
@@ -15,19 +15,20 @@ that order, and every sample above the higher threshold is above the lower
 one.  Only the lowest factor is therefore compared over the whole block; each
 higher factor is compared on the previous factor's candidate samples alone,
 and the runs of all factors and their first argmaxes are found in one pass.
-The pipeline cuts a subject's windows into blocks of at most BLOCK_SAMPLES
-samples (2^15, but at least one window), so the temporaries stay at a few MB
-at any sample rate.
+A block's candidates are one table: (window, factor) starts and counts into
+one flat array of peak indices.
 
-Each window's factor is then chosen for many windows at once (choose_peaks):
-the (window, factor) candidate sets with the same peak count are stacked into
-one C-contiguous array and their RR mean and standard deviation are reduced
-along its rows.  A row reduces with the same pairwise blocking as the 1-D
-array, so every statistic, and with it every near-tie, has the bits of the
-one-window loop; padding rows to one width, or a segment reduction, would
-sum in another order, so there is neither.  The pipeline chooses whenever it
-holds CHOICE_CHUNK_PEAKS candidate peaks, and detect_beats only assembles a
-window's BeatSeries from its chosen peaks.
+choose_peaks, the one entry, cuts a sequence of windows into blocks of at
+most BLOCK_SAMPLES samples (2^15, but at least one window), so temporaries
+stay at a few MB at any rate, and chooses the factors of the pooled windows
+whenever CHOICE_CHUNK_PEAKS candidate peaks are held.  The (window, factor)
+sets of one peak count are gathered from the table as one C-contiguous array
+and their RR mean and standard deviation reduced along its rows.  A row
+reduces with the same pairwise blocking as the 1-D array, so every statistic,
+and with it every near-tie, has the bits of the one-window loop; padding rows
+to one width, or a segment reduction, would sum in another order, so there
+is neither.  detect_beats only assembles a window's BeatSeries from its
+chosen peaks.
 
 The features and the breathing spectrum are likewise computed for a block of
 windows (feature_block): the statistics for the windows of one accepted-RR
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,7 +51,7 @@ from .core import WindowedSegment
 THRESHOLD_FACTORS = (1.05, 1.10, 1.20, 1.30, 1.50, 2.00, 2.50, 3.00)
 ROLLING_MEAN_SPAN_S = 0.75
 BLOCK_SAMPLES = 2**15
-# Candidate peaks held before their factors are chosen: 1 MB of int64.
+# Candidate peaks pooled before their factors are chosen: 1 MB of int64.
 CHOICE_CHUNK_PEAKS = 2**17
 BPM_VALID_RANGE = (40.0, 180.0)
 RR_PLAUSIBLE_MS = (300.0, 2000.0)
@@ -150,14 +152,14 @@ def _rolling_mean(x: np.ndarray, span: int) -> np.ndarray:
 
 def _first_argmax_of_runs(position: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Index of the first maximum of each run of consecutive positions."""
-    starts = np.flatnonzero(np.diff(position, prepend=position[0] - 2) != 1)
+    starts = np.flatnonzero(np.diff(position, prepend=position[:1] - 2) != 1)
     run_max = np.maximum.reduceat(values, starts)
     at_max = np.flatnonzero(values == np.repeat(run_max, np.diff(starts, append=values.size)))
     return at_max[np.searchsorted(at_max, starts)]
 
 
-def threshold_candidates(windows: np.ndarray, rate: float) -> list[tuple[np.ndarray, ...]]:
-    """Candidate peaks of each window of a (W, N) block, one array per factor.
+def _threshold_candidates(windows: np.ndarray, rate: float) -> tuple[np.ndarray, ...]:
+    """The candidate table of a (W, N) block: (starts, counts, columns).
 
     Each window is shifted non-negative and compared against every factor of
     THRESHOLD_FACTORS times its 0.75 s rolling mean, floored at 1e-6 of its
@@ -166,8 +168,9 @@ def threshold_candidates(windows: np.ndarray, rate: float) -> list[tuple[np.ndar
     truncated bump from a beat outside the window and yields nothing.  Only
     the lowest factor is compared over the whole block: the masks are nested
     (see the module docstring), so each other factor is compared on the
-    previous factor's candidate samples alone.  Returns, per window, a tuple
-    of ascending int64 sample indices aligned with THRESHOLD_FACTORS.
+    previous factor's candidate samples alone.  Window r's peaks at factor k
+    are the ascending int64 sample indices columns[starts[r, k]:][:counts[r, k]],
+    where starts and counts are (W, len(THRESHOLD_FACTORS)).
     """
     x = np.asarray(windows)
     x = x - x.min(axis=1, keepdims=True)
@@ -179,9 +182,6 @@ def threshold_candidates(windows: np.ndarray, rate: float) -> list[tuple[np.ndar
     threshold = THRESHOLD_FACTORS[0] * rolling
     np.maximum(threshold, floor[:, None], out=threshold)
     flat = np.flatnonzero(x > threshold)
-    n_factors = len(THRESHOLD_FACTORS)
-    if flat.size == 0:
-        return [(flat,) * n_factors for _ in range(w)]
 
     # All factors in one sequence: factor k's candidates in flat order, at
     # positions (k * W + row) * (N + 1) + column, so no run crosses a row or
@@ -200,49 +200,68 @@ def threshold_candidates(windows: np.ndarray, rate: float) -> list[tuple[np.ndar
     position = position[_first_argmax_of_runs(position, np.concatenate(peaks))]
     key, column = np.divmod(position, n + 1)
     inside = (column != 0) & (column != n - 1)
-    bounds = np.cumsum(np.bincount(key[inside], minlength=n_factors * w))[:-1]
-    per_key = np.split(column[inside], bounds)
-    return [tuple(per_key[k * w + r] for k in range(n_factors)) for r in range(w)]
+    counts = np.bincount(key[inside], minlength=len(THRESHOLD_FACTORS) * w)
+    starts = np.cumsum(counts) - counts
+    return starts.reshape(-1, w).T, counts.reshape(-1, w).T, column[inside]
 
 
-def choose_peaks(candidates: list[tuple[np.ndarray, ...]], rate: float) -> list[np.ndarray]:
-    """Each window's chosen peaks, from its per-factor candidate peaks as
-    threshold_candidates returns them.
+def _choose(starts: np.ndarray, counts: np.ndarray, columns: np.ndarray, rate: float) -> list[np.ndarray]:
+    """Each window's chosen peaks from a candidate table.
 
     The factor whose implied BPM falls inside the plausible range with
     minimal RR standard deviation wins; ties go to the smallest factor.  A
     window where no factor has at least 2 peaks and a plausible BPM gets an
-    empty array.  The candidate sets of one peak count are reduced as one
-    stack (see the module docstring), so a window's choice does not depend on
-    the other windows passed with it.
+    empty array.  The candidate sets of one peak count m are gathered as one
+    C-contiguous (G, m) stack and reduced along its rows (see the module
+    docstring), so a window's choice does not depend on the table it is in.
     """
-    flat = [peaks for window in candidates for peaks in window]
-    counts = np.array([peaks.size for peaks in flat], dtype=np.int64)
-    rr_std = np.full(counts.size, np.inf)
-    for m in np.unique(counts[counts >= 2]):
-        members = np.flatnonzero(counts == m)
-        rr_ms = np.diff(np.stack([flat[i] for i in members]), axis=1) / rate * 1000.0
+    sizes, firsts = counts.ravel(), starts.ravel()
+    rr_std = np.full(sizes.size, np.inf)
+    for m in np.unique(sizes[sizes >= 2]):
+        members = np.flatnonzero(sizes == m)
+        rr_ms = np.diff(columns[firsts[members, None] + np.arange(m)], axis=1) / rate * 1000.0
         bpm = 60000.0 / rr_ms.mean(axis=1)
         plausible = (bpm >= BPM_VALID_RANGE[0]) & (bpm <= BPM_VALID_RANGE[1])
         rr_std[members] = np.where(plausible, np.std(rr_ms, axis=1), np.inf)
-    rr_std = rr_std.reshape(len(candidates), len(THRESHOLD_FACTORS))
-    best = np.argmin(rr_std, axis=1).tolist()
-    found = np.isfinite(rr_std.min(axis=1)).tolist()
-    none = np.empty(0, dtype=np.int64)
-    return [window[k] if ok else none for window, k, ok in zip(candidates, best, found)]
+    best = np.argmin(rr_std.reshape(counts.shape), axis=1) + np.arange(0, sizes.size, counts.shape[1])
+    size = np.where(np.isfinite(rr_std[best]), sizes[best], 0)
+    return [columns[a : a + k] for a, k in zip(firsts[best].tolist(), size.tolist())]
+
+
+def choose_peaks(windows: Sequence[np.ndarray], rate: float) -> list[np.ndarray]:
+    """Each window's chosen peaks, for a sequence of equal-length windows;
+    an empty array where no factor is plausible.
+
+    Candidates are found one block of at most BLOCK_SAMPLES samples (but at
+    least one window) at a time.  The block tables are pooled, their starts
+    offset, until CHOICE_CHUNK_PEAKS candidate peaks are held, and the pool's
+    factors are then chosen at once; a window's choice does not depend on the
+    block or pool it falls in.
+    """
+    per_block = max(1, BLOCK_SAMPLES // max(1, len(windows[0]))) if len(windows) else 1
+    chosen, held, n_held = [], [], 0
+    for start in range(0, len(windows), per_block):
+        block = np.stack(windows[start : start + per_block])
+        starts, counts, columns = _threshold_candidates(block, rate)
+        held.append((starts + n_held, counts, columns))
+        n_held += columns.size
+        if n_held >= CHOICE_CHUNK_PEAKS or start + per_block >= len(windows):
+            chosen += _choose(*(np.concatenate(parts) for parts in zip(*held)), rate)
+            held, n_held = [], 0
+    return chosen
 
 
 def detect_beats(window: WindowedSegment, peaks: np.ndarray | None = None) -> BeatSeries:
     """Locate beats in a filtered window via adaptive threshold selection.
 
     peaks are the window's chosen peaks from choose_peaks; when omitted they
-    are chosen for this window alone, a block of one.  An empty peaks array
-    means no factor was plausible and raises NoPlausiblePeaksError.  RR
-    intervals outside 300-2000 ms are rejected but kept visible in the mask.
+    are chosen for this window alone.  An empty peaks array means no factor
+    was plausible and raises NoPlausiblePeaksError.  RR intervals outside
+    300-2000 ms are rejected but kept visible in the mask.
     """
     rate = window.sample_rate_hz
     if peaks is None:
-        (peaks,) = choose_peaks(threshold_candidates(window.samples[None, :], rate), rate)
+        (peaks,) = choose_peaks([window.samples], rate)
     if peaks.size == 0:
         raise NoPlausiblePeaksError(
             f"no threshold factor yields BPM in {BPM_VALID_RANGE} "

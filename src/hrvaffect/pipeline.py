@@ -28,15 +28,12 @@ from .dsp import (
     segment_windows,
 )
 from .hrv import (
-    BLOCK_SAMPLES,
-    CHOICE_CHUNK_PEAKS,
     FEATURE_NAMES,
     NoPlausiblePeaksError,
     choose_peaks,
     compute_features,  # not called here: perfbench's tracer wraps it under this module
     detect_beats,
     feature_block,
-    threshold_candidates,
 )
 from .explain import ExplainConfig
 from .learn import LearnConfig, evaluate, model_from_dict, model_to_dict
@@ -316,32 +313,14 @@ class FeatureRow:
         self.values.flags.writeable = False
 
 
-def _chosen_peaks(segments):
-    """Each segment's chosen peaks, in order.  Candidates are found one block
-    of at most BLOCK_SAMPLES samples at a time, and the factors are chosen
-    whenever CHOICE_CHUNK_PEAKS candidate peaks are held, so temporaries stay
-    small; a window's choice does not depend on the chunk it falls in."""
-    rate = segments[0].sample_rate_hz
-    per_block = max(1, BLOCK_SAMPLES // max(1, segments[0].samples.size))
-    held, n_peaks = [], 0
-    for start in range(0, len(segments), per_block):
-        windows = np.stack([segment.samples for segment in segments[start : start + per_block]])
-        for candidates in threshold_candidates(windows, rate):
-            held.append(candidates)
-            n_peaks += sum(peaks.size for peaks in candidates)
-            if n_peaks >= CHOICE_CHUNK_PEAKS:
-                yield from choose_peaks(held, rate)
-                held, n_peaks = [], 0
-    yield from choose_peaks(held, rate)
-
-
 def _window_rows(pairs, stats: dict) -> list[FeatureRow]:
     """Featurize one subject's aligned windows, adding to stats' counters."""
     stats["windows_labeled"] += len(pairs)
     rows = []
     for segments in zip(*pairs):  # the ECG windows, then the PPG windows
         beats = []
-        for segment, peaks in zip(segments, _chosen_peaks(segments)):
+        chosen = choose_peaks([s.samples for s in segments], segments[0].sample_rate_hz)
+        for segment, peaks in zip(segments, chosen):
             try:
                 beats.append(detect_beats(segment, peaks))
             except NoPlausiblePeaksError:

@@ -6,12 +6,12 @@ direct summation, the breathing spectrum by an explicit segment-and-window
 loop, AUC by brute force over positive/negative pairs, Shapley values by full
 permutation enumeration, and filter gains by evaluating the transfer function.
 
-The per-window threshold-factor choice and feature path, and the per-tree
-forest walk, prediction and Shapley pass at the end are the exceptions: each
-is the library's numpy code as it ran before it was batched, one window or
-one tree at a time.  The grouped factor choice and the batched prediction must
-give their bits exactly; the one Shapley pass sums in another order, so it
-must agree to rounding.
+The per-window threshold-factor candidates and choice, the feature path, and
+the per-tree forest walk, prediction and Shapley pass at the end are the
+exceptions: each is the library's numpy code as it ran before it was batched,
+one window or one tree at a time.  The block candidates, the grouped factor
+choice and the batched prediction must give their bits exactly; the one
+Shapley pass sums in another order, so it must agree to rounding.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ import numpy as np
 from hrvaffect.explain import _pair_weights
 from hrvaffect.hrv import (
     BPM_VALID_RANGE,
+    ROLLING_MEAN_SPAN_S,
     RR_PLAUSIBLE_MS,
     THRESHOLD_FACTORS,
     BeatSeries,
     InsufficientSpanError,
     NoPlausiblePeaksError,
     TooFewBeatsError,
-    threshold_candidates,
 )
 from hrvaffect.learn import routable
 
@@ -241,15 +241,56 @@ def window_breathing(rr_ms) -> float:
     return float(freqs[band][int(np.argmax(band_power))])
 
 
+def oracle_rolling_mean(x, span):
+    span = max(1, min(span, x.size))
+    pad_left = span // 2
+    pad_right = span - 1 - pad_left
+    fill = float(np.median(x))
+    padded = np.concatenate([np.full(pad_left, fill), x, np.full(pad_right, fill)])
+    csum = np.cumsum(np.concatenate([[0.0], padded]))
+    return (csum[span:] - csum[:-span]) / span
+
+
+def oracle_region_peaks(x, mask):
+    if not mask.any():
+        return np.array([], dtype=np.int64)
+    rising = np.flatnonzero(~mask[:-1] & mask[1:]) + 1
+    falling = np.flatnonzero(mask[:-1] & ~mask[1:]) + 1
+    if mask[0]:
+        rising = np.concatenate([[0], rising])
+    if mask[-1]:
+        falling = np.concatenate([falling, [mask.size]])
+    peaks = []
+    for a, b in zip(rising, falling):
+        peak = a + int(np.argmax(x[a:b]))
+        if (a == 0 and peak == 0) or (b == mask.size and peak == mask.size - 1):
+            continue
+        peaks.append(peak)
+    return np.array(peaks, dtype=np.int64)
+
+
+def oracle_candidates(samples, rate):
+    """One window's candidate peaks per factor, as the detector found them one
+    window at a time: one full threshold mask per factor, and a Python loop
+    over the mask's runs."""
+    x = samples - samples.min()
+    rolling = oracle_rolling_mean(x, int(round(ROLLING_MEAN_SPAN_S * rate)))
+    floor = 1e-6 * float(x.max()) if x.size else 0.0
+    return [
+        oracle_region_peaks(x, x > np.maximum(factor * rolling, floor))
+        for factor in THRESHOLD_FACTORS
+    ]
+
+
 def per_window_detect(window, candidates=None) -> BeatSeries:
     """One window's beats, its threshold factor chosen by a loop over the
-    factors: candidates are its per-factor peaks from threshold_candidates,
-    computed for this window alone when omitted.  The factor whose implied
-    BPM falls inside the plausible range with minimal RR standard deviation
-    wins (ties go to the smallest factor); raises NoPlausiblePeaksError."""
+    factors: candidates are its per-factor peaks, from oracle_candidates when
+    omitted.  The factor whose implied BPM falls inside the plausible range
+    with minimal RR standard deviation wins (ties go to the smallest factor);
+    raises NoPlausiblePeaksError."""
     rate = window.sample_rate_hz
     if candidates is None:
-        (candidates,) = threshold_candidates(window.samples[None, :], rate)
+        candidates = oracle_candidates(window.samples, rate)
 
     best = None  # (rr_std, factor, peaks)
     for factor, peaks in zip(THRESHOLD_FACTORS, candidates):

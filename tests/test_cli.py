@@ -383,7 +383,8 @@ def test_spec_rate_that_overflows_is_one_json_error(tmp_path):
 @pytest.mark.parametrize("flags, field", [
     (["--ecg-order", "0"], "ecg_filter"),
     (["--ppg-low-hz", "9"], "ppg_filter"),
-], ids=["filter_order", "filter_band"])
+    (["--ecg-order", "1000000"], "ecg_filter"),
+], ids=["filter_order", "filter_band", "filter_order_above_cap"])
 def test_bad_filter_fails_before_scipy_signal_is_imported(tmp_path, flags, field):
     """FilterSpec checks its order and band when the config is decoded, so
     extract refuses them before it reads data or imports scipy.signal."""
@@ -737,6 +738,31 @@ def test_ecg_whose_band_pass_overflows_is_one_json_error(tmp_path):
         "error": "FilterOverflow",
         "message": "0.67-40.0 Hz band-pass of subject 'S1' ECG overflows to a non-finite "
                    "output at sample 0",
+    }
+    assert _snapshot(run) == before
+
+
+def test_band_pass_whose_design_overflows_is_one_json_error(tmp_path):
+    """An order-50 PPG band-pass with its high cutoff just under the 32 Hz
+    Nyquist overflows in scipy's design; extract reports the band, order and
+    rate instead of a traceback, and out_dir keeps the last good run."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    run = tmp_path / "run"
+    args = ["extract", "--synthetic-spec", str(spec_path), "--out", str(run)]
+    assert run_cli(*args).exit_code == 0
+    before = _snapshot(run)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrvaffect", *args, "--force",
+         "--ppg-order", "50", "--ppg-high-hz", "31.99999"],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert json.loads(proc.stderr) == {
+        "error": "FilterDesign",
+        "message": "order-50 0.5-31.99999 Hz band-pass at 64.0 Hz overflows in design",
     }
     assert _snapshot(run) == before
 

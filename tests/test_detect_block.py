@@ -1,12 +1,13 @@
 """Beat detection and features over a block of windows against the
 per-window path.
 
-The oracle below is the detector as it ran one window at a time: one full
-threshold mask per factor, and a Python loop over the mask's runs.
-threshold_candidates must give, for every factor, exactly its peaks.
-choose_peaks must choose, for every window, the factor that the per-factor
-loop in tests/oracles.py chooses, and feature_block must give the bytes of
-the per-window feature path there, NaN positions and signed zeros included.
+The oracle candidates in tests/oracles.py are the detector as it ran one
+window at a time: one full threshold mask per factor, and a Python loop over
+the mask's runs.  The block's candidate table must give, for every window and
+factor, exactly its peaks.  choose_peaks must choose, for every window, the
+factor that the per-factor loop there chooses, and feature_block must give
+the bytes of the per-window feature path there, NaN positions and signed
+zeros included.
 The breathing spectrum, which replaced scipy.signal.welch, is checked against
 it at the end.
 """
@@ -22,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 
 from hrvaffect.core import Modality, WindowedSegment
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, WindowSpec, filter_signal, segment_windows
-from hrvaffect import pipeline
+from hrvaffect import hrv, pipeline
 from hrvaffect.hrv import (
     FEATURE_NAMES,
     ROLLING_MEAN_SPAN_S,
@@ -31,64 +32,50 @@ from hrvaffect.hrv import (
     NoPlausiblePeaksError,
     TooFewBeatsError,
     _breathing_rates,
+    _choose,
     _row_medians,
     _tachogram,
+    _threshold_candidates,
     _welch_density,
     _welch_segments,
     choose_peaks,
     compute_features,
     detect_beats,
     feature_block,
-    threshold_candidates,
 )
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic, load_synthetic_spec
 from hrvaffect.pipeline import PipelineConfig, featurize
 from helpers import beats_from_rr, readme_json_blocks
-from oracles import per_window_detect, window_features
+from oracles import oracle_candidates, per_window_detect, window_features
 from run_twin_experiment import twin_spec
 
 
 
-def oracle_rolling_mean(x, span):
-    span = max(1, min(span, x.size))
-    pad_left = span // 2
-    pad_right = span - 1 - pad_left
-    fill = float(np.median(x))
-    padded = np.concatenate([np.full(pad_left, fill), x, np.full(pad_right, fill)])
-    csum = np.cumsum(np.concatenate([[0.0], padded]))
-    return (csum[span:] - csum[:-span]) / span
-
-
-def oracle_region_peaks(x, mask):
-    if not mask.any():
-        return np.array([], dtype=np.int64)
-    rising = np.flatnonzero(~mask[:-1] & mask[1:]) + 1
-    falling = np.flatnonzero(mask[:-1] & ~mask[1:]) + 1
-    if mask[0]:
-        rising = np.concatenate([[0], rising])
-    if mask[-1]:
-        falling = np.concatenate([falling, [mask.size]])
-    peaks = []
-    for a, b in zip(rising, falling):
-        peak = a + int(np.argmax(x[a:b]))
-        if (a == 0 and peak == 0) or (b == mask.size and peak == mask.size - 1):
-            continue
-        peaks.append(peak)
-    return np.array(peaks, dtype=np.int64)
-
-
-def oracle_candidates(samples, rate):
-    x = samples - samples.min()
-    rolling = oracle_rolling_mean(x, int(round(ROLLING_MEAN_SPAN_S * rate)))
-    floor = 1e-6 * float(x.max()) if x.size else 0.0
+def ladders(table):
+    """Each window's per-factor peaks, read from a candidate table."""
+    starts, counts, columns = table
     return [
-        oracle_region_peaks(x, x > np.maximum(factor * rolling, floor))
-        for factor in THRESHOLD_FACTORS
+        tuple(columns[a : a + k] for a, k in zip(first, size))
+        for first, size in zip(starts.tolist(), counts.tolist())
     ]
 
 
+def table(windows):
+    """The candidate table (starts, counts, columns) of hand-built per-factor
+    ladders, one window after another in columns."""
+    peaks = [p for window in windows for p in window]
+    counts = np.array([p.size for p in peaks], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    columns = np.concatenate([np.empty(0, dtype=np.int64), *peaks])
+    shape = (len(windows), len(THRESHOLD_FACTORS))
+    return starts.reshape(shape), counts.reshape(shape), columns
+
+
 def assert_block_matches_oracle(windows, rate):
-    block = threshold_candidates(windows, rate)
+    starts, counts, columns = _threshold_candidates(windows, rate)
+    assert starts.shape == counts.shape == (len(windows), len(THRESHOLD_FACTORS))
+    assert columns.dtype == np.int64
+    block = ladders((starts, counts, columns))
     assert len(block) == len(windows)
     for samples, candidates in zip(windows, block):
         assert len(candidates) == len(THRESHOLD_FACTORS)
@@ -176,7 +163,7 @@ class TestRecordings:
     def test_detect_beats_with_block_candidates_equals_one_window(self, recording_windows):
         for segments in recording_windows:
             rate = segments[0].sample_rate_hz
-            chosen = choose_peaks(threshold_candidates(np.stack([s.samples for s in segments]), rate), rate)
+            chosen = choose_peaks([s.samples for s in segments], rate)
             for seg, peaks in zip(segments, chosen):
                 assert_detected_as_the_oracle(seg, peaks)
                 assert_detected_as_the_oracle(seg)
@@ -184,7 +171,7 @@ class TestRecordings:
     def test_feature_block_is_the_per_window_path_bit_for_bit(self, recording_windows):
         for segments in recording_windows:
             rate = segments[0].sample_rate_hz
-            chosen = choose_peaks(threshold_candidates(np.stack([s.samples for s in segments]), rate), rate)
+            chosen = choose_peaks([s.samples for s in segments], rate)
             beats = [detect_or_none(detect_beats, seg, peaks) for seg, peaks in zip(segments, chosen)]
             want = [detect_or_none(per_window_detect, seg) for seg in segments]
             assert feature_block(beats).tobytes() == oracle_block(want).tobytes()
@@ -394,7 +381,7 @@ def test_edge_window_matches_the_per_factor_oracle(window):
 def test_edge_window_detection_with_and_without_candidates(window):
     rate, samples = window
     seg = segment(samples, rate)
-    (peaks,) = choose_peaks(threshold_candidates(samples[None, :], rate), rate)
+    (peaks,) = choose_peaks([samples], rate)
     assert_detected_as_the_oracle(seg, peaks)
     assert_detected_as_the_oracle(seg)
 
@@ -405,7 +392,7 @@ def test_a_sample_equal_to_its_threshold_is_not_a_candidate():
     which a strict comparison rejects; factor 1.5 keeps both."""
     rate = 4 / ROLLING_MEAN_SPAN_S
     samples = np.array([0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    (candidates,) = threshold_candidates(samples[None, :], rate)
+    (candidates,) = ladders(_threshold_candidates(samples[None, :], rate))
     by_factor = dict(zip(THRESHOLD_FACTORS, candidates))
     assert by_factor[1.5].tolist() == [1, 3]
     assert by_factor[2.0].tolist() == []
@@ -423,12 +410,12 @@ def test_candidates_do_not_depend_on_the_block_split(rate, n, n_windows, seed, c
     rng = np.random.default_rng(seed)
     windows = rng.normal(size=(n_windows, n))
     windows[:, :: max(1, n // 5)] += 4.0
-    whole = threshold_candidates(windows, rate)
+    whole = ladders(_threshold_candidates(windows, rate))
     bounds = [0, *sorted(c for c in cuts if c < n_windows), n_windows]
     pieces = [
         candidates
         for start, stop in zip(bounds, bounds[1:])
-        for candidates in threshold_candidates(windows[start:stop], rate)
+        for candidates in ladders(_threshold_candidates(windows[start:stop], rate))
     ]
     assert len(pieces) == len(whole)
     for a, b in zip(whole, pieces):
@@ -451,7 +438,7 @@ def oracle_choice(candidates, rate):
 
 
 def assert_chosen_as_the_oracle(candidates, rate):
-    got = choose_peaks(candidates, rate)
+    got = _choose(*table(candidates), rate)
     assert len(got) == len(candidates)
     for a, b in zip(got, oracle_choice(candidates, rate)):
         assert a.dtype == np.int64
@@ -525,6 +512,7 @@ def test_windows_without_a_plausible_factor_choose_nothing():
     with pytest.raises(NoPlausiblePeaksError, match=r"window 3, ECG\)$"):
         detect_beats(seg, got[0])
     assert choose_peaks([], 100.0) == []
+    assert _choose(*table([]), 100.0) == []
 
 
 @pytest.mark.parametrize("lengths", [range(1, 8), range(8, 129, 15), (129, 200, 513)],
@@ -565,28 +553,69 @@ def test_the_choice_does_not_depend_on_the_chunk_split(block):
     windows, cuts = block
     whole = assert_chosen_as_the_oracle(windows, 100.0)
     bounds = [0, *cuts, len(windows)]
-    pieces = [p for a, b in zip(bounds, bounds[1:]) for p in choose_peaks(windows[a:b], 100.0)]
+    pieces = [p for a, b in zip(bounds, bounds[1:]) for p in _choose(*table(windows[a:b]), 100.0)]
     assert len(pieces) == len(whole)
     for got, want in zip(pieces, whole):
         np.testing.assert_array_equal(got, want)
 
 
+@given(
+    rate=st.floats(min_value=25.0, max_value=400.0),
+    bpm=st.floats(min_value=45.0, max_value=170.0),
+    beats=st.integers(min_value=2, max_value=6),
+    n_windows=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**16),
+    per_block=st.integers(min_value=1, max_value=10),
+    pool_peaks=st.integers(min_value=1, max_value=400),
+)
+def test_choose_peaks_does_not_depend_on_the_block_or_pool_split(
+    rate, bpm, beats, n_windows, seed, per_block, pool_peaks
+):
+    """Pulse trains of uneven height and spacing, so the factors find
+    different peaks: whatever the windows per block and the peaks per pool,
+    choose_peaks gives every window the per-factor loop's peaks."""
+    rng = np.random.default_rng(seed)
+    period = round(60.0 * rate / bpm)
+    n = period * beats + period // 2
+    windows = rng.normal(0.0, 0.05, (n_windows, n))
+    for x in windows:
+        at = np.arange(period // 2, n, period) + rng.integers(-period // 8, period // 8 + 1, beats)
+        x[np.clip(at, 0, n - 1)] += rng.uniform(1.0, 3.0, at.size)
+    want = oracle_choice([oracle_candidates(x, rate) for x in windows], rate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hrv, "BLOCK_SAMPLES", per_block * n)
+        patch.setattr(hrv, "CHOICE_CHUNK_PEAKS", pool_peaks)
+        chosen = choose_peaks(list(windows), rate)
+    assert len(chosen) == len(want)
+    for got, peaks in zip(chosen, want):
+        np.testing.assert_array_equal(got, peaks)
+
+
 def test_featurize_chooses_in_chunks_of_the_peak_bound(monkeypatch):
-    """With a bound of one peak, extract chooses after every window; the
-    rows are the bytes of one choice per signal."""
+    """With a bound of one peak, extract chooses after every block, and with
+    one window per block after every window; the rows are the bytes of one
+    choice per signal."""
     subject = generate_synthetic(NOISY_SPEC)[0]
     want, want_stats = featurize([subject], PipelineConfig())
     calls = []
 
-    def counted(candidates, rate, original=pipeline.choose_peaks):
-        calls.append(len(candidates))
-        return original(candidates, rate)
+    def counted(starts, counts, columns, rate, original=hrv._choose):
+        calls.append(len(counts))
+        return original(starts, counts, columns, rate)
 
-    monkeypatch.setattr(pipeline, "choose_peaks", counted)
+    monkeypatch.setattr(hrv, "_choose", counted)
     featurize([subject], PipelineConfig())
     assert calls.count(0) == 0 and len(calls) == 2
     calls.clear()
-    monkeypatch.setattr(pipeline, "CHOICE_CHUNK_PEAKS", 1)
+    monkeypatch.setattr(hrv, "CHOICE_CHUNK_PEAKS", 1)
+    got, got_stats = featurize([subject], PipelineConfig())
+    # 13 windows: nine 3,500-sample ECG windows fill a block, and the
+    # 640-sample PPG windows all fit in one.
+    assert calls == [9, 4, 13]
+    assert got_stats == want_stats
+    assert [r.values.tobytes() for r in got] == [r.values.tobytes() for r in want]
+    calls.clear()
+    monkeypatch.setattr(hrv, "BLOCK_SAMPLES", 1)
     got, got_stats = featurize([subject], PipelineConfig())
     assert calls == [1] * want_stats["windows_labeled"] * 2
     assert got_stats == want_stats

@@ -13,7 +13,9 @@ from hrvaffect.core import (
 from hrvaffect.dsp import (
     DEFAULT_ECG_FILTER,
     FILTER_CHUNK_SAMPLES,
+    MAX_FILTER_ORDER,
     CutoffAboveNyquistError,
+    FilterDesignError,
     FilterSpec,
     NoCompleteWindowError,
     WindowSpec,
@@ -44,6 +46,21 @@ class TestFilterDesign:
     def test_cutoff_above_nyquist(self):
         with pytest.raises(CutoffAboveNyquistError):
             design_butterworth_bandpass(FilterSpec(3, 0.5, 40.0), 64.0)
+
+    @pytest.mark.parametrize("order, low, high", [(50, 0.5, 31.99999), (50, 31.0, 31.9999)],
+                             ids=["overflows", "not_finite"])
+    def test_design_that_overflows_is_a_design_error(self, order, low, high, recwarn):
+        """scipy raises OverflowError for the first band and returns
+        non-finite sections, with numpy warnings, for the second."""
+        with pytest.raises(FilterDesignError, match=rf"^order-{order} {low}-{high} Hz band-pass at 64.0 Hz"):
+            design_butterworth_bandpass(FilterSpec(order, low, high), 64.0)
+        assert not recwarn.list
+
+    def test_order_cap(self):
+        sos = design_butterworth_bandpass(FilterSpec(MAX_FILTER_ORDER, 0.67, 40.0), 700.0)
+        assert np.isfinite(sos).all()
+        with pytest.raises(ValueError, match=r"order must lie in \[1, 100\], got 101"):
+            FilterSpec(MAX_FILTER_ORDER + 1, 0.67, 40.0)
 
     def test_monotone_magnitude_in_stop_and_pass_regions(self):
         sos = design_butterworth_bandpass(DEFAULT_ECG_FILTER, 700.0)

@@ -197,6 +197,10 @@ RULE_CASES = {
         "config", ("ecg_filter", "order"), 0, "ConfigInvalid", "ecg_filter",
         lambda: FilterSpec(0, 0.67, 40.0),
     ),
+    "filter_order_above_cap": (
+        "config", ("ppg_filter", "order"), 101, "ConfigInvalid", "ppg_filter",
+        lambda: FilterSpec(101, 0.5, 8.0),
+    ),
     "filter_band": (
         "config", ("ppg_filter", "low_cut_hz"), 9.0, "ConfigInvalid", "ppg_filter",
         lambda: FilterSpec(3, 9.0, 8.0),
