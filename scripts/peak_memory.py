@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Peak resident memory of extract's steps on one fidelity twin.
 
-Run in a fresh process, it builds the twin of run_twin_experiment.py at
---fidelity (high: 1000/1000 Hz, low: 700/64 Hz) over --duration seconds and
-reads ru_maxrss after each step: the imports (scipy.signal included), the
-generation, each filter_signal call featurize makes, and featurize.  The
-subject reaches featurize through a generator, as extract passes it, so
-each raw record can be dropped once it is filtered.
+Run in a fresh process, it builds the fidelity twin of hrvaffect.experiments
+named by --fidelity (high: 1000/1000 Hz, low: 700/64 Hz) over --duration
+seconds and reads ru_maxrss after each step: the imports (scipy.signal
+included), the generation, each filter_signal call featurize makes, and
+featurize.  The subject reaches featurize through a generator, as extract
+passes it, so each raw record can be dropped once it is filtered.
 
 Prints one JSON object; ru_maxrss is the peak so far, so the numbers only
 rise, and each step's cost is its rise over the step before.
@@ -22,8 +22,8 @@ import sys
 import scipy.signal  # noqa: F401  (extract imports it on its first filter)
 
 from hrvaffect import pipeline
+from hrvaffect.experiments import DURATION_S, FIDELITY, twin_spec
 from hrvaffect.ingest import generate_synthetic
-from run_twin_experiment import DURATION_S, FIDELITY, twin_spec
 
 
 def maxrss_mb() -> float:
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=DURATION_S)
     args = parser.parse_args(argv)
     steps = {"imports": maxrss_mb()}
-    spec = twin_spec(*FIDELITY[args.fidelity], duration_s=args.duration)
+    spec = twin_spec(args.fidelity, duration_s=args.duration)
 
     def generated():
         subject = generate_synthetic(spec)[0]

@@ -2,66 +2,21 @@
 """Fidelity-twin experiment: does inter-signal feature variance predict the
 ECG/PPG classification gap?
 
-Builds two synthetic recordings with identical affect structure (four states,
-mean BPM 65/67/69/90, the first three deliberately overlapping):
+Runs both twins of hrvaffect.experiments and prints, for each, the
+normalized inter-signal variance, the per-modality holdout accuracy, and the
+per-class one-versus-rest AUCs.
 
-  high fidelity: ECG and PPG both 1000 Hz, low additive noise
-  low fidelity:  ECG 700 Hz, PPG 64 Hz, much higher additive noise
-
-and prints the normalized inter-signal variance, the per-modality holdout
-accuracy, and the per-class one-versus-rest AUCs for each twin.
-
-Usage: python scripts/run_twin_experiment.py [--seed N] [--duration S]
-
-The acceptance criterion for the twins imports `twin_spec` and `run_twin`
-from here, so the script and the criterion build the same twins.
+Usage: python scripts/run_twin_experiment.py [--seed N] [--duration S] [--n-trees N]
 """
 
 import argparse
 import sys
 import time
 
-from hrvaffect.hrv import FEATURE_NAMES
-from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
-from hrvaffect.learn import LearnConfig, evaluate
-from hrvaffect.pipeline import PipelineConfig, feature_variance, featurize, modality_matrix
+from hrvaffect.experiments import DURATION_S, FIDELITY, N_TREES, SEED, run_twin, twin_spec
 
-STATES = (("baseline", 65.0), ("amusement", 67.0), ("meditation", 69.0), ("stress", 90.0))
-SEED = 22
-DURATION_S = 2400.0
-JITTER_MS = 50.0
-N_TREES = 100
-EVAL_SEED = 7
-# (ECG rate, PPG rate, noise_std) of each twin.
-FIDELITY = {"high": (1000.0, 1000.0, 0.01), "low": (700.0, 64.0, 0.3)}
-
-
-def twin_spec(ecg_rate, ppg_rate, noise_std, seed=SEED, duration_s=DURATION_S,
-              jitter_ms=JITTER_MS):
-    return SyntheticSpec(
-        duration_s=duration_s,
-        ecg_rate_hz=ecg_rate,
-        ppg_rate_hz=ppg_rate,
-        states=tuple(
-            StateSpec(label, bpm, jitter_ms, duration_s / len(STATES))
-            for label, bpm in STATES
-        ),
-        respiratory_rate_hz=0.25,
-        respiratory_rr_modulation_ms=30.0,
-        noise_std=noise_std,
-        seed=seed,
-    )
-
-
-def run_twin(spec, n_trees=N_TREES):
-    subject, _ = generate_synthetic(spec)
-    rows, _ = featurize([subject], PipelineConfig())
-    config = LearnConfig(n_trees=n_trees, families=("extra_trees",))
-    reports = {}
-    for modality in ("ECG", "PPG"):
-        X, y, _, _, _ = modality_matrix(rows, modality)
-        reports[modality], _ = evaluate(X, y, FEATURE_NAMES, config, EVAL_SEED)
-    return feature_variance(rows), reports
+TITLES = {"high": "high-fidelity twin (1000/1000 Hz, low noise)",
+          "low": "low-fidelity twin (700/64 Hz, high noise)"}
 
 
 def describe(name, variance, reports):
@@ -80,29 +35,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--duration", type=float, default=DURATION_S)
-    parser.add_argument("--jitter-ms", type=float, default=JITTER_MS)
     parser.add_argument("--n-trees", type=int, default=N_TREES)
-    parser.add_argument("--low-noise", type=float, default=FIDELITY["high"][2])
-    parser.add_argument("--high-noise", type=float, default=FIDELITY["low"][2])
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
-    high_var, high = run_twin(
-        twin_spec(*FIDELITY["high"][:2], args.low_noise, args.seed, args.duration, args.jitter_ms),
-        args.n_trees,
-    )
-    low_var, low = run_twin(
-        twin_spec(*FIDELITY["low"][:2], args.high_noise, args.seed, args.duration, args.jitter_ms),
-        args.n_trees,
-    )
-
-    high_gap = describe("high-fidelity twin (1000/1000 Hz, low noise)", high_var, high)
-    low_gap = describe("low-fidelity twin (700/64 Hz, high noise)", low_var, low)
+    variance, gap = {}, {}
+    for name in FIDELITY:
+        variance[name], reports = run_twin(twin_spec(name, args.seed, args.duration), args.n_trees)
+        gap[name] = describe(TITLES[name], variance[name], reports)
 
     print("\nsummary")
     print(f"  variance rises with degraded acquisition: "
-          f"{high_var.mean_normalized():.4f} -> {low_var.mean_normalized():.4f}")
-    print(f"  accuracy gap widens with it: {high_gap:+.3f} -> {low_gap:+.3f}")
+          f"{variance['high'].mean_normalized():.4f} -> {variance['low'].mean_normalized():.4f}")
+    print(f"  accuracy gap widens with it: {gap['high']:+.3f} -> {gap['low']:+.3f}")
     print(f"  elapsed {time.perf_counter() - start:.0f}s")
     return 0
 

@@ -29,6 +29,13 @@ class UnrecognizedLayoutError(ValueError):
     pass
 
 
+# What pickle.load raises on a truncated or damaged file: the classes its
+# documentation names, and the ValueError and TypeError of a damaged array.
+_UNPICKLING_ERRORS = (
+    pickle.UnpicklingError, AttributeError, EOFError, ImportError, IndexError, TypeError, ValueError,
+)
+
+
 def _wesad_subject_pickles(raw_root: Path) -> list[Path]:
     nested = sorted(raw_root.glob("S*/S*.pkl"))
     if nested:
@@ -47,8 +54,11 @@ def adapt_wesad(raw_root: str | Path, out_dir: str | Path) -> Path:
     subjects = []
     for pkl_path in _wesad_subject_pickles(raw_root):
         with open(pkl_path, "rb") as fh:
-            # Subject pickles were produced under Python 2.
-            data = pickle.load(fh, encoding="latin1")
+            try:
+                # Subject pickles were produced under Python 2.
+                data = pickle.load(fh, encoding="latin1")
+            except _UNPICKLING_ERRORS as exc:
+                raise UnrecognizedLayoutError(f"{pkl_path}: not a readable pickle: {exc!r}") from exc
         try:
             ecg = np.asarray(data["signal"]["chest"]["ECG"], dtype=np.float64).reshape(-1)
             bvp = np.asarray(data["signal"]["wrist"]["BVP"], dtype=np.float64).reshape(-1)
@@ -91,7 +101,16 @@ def _read_case_csv(path: Path, wanted: tuple[str, ...]) -> dict[str, np.ndarray]
         columns: dict[str, list[float]] = {name: [] for name in wanted}
         for row in reader:
             for name in wanted:
-                columns[name].append(float(row[name]))
+                try:
+                    # A short row holds None for the cells it lacks.
+                    columns[name].append(float(row[name]))
+                except (TypeError, ValueError):
+                    raise UnrecognizedLayoutError(
+                        f"{path}:{reader.line_num}: expected a number in column {name!r}, "
+                        f"got {row[name]!r}"
+                    ) from None
+    if not columns[wanted[0]]:
+        raise UnrecognizedLayoutError(f"{path}: no data rows under the header")
     return {name: np.array(vals, dtype=np.float64) for name, vals in columns.items()}
 
 

@@ -437,10 +437,16 @@ def write_manifest(manifest: DatasetManifest, path: str | Path):
 def _read_document(path: str | Path):
     """The JSON value a user-written file holds."""
     path = Path(path)
+    if path.is_dir():
+        raise ParseError(path, 1, "is a directory, not a file")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file at once, so exc.object is all of it.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line, f"not UTF-8 text: {exc.reason}") from None
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -480,6 +486,8 @@ def _read_table(path: Path, kind: str | LabelScheme) -> np.ndarray:
     signal = kind == "signal"
     expected = _HEADERS[kind]
     dtype = np.int64 if kind is LabelScheme.DISCRETE_STATE else np.float64
+    if path.is_dir():
+        raise ParseError(path, 1, "is a directory, not a file")
     values = _loadtxt_body(path, expected, dtype)
     if values is not None:
         values.setflags(write=False)
@@ -487,7 +495,9 @@ def _read_table(path: Path, kind: str | LabelScheme) -> np.ndarray:
     n_fields = expected.count(",") + 1
     parse = int if dtype is np.int64 else float
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 stays in its field as a lone surrogate, so it
+    # fails that field's parse on its own line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != expected:
             raise ParseError(path, 1, f"expected header {expected!r}, got {header!r}")

@@ -24,13 +24,13 @@ from hrvaffect.dsp import (
     filter_signal,
     segment_windows,
 )
+from hrvaffect.experiments import run_twin, twin_spec
 from hrvaffect.explain import sample_background, shapley_explain
 from hrvaffect.hrv import FEATURE_NAMES, compute_features, detect_beats
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
 from hrvaffect.learn import ExtraTreesParams, roc_binary, train_extra_trees
 from helpers import beats_from_rr, package_env
 from oracles import oracle_auc, oracle_features, oracle_shapley_permutations, sos_gain
-from run_twin_experiment import run_twin, twin_spec
 
 
 _CAPSYS = None
@@ -340,8 +340,8 @@ def test_criterion_08_pipeline_determinism(tmp_path):
 
 def test_criterion_09_fidelity_twins():
     start = time.perf_counter()
-    high_var, high = run_twin(twin_spec(1000.0, 1000.0, 0.01))
-    low_var, low = run_twin(twin_spec(700.0, 64.0, 0.3))
+    high_var, high = run_twin(twin_spec("high"))
+    low_var, low = run_twin(twin_spec("low"))
     elapsed = time.perf_counter() - start
 
     a_ok = low_var.mean_normalized() > high_var.mean_normalized()

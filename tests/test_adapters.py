@@ -1,6 +1,10 @@
 """Adapter tests run against miniature fabricated exports, never real data."""
 
+import json
 import pickle
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from hrvaffect.adapters import UnrecognizedLayoutError, _minmax_to_av, adapt_case, adapt_wesad
 from hrvaffect.core import AV_RANGE, LabelScheme, NonFiniteSampleError, ValidationError
 from hrvaffect.ingest import RateMismatchError, load_dataset, load_manifest
+from helpers import package_env
 
 
 def fake_wesad_export(root, n_subjects=2, duration_s=12.0, edit=None):
@@ -95,6 +100,40 @@ class TestWesadAdapter:
         with pytest.raises(UnrecognizedLayoutError):
             adapt_wesad(raw, tmp_path / "out")
 
+    @pytest.mark.parametrize("keep, error", [(0.5, "UnpicklingError"), (0.0, "EOFError")],
+                             ids=["truncated", "empty"])
+    def test_unreadable_pickle_names_the_file(self, tmp_path, keep, error):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        fake_wesad_export(raw, n_subjects=1)
+        pkl = raw / "S2" / "S2.pkl"
+        data = pkl.read_bytes()
+        pkl.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(UnrecognizedLayoutError,
+                           match=f"^{re.escape(str(pkl))}: not a readable pickle: {error}"):
+            adapt_wesad(raw, tmp_path / "canonical")
+        assert not (tmp_path / "canonical").exists()
+
+    def test_empty_pickle_is_one_json_error_from_the_console(self, tmp_path):
+        """click turns an EOFError that leaves a command into "Aborted!"."""
+        pkl = tmp_path / "raw" / "S2" / "S2.pkl"
+        pkl.parent.mkdir(parents=True)
+        pkl.write_bytes(b"")
+        out = tmp_path / "canonical"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrvaffect", "adapt-wesad", "--raw", str(tmp_path / "raw"),
+             "--out", str(out)],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert json.loads(proc.stderr) == {
+            "error": "UnrecognizedLayout",
+            "message": f"{pkl}: not a readable pickle: EOFError('Ran out of input')",
+        }
+        assert not out.exists()
+
 
 def fake_case_export(root, n_subjects=2, duration_s=5.0):
     rng = np.random.default_rng(1)
@@ -150,6 +189,28 @@ class TestCaseAdapter:
         (raw / "physiological" / "sub_1.csv").write_text("daqtime,foo\n0,1\n")
         with pytest.raises(UnrecognizedLayoutError):
             adapt_case(raw, tmp_path / "out")
+
+    @pytest.mark.parametrize("folder, edit, message", [
+        ("physiological", lambda text: text + "5000,0.5\n",
+         ":5002: expected a number in column 'bvp', got None"),
+        ("physiological", lambda text: text + "5000,x,0.5,0.0\n",
+         ":5002: expected a number in column 'ecg', got 'x'"),
+        ("physiological", lambda text: text + "5000,0.5,,0.0\n",
+         ":5002: expected a number in column 'bvp', got ''"),
+        ("physiological", lambda text: text.splitlines(keepends=True)[0],
+         ": no data rows under the header"),
+        ("annotations", lambda text: text.splitlines(keepends=True)[0],
+         ": no data rows under the header"),
+    ], ids=["missing_cell", "non_numeric_cell", "empty_cell", "header_only_physiological",
+            "header_only_annotations"])
+    def test_malformed_csv_names_the_file(self, tmp_path, folder, edit, message):
+        raw = tmp_path / "raw"
+        fake_case_export(raw, n_subjects=1)
+        path = raw / folder / "sub_1.csv"
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(UnrecognizedLayoutError, match=f"^{re.escape(str(path) + message)}$"):
+            adapt_case(raw, tmp_path / "canonical")
+        assert not (tmp_path / "canonical").exists()
 
 
 def test_minmax_to_av_stays_inside_the_range():

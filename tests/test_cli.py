@@ -767,6 +767,47 @@ def test_band_pass_whose_design_overflows_is_one_json_error(tmp_path):
     assert _snapshot(run) == before
 
 
+@pytest.mark.parametrize("case", ["spec_is_a_directory", "spec_not_utf8", "manifest_not_utf8",
+                                  "manifest_csv_is_a_directory", "csv_not_utf8"])
+def test_unreadable_input_file_is_one_json_error_naming_it(tmp_path, case):
+    """A spec, manifest or manifest CSV that is a directory, or not UTF-8
+    text, is a Parse error at the line of the first bad byte."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(FLAG_SPEC))
+    data = tmp_path / "data"
+    assert run_cli("synth", "--spec", str(spec_path), "--out", str(data)).exit_code == 0
+    manifest, ecg, ppg = data / "manifest.json", data / "synthetic_ecg.csv", data / "synthetic_ppg.csv"
+    source = ["--manifest", str(manifest)]
+    if case == "spec_is_a_directory":
+        spec_path.unlink()
+        spec_path.mkdir()
+        source, message = ["--synthetic-spec", str(spec_path)], f"{spec_path}:1: is a directory, not a file"
+    elif case == "spec_not_utf8":
+        spec_path.write_bytes(b'{\n"seed": "\xff"}')
+        source = ["--synthetic-spec", str(spec_path)]
+        message = f"{spec_path}:2: not UTF-8 text: invalid start byte"
+    elif case == "manifest_not_utf8":
+        text = manifest.read_bytes()
+        manifest.write_bytes(text + b"\xff\n")
+        line = text.count(b"\n") + 1
+        message = f"{manifest}:{line}: not UTF-8 text: invalid start byte"
+    elif case == "manifest_csv_is_a_directory":
+        ppg.unlink()
+        ppg.mkdir()
+        message = f"{ppg}:1: is a directory, not a file"
+    else:
+        text = ecg.read_bytes()
+        ecg.write_bytes(text + b"5000,0.5\xfe\n")
+        line = text.count(b"\n") + 1
+        message = f"{ecg}:{line}: non-numeric value '0.5\\udcfe'"
+    out = tmp_path / "run"
+    result = run_cli("extract", *source, "--out", str(out))
+    assert result.exit_code == 1
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert json.loads(result.stderr) == {"error": "Parse", "message": message}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["spec", "manifest"])
 def test_raw_ecg_is_freed_before_ppg_is_filtered(tmp_path, monkeypatch, source):
     """extract holds a subject's raw ECG only until its filtered record

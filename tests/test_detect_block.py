@@ -24,6 +24,7 @@ from hypothesis.extra.numpy import arrays
 from hrvaffect.core import Modality, WindowedSegment
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, WindowSpec, filter_signal, segment_windows
 from hrvaffect import hrv, pipeline
+from hrvaffect.experiments import twin_spec
 from hrvaffect.hrv import (
     FEATURE_NAMES,
     ROLLING_MEAN_SPAN_S,
@@ -47,7 +48,6 @@ from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic, load_
 from hrvaffect.pipeline import PipelineConfig, featurize
 from helpers import beats_from_rr, readme_json_blocks
 from oracles import oracle_candidates, per_window_detect, window_features
-from run_twin_experiment import twin_spec
 
 
 
@@ -128,8 +128,8 @@ NOISY_SPEC = SyntheticSpec(
 
 RECORDINGS = {
     "readme_quickstart": readme_spec,
-    "twin_high": lambda _: twin_spec(1000.0, 1000.0, 0.01, duration_s=120.0),
-    "twin_low": lambda _: twin_spec(700.0, 64.0, 0.3, duration_s=120.0),
+    "twin_high": lambda _: twin_spec("high", duration_s=120.0),
+    "twin_low": lambda _: twin_spec("low", duration_s=120.0),
     "noisy": lambda _: NOISY_SPEC,
 }
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hrvaffect import ingest
 from hrvaffect.core import STREAM_BEATS, STREAM_NOISE, derive_rng
+from hrvaffect.experiments import twin_spec
 from hrvaffect.ingest import (
     PPG_TRANSIT_DELAY_S,
     StateSpec,
@@ -24,7 +25,6 @@ from hrvaffect.ingest import (
     load_synthetic_spec,
 )
 from helpers import readme_json_blocks
-from run_twin_experiment import twin_spec
 
 
 
@@ -121,10 +121,10 @@ def one_state(duration_s, ecg_rate, ppg_rate, bpm, jitter_ms, noise_std=0.02, se
 
 SPECS = {
     "readme_quickstart": readme_spec,
-    "twin_high_seed0": lambda _: twin_spec(1000.0, 1000.0, 0.01, seed=22, duration_s=1800.0),
-    "twin_low_seed0": lambda _: twin_spec(700.0, 64.0, 0.3, seed=22, duration_s=1800.0),
-    "twin_high_seed1": lambda _: twin_spec(1000.0, 1000.0, 0.01, seed=23, duration_s=1800.0),
-    "twin_low_seed1": lambda _: twin_spec(700.0, 64.0, 0.3, seed=23, duration_s=1800.0),
+    "twin_high_seed0": lambda _: twin_spec("high", seed=22, duration_s=1800.0),
+    "twin_low_seed0": lambda _: twin_spec("low", seed=22, duration_s=1800.0),
+    "twin_high_seed1": lambda _: twin_spec("high", seed=23, duration_s=1800.0),
+    "twin_low_seed1": lambda _: twin_spec("low", seed=23, duration_s=1800.0),
     "cohort_subject": lambda _: SyntheticSpec(
         duration_s=240.0, ecg_rate_hz=700.0, ppg_rate_hz=64.0,
         states=tuple(
