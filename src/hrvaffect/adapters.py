@@ -92,7 +92,9 @@ def _minmax_to_av(values: np.ndarray) -> np.ndarray:
 
 
 def _read_case_csv(path: Path, wanted: tuple[str, ...]) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # A byte that is not UTF-8 stays in its cell as a lone surrogate, so the
+    # header check or that cell's float() refuses it, naming the file.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(wanted) <= set(reader.fieldnames):
             raise UnrecognizedLayoutError(

@@ -197,17 +197,19 @@ class TestCaseAdapter:
          ":5002: expected a number in column 'ecg', got 'x'"),
         ("physiological", lambda text: text + "5000,0.5,,0.0\n",
          ":5002: expected a number in column 'bvp', got ''"),
+        ("physiological", lambda text: text + "5000,0.5\udce9,0.5,0.0\n",
+         ":5002: expected a number in column 'ecg', got '0.5\\udce9'"),
         ("physiological", lambda text: text.splitlines(keepends=True)[0],
          ": no data rows under the header"),
         ("annotations", lambda text: text.splitlines(keepends=True)[0],
          ": no data rows under the header"),
-    ], ids=["missing_cell", "non_numeric_cell", "empty_cell", "header_only_physiological",
-            "header_only_annotations"])
+    ], ids=["missing_cell", "non_numeric_cell", "empty_cell", "not_utf8_cell",
+            "header_only_physiological", "header_only_annotations"])
     def test_malformed_csv_names_the_file(self, tmp_path, folder, edit, message):
         raw = tmp_path / "raw"
         fake_case_export(raw, n_subjects=1)
         path = raw / folder / "sub_1.csv"
-        path.write_text(edit(path.read_text()))
+        path.write_text(edit(path.read_text()), errors="surrogateescape")
         with pytest.raises(UnrecognizedLayoutError, match=f"^{re.escape(str(path) + message)}$"):
             adapt_case(raw, tmp_path / "canonical")
         assert not (tmp_path / "canonical").exists()

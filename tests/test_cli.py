@@ -771,7 +771,8 @@ def test_band_pass_whose_design_overflows_is_one_json_error(tmp_path):
                                   "manifest_csv_is_a_directory", "csv_not_utf8"])
 def test_unreadable_input_file_is_one_json_error_naming_it(tmp_path, case):
     """A spec, manifest or manifest CSV that is a directory, or not UTF-8
-    text, is a Parse error at the line of the first bad byte."""
+    text, is one Parse error naming the file: at line 1 for a directory,
+    else at the line of the first bad byte."""
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(FLAG_SPEC))
     data = tmp_path / "data"
@@ -781,7 +782,8 @@ def test_unreadable_input_file_is_one_json_error_naming_it(tmp_path, case):
     if case == "spec_is_a_directory":
         spec_path.unlink()
         spec_path.mkdir()
-        source, message = ["--synthetic-spec", str(spec_path)], f"{spec_path}:1: is a directory, not a file"
+        source = ["--synthetic-spec", str(spec_path)]
+        message = f"{spec_path}:1: is a directory, not a file"
     elif case == "spec_not_utf8":
         spec_path.write_bytes(b'{\n"seed": "\xff"}')
         source = ["--synthetic-spec", str(spec_path)]
