@@ -26,16 +26,22 @@ def _fail(payload: dict):
 
 
 def _run_stage(fn, *args, **kwargs):
+    """fn(*args, **kwargs); an input error fails as one JSON error. A PipelineError
+    gives its own payload, FileNotFoundError MissingInput with `input`. Any other
+    OSError (IsADirectory, Permission...) and any ValueError give their class name
+    less "Error"; the OSError adds `path`, the target of a two-path call."""
     try:
         return fn(*args, **kwargs)
     except pipeline.PipelineError as exc:
         _fail(exc.payload())
     except FileNotFoundError as exc:
-        # Any input the user names: a config, spec or manifest, or a manifest's CSV.
         _fail({"error": "MissingInput", "message": f"{exc.filename}: {exc.strerror}",
                "input": str(exc.filename)})
+    except OSError as exc:
+        path = exc.filename if exc.filename2 is None else exc.filename2
+        named = {} if path is None else {"message": f"{path}: {exc.strerror}", "path": str(path)}
+        _fail({"error": type(exc).__name__.removesuffix("Error"), "message": str(exc), **named})
     except ValueError as exc:
-        # Parse, RateMismatch, InvalidSpec and UnrecognizedLayout are ValueErrors.
         _fail({"error": type(exc).__name__.removesuffix("Error"), "message": str(exc)})
 
 
@@ -132,9 +138,7 @@ def _build_config(config_path, **flags) -> pipeline.PipelineConfig:
     if config_path is not None:
         try:
             doc = read_json(config_path)
-        except FileNotFoundError:
-            raise  # MissingInput, from _run_stage
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             raise pipeline.ConfigInvalidError(
                 "config", f"cannot read {config_path} as JSON: {exc}"
             ) from exc

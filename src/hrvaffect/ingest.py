@@ -437,8 +437,6 @@ def write_manifest(manifest: DatasetManifest, path: str | Path):
 def _read_document(path: str | Path):
     """The JSON value a user-written file holds."""
     path = Path(path)
-    if path.is_dir():
-        raise ParseError(path, 1, "is a directory, not a file")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -486,8 +484,6 @@ def _read_table(path: Path, kind: str | LabelScheme) -> np.ndarray:
     signal = kind == "signal"
     expected = _HEADERS[kind]
     dtype = np.int64 if kind is LabelScheme.DISCRETE_STATE else np.float64
-    if path.is_dir():
-        raise ParseError(path, 1, "is a directory, not a file")
     values = _loadtxt_body(path, expected, dtype)
     if values is not None:
         values.setflags(write=False)

@@ -230,9 +230,10 @@ def _stage(compute):
     """Wrap compute(config, out, staging, h) as a stage(config, force=False).
     compute reads out through _read_object and Table.read, which check stamps,
     and writes its outputs into staging; they move into out, config.json last,
-    only when it returns, so a failed stage leaves out as it was: the
-    directories it made for out are removed, innermost first, if empty.  An
-    out whose config.json holds another run hash is refused unless force is set."""
+    only when it returns and no target in out is a directory, so a failed stage
+    leaves out as it was: the directories it made for out are removed,
+    innermost first, if empty.  An out whose config.json holds another run
+    hash is refused unless force is set."""
 
     def run(config: PipelineConfig, force: bool = False):
         out = Path(config.out_dir)
@@ -246,7 +247,11 @@ def _stage(compute):
                 staging = Path(name)
                 result = compute(config, out, staging, h)
                 write_json(staging / CONFIG_JSON, {"config": config_to_dict(config)}, h)
-                for path in sorted(staging.iterdir(), key=lambda p: (p.name == CONFIG_JSON, p.name)):
+                staged = sorted(staging.iterdir(), key=lambda p: (p.name == CONFIG_JSON, p.name))
+                for target in (out / path.name for path in staged):
+                    if target.is_dir():
+                        raise PipelineError(f"{target}: is a directory, not a file")
+                for path in staged:
                     os.replace(path, out / path.name)
         except BaseException:
             for path in made:

@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import shutil
 import subprocess
@@ -9,9 +11,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hrvaffect import ingest, pipeline
+from hrvaffect import ingest, pipeline, serialize
 from hrvaffect.cli import main
-from hrvaffect.core import Modality
+from hrvaffect.core import LabelScheme, Modality
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER
 from hrvaffect.pipeline import (
     ConfigInvalidError,
@@ -770,9 +772,9 @@ def test_band_pass_whose_design_overflows_is_one_json_error(tmp_path):
 @pytest.mark.parametrize("case", ["spec_is_a_directory", "spec_not_utf8", "manifest_not_utf8",
                                   "manifest_csv_is_a_directory", "csv_not_utf8"])
 def test_unreadable_input_file_is_one_json_error_naming_it(tmp_path, case):
-    """A spec, manifest or manifest CSV that is a directory, or not UTF-8
-    text, is one Parse error naming the file: at line 1 for a directory,
-    else at the line of the first bad byte."""
+    """A spec, manifest or manifest CSV that is a directory is one IsADirectory
+    error naming it; one that is not UTF-8 text is one Parse error naming the
+    file and the line of the first bad byte."""
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(FLAG_SPEC))
     data = tmp_path / "data"
@@ -783,31 +785,185 @@ def test_unreadable_input_file_is_one_json_error_naming_it(tmp_path, case):
         spec_path.unlink()
         spec_path.mkdir()
         source = ["--synthetic-spec", str(spec_path)]
-        message = f"{spec_path}:1: is a directory, not a file"
+        expected = _os_error("IsADirectory", spec_path)
     elif case == "spec_not_utf8":
         spec_path.write_bytes(b'{\n"seed": "\xff"}')
         source = ["--synthetic-spec", str(spec_path)]
-        message = f"{spec_path}:2: not UTF-8 text: invalid start byte"
+        expected = {"error": "Parse", "message": f"{spec_path}:2: not UTF-8 text: invalid start byte"}
     elif case == "manifest_not_utf8":
         text = manifest.read_bytes()
         manifest.write_bytes(text + b"\xff\n")
         line = text.count(b"\n") + 1
-        message = f"{manifest}:{line}: not UTF-8 text: invalid start byte"
+        expected = {"error": "Parse", "message": f"{manifest}:{line}: not UTF-8 text: invalid start byte"}
     elif case == "manifest_csv_is_a_directory":
         ppg.unlink()
         ppg.mkdir()
-        message = f"{ppg}:1: is a directory, not a file"
+        expected = _os_error("IsADirectory", ppg)
     else:
         text = ecg.read_bytes()
         ecg.write_bytes(text + b"5000,0.5\xfe\n")
         line = text.count(b"\n") + 1
-        message = f"{ecg}:{line}: non-numeric value '0.5\\udcfe'"
+        expected = {"error": "Parse", "message": f"{ecg}:{line}: non-numeric value '0.5\\udcfe'"}
     out = tmp_path / "run"
     result = run_cli("extract", *source, "--out", str(out))
     assert result.exit_code == 1
     assert len(result.stderr.strip().splitlines()) == 1
-    assert json.loads(result.stderr) == {"error": "Parse", "message": message}
+    assert json.loads(result.stderr) == expected
     assert not out.exists()
+
+
+# The strerror of each OSError an unopenable path gives, by JSON error name.
+_STRERROR = {"IsADirectory": "Is a directory", "NotADirectory": "Not a directory",
+             "FileExists": "File exists", "Permission": "Permission denied"}
+
+
+def _os_error(error: str, path: Path) -> dict:
+    """The JSON error of the OSError named error (its class less "Error") on path."""
+    return {"error": error, "message": f"{path}: {_STRERROR[error]}", "path": str(path)}
+
+
+def _dir_in_place(path: Path) -> Path:
+    """path, made an empty directory in place of the file there, if any."""
+    path.unlink(missing_ok=True)
+    path.mkdir(parents=True)
+    return path
+
+
+def _case_export(raw: Path) -> Path:
+    """A one-subject continuous-annotation export of 0.1 s."""
+    for folder, header, n in (("physiological", "ecg,bvp", 100), ("annotations", "arousal,valence", 2)):
+        (raw / folder).mkdir(parents=True)
+        rows = "".join(f"{i},{i}\n" for i in range(n))
+        (raw / folder / "sub_1.csv").write_text(f"{header}\n{rows}")
+    return raw
+
+
+def _stage_on_dir(stage, name, *flags):
+    """stage on the run, with run/name a directory."""
+    def setup(tmp, run, config, monkeypatch):
+        return [stage, "--config", str(config), "--out", str(run), *flags], _dir_in_place(run / name)
+    return setup
+
+
+def _out_taken(command, under):
+    """command with --out an existing file, or a path under one."""
+    def setup(tmp, run, config, monkeypatch):
+        taken = tmp / "taken"
+        taken.write_text("taken\n")
+        out = taken / "out" if under else taken
+        source = {"extract": ["--config", str(config)],
+                  "synth": ["--spec", str(config.parent / "synth_spec.json")],
+                  "adapt-case": ["--raw", str(_case_export(tmp / "raw"))]}[command]
+        return [command, *source, "--out", str(out)], out
+    return setup
+
+
+def _spec_dir(tmp, run, config, monkeypatch):
+    spec = _dir_in_place(tmp / "spec.json")
+    return ["extract", "--config", str(config), "--synthetic-spec", str(spec),
+            "--out", str(run), "--force"], spec
+
+
+def _manifest_dir(tmp, run, config, monkeypatch):
+    manifest = _dir_in_place(tmp / "manifest.json")
+    return ["extract", "--manifest", str(manifest), "--out", str(run), "--force"], manifest
+
+
+def _manifest_csv_dir(tmp, run, config, monkeypatch):
+    entry = ingest.SubjectFiles("S1", "S1_ecg.csv", "S1_ppg.csv", "S1_annotations.csv", 350.0, 64.0, 350.0)
+    manifest = tmp / "manifest.json"
+    ingest.write_manifest(ingest.DatasetManifest("one", LabelScheme.DISCRETE_STATE, (entry,)), manifest)
+    ecg = _dir_in_place(tmp / "S1_ecg.csv")
+    return ["extract", "--manifest", str(manifest), "--out", str(run), "--force"], ecg
+
+
+def _config_dir(tmp, run, config, monkeypatch):
+    config = _dir_in_place(tmp / "config.json")
+    return ["extract", "--config", str(config), "--out", str(run)], config
+
+
+def _wesad_pickle_dir(tmp, run, config, monkeypatch):
+    pickle = _dir_in_place(tmp / "raw" / "S2" / "S2.pkl")
+    return ["adapt-wesad", "--raw", str(tmp / "raw"), "--out", str(tmp / "adapted")], pickle
+
+
+def _case_annotations_dir(tmp, run, config, monkeypatch):
+    raw = _case_export(tmp / "raw")
+    annotations = _dir_in_place(raw / "annotations" / "sub_1.csv")
+    return ["adapt-case", "--raw", str(raw), "--out", str(tmp / "adapted")], annotations
+
+
+def _features_denied(tmp, run, config, monkeypatch):
+    """variance, with open refusing features.csv as it refuses a file the
+    user may not read; root ignores mode bits, so chmod cannot stand in."""
+    features = run / "features.csv"
+
+    def open_denied(file, *args, **kwargs):
+        if Path(file) == features:
+            raise PermissionError(errno.EACCES, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(serialize, "open", open_denied, raising=False)
+    return ["variance", "--config", str(config), "--out", str(run)], features
+
+
+# id: (JSON error, setup(tmp, run, config, monkeypatch) -> (argv, the path at fault)).
+UNOPENABLE = {
+    **{f"{stage}_reads_{name}": ("IsADirectory", _stage_on_dir(stage, name)) for stage, name in [
+        ("variance", "config.json"), ("variance", "features.csv"), ("train-eval", "features.csv"),
+        ("importance", "model.json"), ("report", "metrics.json"), ("report", "extract_stats.json"),
+        ("report", "state_overlaps.json"), ("report", "variance_summary.csv"),
+        ("report", "importance.csv"),
+    ]},
+    **{f"{stage}_writes_{name}": ("PipelineError", _stage_on_dir(stage, name, *flags))
+       for stage, name, flags in [
+        # Another seed restamps every output, so a partial commit shows.
+        ("extract", "features.csv", ["--force", "--seed", "9"]),
+        ("extract", "config.json", ["--force", "--seed", "9"]),
+        ("variance", "variance.csv", []), ("train-eval", "roc_points.csv", []),
+        ("importance", "shap_points.csv", []), ("report", "report.json", []),
+    ]},
+    **{f"{command}_out_is_a_file": ("FileExists", _out_taken(command, under=False))
+       for command in ("extract", "synth", "adapt-case")},
+    **{f"{command}_out_under_a_file": ("NotADirectory", _out_taken(command, under=True))
+       for command in ("extract", "synth", "adapt-case")},
+    "spec_is_a_directory": ("IsADirectory", _spec_dir),
+    "manifest_is_a_directory": ("IsADirectory", _manifest_dir),
+    "manifest_csv_is_a_directory": ("IsADirectory", _manifest_csv_dir),
+    "config_is_a_directory": ("IsADirectory", _config_dir),
+    "wesad_pickle_is_a_directory": ("IsADirectory", _wesad_pickle_dir),
+    "case_annotations_is_a_directory": ("IsADirectory", _case_annotations_dir),
+    "features_permission_denied": ("Permission", _features_denied),
+}
+
+
+def _digests(root: Path) -> dict:
+    """The sha256 of every file under root, at any depth, by relative path; a
+    directory maps to None."""
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("error, setup", UNOPENABLE.values(), ids=UNOPENABLE.keys())
+def test_unopenable_path_is_one_json_error(full_run, tmp_path, monkeypatch, error, setup):
+    """A path that exists but cannot be opened as the command needs (a
+    directory where a file must be, a file where a directory must be, or no
+    permission) fails with one JSON error naming it, and every file stays as
+    it was: the out_dir, a taken --out, and an adapter's --out stays unmade.
+    A stage refuses an output target that is a directory before it moves any
+    output into out_dir."""
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    args, path = setup(tmp_path, run, full_run.parent / "config_run.json", monkeypatch)
+    before = _digests(tmp_path)
+    result = run_cli(*args)
+    assert result.exit_code == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert _digests(tmp_path) == before
+    expected = (_os_error(error, path) if error != "PipelineError"
+                else {"error": error, "message": f"{path}: is a directory, not a file"})
+    assert json.loads(result.stderr) == expected
 
 
 @pytest.mark.parametrize("source", ["spec", "manifest"])
