@@ -23,6 +23,7 @@ from hrvaffect.pipeline import (
     stage_report,
     stage_train_eval,
     stage_variance,
+    write_dataset,
 )
 
 
@@ -38,7 +39,7 @@ def main(argv=None):
 
     out = Path(args.out)
     print(f"adapting raw export {args.raw} ...")
-    manifest = adapt_wesad(args.raw, out / "data")
+    manifest = write_dataset(adapt_wesad, args.raw, out / "data")
 
     config = config_from_dict({
         "manifest_path": str(manifest),

@@ -3,8 +3,8 @@
 
 Builds criterion 07's 13-feature, 4-class data (400 rows, seed 17), fits an
 Extra-Trees forest of --n-trees trees on it, and times one global_importance
-call against 100 background rows of the first 300, explaining --instances of
-the 400 rows.  The fresh model has built none of its cached layouts, as one
+call against ExplainConfig's default background size of rows from the first
+300, explaining --instances of the 400 rows.  The fresh model has built none of its cached layouts, as one
 loaded from model.json has not, so the time includes its leaf boxes.
 
 Prints one JSON object: the seconds for the whole call (per model) and that
@@ -22,9 +22,9 @@ import numpy as np
 
 from hrvaffect.explain import ExplainConfig, global_importance
 from hrvaffect.hrv import FEATURE_NAMES
-from hrvaffect.learn import ExtraTreesParams, train_extra_trees
+from hrvaffect.learn import DEFAULT_N_TREES, ExtraTreesParams, train_extra_trees
 
-BACKGROUND_SIZE = 100
+BACKGROUND_SIZE = ExplainConfig().background_size
 
 
 def criterion_07_data():
@@ -39,8 +39,8 @@ def criterion_07_data():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-trees", type=int, default=100)
-    parser.add_argument("--instances", type=int, default=200)
+    parser.add_argument("--n-trees", type=int, default=DEFAULT_N_TREES)
+    parser.add_argument("--instances", type=int, default=ExplainConfig().max_instances)
     args = parser.parse_args(argv)
 
     X, y = criterion_07_data()

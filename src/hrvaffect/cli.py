@@ -51,12 +51,12 @@ def main():
 
 
 def _dataset_command(name: str, make, source_flag: str, source_help: str, help_text: str):
-    """A command that writes a canonical dataset from one source path to --out."""
+    """A command that commits a canonical dataset made from one source path into --out."""
     @main.command(name, help=help_text)
     @click.option(source_flag, "source", required=True, type=click.Path(), help=source_help)
     @click.option("--out", "out_dir", required=True, type=click.Path(), help="Dataset directory.")
     def command(source, out_dir):
-        click.echo(str(_run_stage(make, source, out_dir)))
+        click.echo(str(_run_stage(pipeline.write_dataset, make, source, out_dir)))
 
     return command
 

@@ -101,6 +101,14 @@ class DatasetManifest:
     label_scheme: LabelScheme
     subjects: tuple[SubjectFiles, ...]
 
+    def __post_init__(self):
+        # Each subject's CSV files and derived rows are keyed by its id.
+        seen = set()
+        for entry in self.subjects:
+            if entry.subject_id in seen:
+                raise ValueError(f"subject_id {entry.subject_id!r} is listed more than once")
+            seen.add(entry.subject_id)
+
 
 def _durations_disagree(durations) -> bool:
     """Whether stream durations spread more than 1% of the longest."""
@@ -408,30 +416,34 @@ def write_canonical(
     subjects: list[SubjectData], dataset_name: str, out_dir: str | Path
 ) -> Path:
     """Write subjects in the canonical format; returns the manifest path."""
-    # Every entry is built, and so checked, before anything is written.
-    entries = [
+    # The manifest, and so every entry, is built and checked before anything is written.
+    manifest = DatasetManifest(dataset_name, subjects[0].annotations.scheme, tuple(
         SubjectFiles(s.subject_id, f"{s.subject_id}_ecg.csv", f"{s.subject_id}_ppg.csv",
                      f"{s.subject_id}_annotations.csv", s.ecg.sample_rate_hz,
                      s.ppg.sample_rate_hz, s.annotations.sample_rate_hz)
         for s in subjects
-    ]
+    ))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for subject, entry in zip(subjects, entries):
+    for subject, entry in zip(subjects, manifest.subjects):
         _write_table(out_dir / entry.ecg_file, _HEADERS["signal"], subject.ecg.samples)
         _write_table(out_dir / entry.ppg_file, _HEADERS["signal"], subject.ppg.samples)
         _write_table(out_dir / entry.annotation_file, _HEADERS[subject.annotations.scheme],
                      subject.annotations.values)
-    manifest = DatasetManifest(dataset_name, subjects[0].annotations.scheme, tuple(entries))
     manifest_path = out_dir / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path
 
 
-def write_manifest(manifest: DatasetManifest, path: str | Path):
+def _write_document(doc, path: str | Path):
+    """doc as indented JSON with sorted keys, floats at full precision."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_manifest(manifest: DatasetManifest, path: str | Path):
+    _write_document(asdict(manifest), path)
 
 
 def _read_document(path: str | Path):
@@ -551,14 +563,11 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
 
 
 def write_ground_truth(truth: SyntheticGroundTruth, path: str | Path):
-    doc = {
+    _write_document({
         "beat_times_s": [float(t) for t in truth.beat_times_s],
         "ppg_pulse_times_s": [float(t) for t in truth.ppg_pulse_times_s],
         "rr_ms": [float(v) for v in truth.rr_ms],
         "state_spans": [[label, t0, t1] for label, t0, t1 in truth.state_spans],
         "respiratory_rate_hz": truth.respiratory_rate_hz,
         "respiratory_rr_modulation_ms": truth.respiratory_rr_modulation_ms,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, path)

@@ -226,38 +226,44 @@ SHAP_POINTS = Table("shap_points.csv", {
 })
 
 
+@contextlib.contextmanager
+def committed(out: Path, last: str):
+    """Yield a .stage-* directory made in out; its files move into out, `last`
+    after the rest, once the body returns and no target is a directory.  On a
+    failure, the directories made for out are removed, innermost first, if empty."""
+    made = [path for path in (out, *out.parents) if not path.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".stage-", dir=out) as name:
+            staging = Path(name)
+            yield staging
+            staged = sorted(staging.iterdir(), key=lambda p: (p.name == last, p.name))
+            for target in (out / path.name for path in staged):
+                if target.is_dir():
+                    raise PipelineError(f"{target}: is a directory, not a file")
+            for path in staged:
+                os.replace(path, out / path.name)
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+
+
 def _stage(compute):
     """Wrap compute(config, out, staging, h) as a stage(config, force=False).
     compute reads out through _read_object and Table.read, which check stamps,
-    and writes its outputs into staging; they move into out, config.json last,
-    only when it returns and no target in out is a directory, so a failed stage
-    leaves out as it was: the directories it made for out are removed,
-    innermost first, if empty.  An out whose config.json holds another run
-    hash is refused unless force is set."""
+    and writes into staging, committed into out with config.json last.  An out
+    whose config.json holds another run hash is refused unless force is set."""
 
     def run(config: PipelineConfig, force: bool = False):
         out = Path(config.out_dir)
-        made = [path for path in (out, *out.parents) if not path.exists()]
-        try:
-            out.mkdir(parents=True, exist_ok=True)
+        with committed(out, CONFIG_JSON) as staging:
             h = run_hash(config)
             if (out / CONFIG_JSON).exists() and not force:
                 _read_object(out / CONFIG_JSON, h)
-            with tempfile.TemporaryDirectory(prefix=".stage-", dir=out) as name:
-                staging = Path(name)
-                result = compute(config, out, staging, h)
-                write_json(staging / CONFIG_JSON, {"config": config_to_dict(config)}, h)
-                staged = sorted(staging.iterdir(), key=lambda p: (p.name == CONFIG_JSON, p.name))
-                for target in (out / path.name for path in staged):
-                    if target.is_dir():
-                        raise PipelineError(f"{target}: is a directory, not a file")
-                for path in staged:
-                    os.replace(path, out / path.name)
-        except BaseException:
-            for path in made:
-                with contextlib.suppress(OSError):
-                    path.rmdir()
-            raise
+            result = compute(config, out, staging, h)
+            write_json(staging / CONFIG_JSON, {"config": config_to_dict(config)}, h)
         return result
 
     run.__name__ = run.__qualname__ = compute.__name__
@@ -276,6 +282,14 @@ def stage_synth(spec_path: str | Path, out_dir: str | Path) -> Path:
     manifest_path = ingest.write_canonical([subject], "synthetic", out)
     ingest.write_ground_truth(truth, out / "ground_truth.json")
     return manifest_path
+
+
+def write_dataset(make, source: str | Path, out_dir: str | Path) -> Path:
+    """make(source, staging), which writes a canonical dataset into staging,
+    committed into out_dir with manifest.json last; returns its manifest."""
+    with committed(Path(out_dir), "manifest.json") as staging:
+        make(source, staging)
+    return Path(out_dir) / "manifest.json"
 
 
 def _each_subject(manifest: ingest.DatasetManifest, base_dir: Path):

@@ -22,7 +22,7 @@ from hrvaffect.pipeline import (
     run_hash,
     validate_schema,
 )
-from helpers import package_env, readme_json_blocks
+from helpers import flat_wesad_pickle, package_env, readme_json_blocks
 
 SYNTH_SPEC = {
     "duration_s": 360.0,
@@ -838,6 +838,23 @@ def _case_export(raw: Path) -> Path:
     return raw
 
 
+def _wesad_export(raw: Path) -> Path:
+    """A one-subject wearable-stress export of 1 s."""
+    flat_wesad_pickle(raw / "S2" / "S2.pkl")
+    return raw
+
+
+def _source(command, tmp, config) -> list[str]:
+    """The source flag and path of command: the run's config for extract, its
+    spec for synth, a fresh export under tmp for an adapter."""
+    if command == "extract":
+        return ["--config", str(config)]
+    if command == "synth":
+        return ["--spec", str(config.parent / "synth_spec.json")]
+    export = {"adapt-case": _case_export, "adapt-wesad": _wesad_export}[command]
+    return ["--raw", str(export(tmp / "raw"))]
+
+
 def _stage_on_dir(stage, name, *flags):
     """stage on the run, with run/name a directory."""
     def setup(tmp, run, config, monkeypatch):
@@ -851,10 +868,15 @@ def _out_taken(command, under):
         taken = tmp / "taken"
         taken.write_text("taken\n")
         out = taken / "out" if under else taken
-        source = {"extract": ["--config", str(config)],
-                  "synth": ["--spec", str(config.parent / "synth_spec.json")],
-                  "adapt-case": ["--raw", str(_case_export(tmp / "raw"))]}[command]
-        return [command, *source, "--out", str(out)], out
+        return [command, *_source(command, tmp, config), "--out", str(out)], out
+    return setup
+
+
+def _dataset_on_dir(command, name):
+    """command into an existing --out that holds name as a directory."""
+    def setup(tmp, run, config, monkeypatch):
+        out = tmp / "dataset"
+        return [command, *_source(command, tmp, config), "--out", str(out)], _dir_in_place(out / name)
     return setup
 
 
@@ -923,6 +945,11 @@ UNOPENABLE = {
         ("variance", "variance.csv", []), ("train-eval", "roc_points.csv", []),
         ("importance", "shap_points.csv", []), ("report", "report.json", []),
     ]},
+    **{f"{command}_writes_{name}": ("PipelineError", _dataset_on_dir(command, name))
+       for command, name in [
+        ("synth", "synthetic_ppg.csv"), ("synth", "ground_truth.json"), ("synth", "manifest.json"),
+        ("adapt-case", "sub_1_ecg.csv"), ("adapt-wesad", "S2_annotations.csv"),
+    ]},
     **{f"{command}_out_is_a_file": ("FileExists", _out_taken(command, under=False))
        for command in ("extract", "synth", "adapt-case")},
     **{f"{command}_out_under_a_file": ("NotADirectory", _out_taken(command, under=True))
@@ -950,8 +977,8 @@ def test_unopenable_path_is_one_json_error(full_run, tmp_path, monkeypatch, erro
     directory where a file must be, a file where a directory must be, or no
     permission) fails with one JSON error naming it, and every file stays as
     it was: the out_dir, a taken --out, and an adapter's --out stays unmade.
-    A stage refuses an output target that is a directory before it moves any
-    output into out_dir."""
+    A stage, or a command that writes a dataset, refuses an output target that
+    is a directory before it moves any file into its --out."""
     run = tmp_path / "run"
     shutil.copytree(full_run, run)
     args, path = setup(tmp_path, run, full_run.parent / "config_run.json", monkeypatch)

@@ -22,7 +22,7 @@ from hrvaffect.explain import global_importance
 from hrvaffect.hrv import FEATURE_NAMES
 from hrvaffect.learn import evaluate, model_from_dict
 from hrvaffect.serialize import fmt9, read_json, round9
-from helpers import README, package_env, readme_json_blocks
+from helpers import README, flat_wesad_pickle, package_env, readme_json_blocks
 
 ENTRY_POINT = shutil.which("hrvaffect")
 CONSOLE = [ENTRY_POINT] if ENTRY_POINT else [sys.executable, "-m", "hrvaffect"]
@@ -195,12 +195,21 @@ def test_spec_and_config_are_decoded_under_one_rule(cwd):
 
 
 def test_synth_twice_gives_byte_identical_files(cwd):
+    """synth into a new directory, and again over the dataset there, gives the
+    same files each time, with no .stage-* directory left behind."""
     spec = write_spec(RENDER_SPEC)
+
+    def files(out):
+        return {path.name: path.read_bytes() if path.is_file() else None
+                for path in Path(out).iterdir()}
+
     for out in ("first", "second"):
         assert invoke("synth", "--spec", spec, "--out", out).exit_code == 0
-    first, second = ({path.name: path.read_bytes() for path in Path(out).iterdir()}
-                     for out in ("first", "second"))
-    assert first == second
+    first = files("first")
+    assert invoke("synth", "--spec", spec, "--out", "first").exit_code == 0
+    assert files("first") == first == files("second")
+    assert sorted(first) == ["ground_truth.json", "manifest.json", "synthetic_annotations.csv",
+                             "synthetic_ecg.csv", "synthetic_ppg.csv"]
 
 
 def test_variance_refuses_a_bad_filter_flag_before_reading_features(readme):
@@ -220,3 +229,17 @@ def test_adapt_wesad_on_an_export_the_loader_would_refuse_writes_no_manifest(cwd
         pickle.dump(payload, fh, protocol=2)
     assert error_of(invoke("adapt-wesad", "--raw", "raw", "--out", "data")) == "NonFiniteSample"
     assert not Path("data/manifest.json").exists()
+
+
+def test_adapt_wesad_refuses_two_pickles_of_one_subject_id(cwd):
+    """S2/S2.pkl and S2x/S2.pkl would both be subject S2, whose CSV files and
+    feature rows would collide, so the manifest refuses the second."""
+    for folder in ("S2", "S2x"):
+        flat_wesad_pickle(Path("raw", folder, "S2.pkl"))
+    result = invoke("adapt-wesad", "--raw", "raw", "--out", "data")
+    assert result.exit_code == 1
+    assert result.output.count("\n") == 1
+    assert json.loads(result.output) == {
+        "error": "Value", "message": "subject_id 'S2' is listed more than once",
+    }
+    assert not Path("data").exists()

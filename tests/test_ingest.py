@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,26 @@ class TestCanonicalRoundTrip:
         path.write_text(json.dumps(manifest_doc(subject_id)))
         with pytest.raises(ParseError, match="subject_id"):
             load_manifest(path)
+
+    def test_manifest_lists_each_subject_id_once(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        doc = manifest_doc("S2")
+        doc["subjects"].append(dict(doc["subjects"][0], ecg_file="d.csv"))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as err:
+            load_manifest(path)
+        assert str(err.value) == (
+            f"{path}:1: manifest field error: subject_id 'S2' is listed more than once"
+        )
+
+    def test_write_canonical_refuses_a_repeated_subject_id_before_writing(self, tmp_path):
+        spec = simple_spec(duration_s=20.0, states=(StateSpec("baseline", 70.0, 10.0, 20.0),))
+        a, _ = generate_synthetic(spec, subject_id="S2")
+        b, _ = generate_synthetic(replace(spec, seed=9), subject_id="S2")
+        out = tmp_path / "data"
+        with pytest.raises(ValueError, match="^subject_id 'S2' is listed more than once$"):
+            write_canonical([a, b], "twice", out)
+        assert not out.exists()
 
 
 def manifest_doc(subject_id, **rates):

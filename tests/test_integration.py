@@ -6,7 +6,6 @@ train-eval, importance, report) runs meaningfully without restricted data.
 """
 
 import json
-import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -31,22 +30,8 @@ from hrvaffect.pipeline import (
     stage_train_eval,
     stage_variance,
 )
-
-
-def synthetic_subject(ecg_rate, ppg_rate, seed, labels=("baseline", "stress")):
-    bpm = {"baseline": 65.0, "stress": 92.0, "LALV": 65.0, "HAHV": 92.0}
-    spec = SyntheticSpec(
-        duration_s=240.0,
-        ecg_rate_hz=ecg_rate,
-        ppg_rate_hz=ppg_rate,
-        states=tuple(StateSpec(label, bpm[label], 20.0, 120.0) for label in labels),
-        respiratory_rate_hz=0.25,
-        respiratory_rr_modulation_ms=25.0,
-        noise_std=0.02,
-        seed=seed,
-    )
-    subject, _ = generate_synthetic(spec)
-    return subject
+from helpers import synthetic_subject, synthetic_wesad_export
+import run_wesad
 
 
 def run_all_stages(config):
@@ -62,21 +47,7 @@ def run_all_stages(config):
 def test_adapter_to_report(tmp_path, scheme):
     raw = tmp_path / "raw"
     if scheme == "wesad":
-        for i, seed in ((2, 31), (3, 32)):
-            subject = synthetic_subject(700.0, 64.0, seed)
-            subject_dir = raw / f"S{i}"
-            subject_dir.mkdir(parents=True)
-            payload = {
-                "subject": f"S{i}",
-                "signal": {
-                    "chest": {"ECG": np.asarray(subject.ecg.samples).reshape(-1, 1)},
-                    "wrist": {"BVP": np.asarray(subject.ppg.samples).reshape(-1, 1)},
-                },
-                "label": np.asarray(subject.annotations.values),
-            }
-            with open(subject_dir / f"S{i}.pkl", "wb") as fh:
-                pickle.dump(payload, fh, protocol=2)
-        manifest = adapt_wesad(raw, tmp_path / "data")
+        manifest = adapt_wesad(synthetic_wesad_export(raw), tmp_path / "data")
     else:
         (raw / "physiological").mkdir(parents=True)
         (raw / "annotations").mkdir()
@@ -114,6 +85,26 @@ def test_adapter_to_report(tmp_path, scheme):
     report = json.loads(report_path.read_text())
     assert report["extract"]["n_subjects"] == 2
     assert set(report["importance"]["rankings"]) == {"ECG", "PPG"}
+
+
+def test_run_wesad_script_end_to_end(tmp_path, capsys):
+    """scripts/run_wesad.py parses its flags, commits the adapted export into
+    out/data and runs every stage into out/run."""
+    out = tmp_path / "wesad_run"
+    argv = ["--raw", str(synthetic_wesad_export(tmp_path / "raw")), "--out", str(out),
+            "--n-trees", "10", "--max-instances", "5"]
+    assert run_wesad.main(argv) == 0
+    assert f"full report: {out / 'run' / 'report.json'}" in capsys.readouterr().out
+    assert sorted(path.name for path in (out / "data").iterdir()) == sorted(
+        [f"S{i}_{kind}.csv" for i in (2, 3) for kind in ("ecg", "ppg", "annotations")]
+        + ["manifest.json"]
+    )
+    report = json.loads((out / "run" / "report.json").read_text())
+    assert report["extract"]["n_subjects"] == 2
+    assert report["config"]["learn"]["n_trees"] == 10
+    assert report["config"]["explain"]["max_instances"] == 5
+    for modality in ("ECG", "PPG"):
+        assert report["metrics"]["modalities"][modality]["holdout_accuracy"] >= 0.8
 
 
 def test_subject_wise_split_through_pipeline(tmp_path):
