@@ -3,9 +3,10 @@
 
 Builds criterion 07's 13-feature, 4-class data (400 rows, seed 17), fits an
 Extra-Trees forest of --n-trees trees on it, and times one global_importance
-call against ExplainConfig's default background size of rows from the first
-300, explaining --instances of the 400 rows.  The fresh model has built none of its cached layouts, as one
-loaded from model.json has not, so the time includes its leaf boxes.
+call against ExplainConfig's default number of background rows, drawn from
+the first 300, explaining --instances of the 400 rows.  The fresh model has
+built none of its cached layouts, as one loaded from model.json has not, so
+the time includes its leaf boxes.
 
 Prints one JSON object: the seconds for the whole call (per model) and that
 over the instance count (per instance).

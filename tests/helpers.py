@@ -65,8 +65,10 @@ def flat_wesad_pickle(path: Path):
     """A 1 s wearable-stress subject pickle at path: flat ECG and BVP at the
     export's rates, every label baseline."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"signal": {"chest": {"ECG": np.zeros((700, 1))}, "wrist": {"BVP": np.zeros((64, 1))}},
-               "label": np.ones(700, dtype=np.int64)}
+    payload = {
+        "signal": {"chest": {"ECG": np.zeros((700, 1))}, "wrist": {"BVP": np.zeros((64, 1))}},
+        "label": np.ones(700, dtype=np.int64),
+    }
     with open(path, "wb") as fh:
         pickle.dump(payload, fh, protocol=2)
 
