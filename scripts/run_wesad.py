@@ -4,7 +4,9 @@
 The dataset is access-restricted and never shipped with this repository; point
 this script at your own copy (the directory holding S2/, S3/, ...) and it will
 adapt it to the canonical format, run every pipeline stage, and print the
-headline numbers.
+headline numbers.  Bad input, or an --out holding a run of another
+configuration, fails as the CLI does: one JSON error object on stderr and
+exit status 1.
 
 Usage: python scripts/run_wesad.py --raw /path/to/WESAD --out wesad_run
 """
@@ -15,6 +17,7 @@ import sys
 from pathlib import Path
 
 from hrvaffect.adapters import adapt_wesad
+from hrvaffect.cli import _run_stage
 from hrvaffect.learn import DEFAULT_N_TREES
 from hrvaffect.pipeline import (
     config_from_dict,
@@ -39,9 +42,9 @@ def main(argv=None):
 
     out = Path(args.out)
     print(f"adapting raw export {args.raw} ...")
-    manifest = write_dataset(adapt_wesad, args.raw, out / "data")
+    manifest = _run_stage(write_dataset, adapt_wesad, args.raw, out / "data")
 
-    config = config_from_dict({
+    config = _run_stage(config_from_dict, {
         "manifest_path": str(manifest),
         "out_dir": str(out / "run"),
         "seed": args.seed,
@@ -49,14 +52,14 @@ def main(argv=None):
         "explain": {"max_instances": args.max_instances},
     })
     print("extracting features ...")
-    stage_extract(config)
+    _run_stage(stage_extract, config)
     print("variance analysis ...")
-    stage_variance(config)
+    _run_stage(stage_variance, config)
     print("training and evaluating ...")
-    metrics = stage_train_eval(config)
+    metrics = _run_stage(stage_train_eval, config)
     print("shapley importance ...")
-    stage_importance(config)
-    report_path = stage_report(config)
+    _run_stage(stage_importance, config)
+    report_path = _run_stage(stage_report, config)
 
     for modality in ("ECG", "PPG"):
         entry = metrics["modalities"][modality]

@@ -59,12 +59,18 @@ class NonFiniteSampleError(ValidationError):
         self.index = int(index)
         super().__init__(message or f"non-finite sample at index {index}")
 
+    def __reduce__(self):
+        return type(self), (self.index, str(self))
+
 
 class ValueOutOfRangeError(ValidationError):
     def __init__(self, index: int, value: float, message: str | None = None):
         self.index = int(index)
         self.value = float(value)
         super().__init__(message or f"value {value} at index {index} outside {AV_RANGE}")
+
+    def __reduce__(self):
+        return type(self), (self.index, self.value, str(self))
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:

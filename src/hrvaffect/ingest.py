@@ -62,7 +62,11 @@ class ParseError(ValueError):
     def __init__(self, path, line: int, message: str):
         self.path = str(path)
         self.line = int(line)
+        self.reason = message
         super().__init__(f"{path}:{line}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.path, self.line, self.reason)
 
 
 class RateMismatchError(ValueError):

@@ -15,6 +15,7 @@ import os
 import tempfile
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -71,6 +72,9 @@ class MissingInputError(PipelineError):
         self.name = name
         super().__init__(f"required input {name!r} not found; run the producing stage first")
 
+    def __reduce__(self):
+        return type(self), (self.name,)
+
     def payload(self) -> dict:
         return {"error": self.code, "message": str(self), "input": self.name}
 
@@ -81,6 +85,9 @@ class ConfigInvalidError(PipelineError):
     def __init__(self, fieldname: str, message: str):
         self.fieldname = fieldname
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.fieldname, str(self))
 
     def payload(self) -> dict:
         return {"error": self.code, "message": str(self), "field": self.fieldname}
@@ -292,28 +299,28 @@ def write_dataset(make, source: str | Path, out_dir: str | Path) -> Path:
     return Path(out_dir) / "manifest.json"
 
 
-def _each_subject(manifest: ingest.DatasetManifest, base_dir: Path):
-    """The manifest's subjects, each loaded when it is asked for.  No local
-    keeps the subject it yields."""
-    for entry in manifest.subjects:
-        yield ingest.load_dataset(replace(manifest, subjects=(entry,)), base_dir)[0]
+def _load_subject(manifest: ingest.DatasetManifest, base_dir: Path) -> ingest.SubjectData:
+    return ingest.load_dataset(manifest, base_dir)[0]
 
 
-def _synthetic_subject(spec: ingest.SyntheticSpec):
-    """The spec's one subject, generated when it is asked for and not kept."""
-    yield ingest.generate_synthetic(spec)[0]
+def _generate_subject(spec: ingest.SyntheticSpec) -> ingest.SubjectData:
+    return ingest.generate_synthetic(spec)[0]
 
 
-def load_subjects(config: PipelineConfig) -> tuple[Iterable[ingest.SubjectData], LabelScheme]:
-    """The subjects the config names and their label scheme.  The subjects
-    are loaded or generated one at a time as they are iterated, and the
-    iterator keeps none of them."""
+def load_subjects(config: PipelineConfig) -> tuple[list, LabelScheme]:
+    """One loader per subject the config names, in manifest order, and their
+    label scheme.  A loader is a picklable callable that loads or generates
+    its subject when called; nothing is loaded until then."""
     if config.manifest_path is not None:
         manifest_path = Path(config.manifest_path)
         manifest = ingest.load_manifest(manifest_path)
-        return _each_subject(manifest, manifest_path.parent), manifest.label_scheme
+        loaders = [
+            partial(_load_subject, replace(manifest, subjects=(entry,)), manifest_path.parent)
+            for entry in manifest.subjects
+        ]
+        return loaders, manifest.label_scheme
     spec = ingest.load_synthetic_spec(config.synthetic_spec_path)
-    return _synthetic_subject(spec), ingest.synthetic_label_scheme(spec)
+    return [partial(_generate_subject, spec)], ingest.synthetic_label_scheme(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +364,30 @@ def _window_rows(pairs, stats: dict) -> list[FeatureRow]:
     return rows
 
 
+def _new_stats() -> dict:
+    return {
+        "n_subjects": 0,
+        "windows_labeled": 0,
+        "modalities": {
+            m.value: {"rows": 0, "detect_failures": 0, "too_few_beats": 0}
+            for m in (Modality.ECG, Modality.PPG)
+        },
+    }
+
+
+def _add_counts(total: dict, counts: dict):
+    """Add each counter of counts, nested as in _new_stats, into total."""
+    for key, value in counts.items():
+        if isinstance(value, dict):
+            _add_counts(total[key], value)
+        else:
+            total[key] += value
+
+
+def _row_order(row: FeatureRow):
+    return row.subject_id, row.window_id, row.modality
+
+
 def featurize(
     subjects: Iterable[ingest.SubjectData], config: PipelineConfig
 ) -> tuple[list[FeatureRow], dict]:
@@ -365,14 +396,7 @@ def featurize(
     counters.  Each raw record is dropped once its filtered record exists,
     unless the caller keeps the subject (as a list of subjects does)."""
     rows: list[FeatureRow] = []
-    stats = {
-        "n_subjects": 0,
-        "windows_labeled": 0,
-        "modalities": {
-            m.value: {"rows": 0, "detect_failures": 0, "too_few_beats": 0}
-            for m in (Modality.ECG, Modality.PPG)
-        },
-    }
+    stats = _new_stats()
     for subject in subjects:
         stats["n_subjects"] += 1
         ecg, ppg, annotations = subject.ecg, subject.ppg, subject.annotations
@@ -382,14 +406,70 @@ def featurize(
         ppg = filter_signal(ppg, config.ppg_filter)
         rows += _window_rows(segment_windows(ecg, ppg, annotations, config.window), stats)
         del ecg, ppg, annotations  # freed before the iterator loads the next subject
-    rows.sort(key=lambda r: (r.subject_id, r.window_id, r.modality))
+    rows.sort(key=_row_order)
     return rows, stats
 
 
+def _loaded(load):
+    yield load()  # not kept here once yielded
+
+
+def _subject_features(load, config: PipelineConfig) -> tuple[list[tuple], np.ndarray, dict]:
+    """The unit of work extract maps over a config's subjects: load(),
+    featurized.  Its rows come back as their (window_id, subject_id, modality,
+    label) keys and one (rows, 13) block of values, from which the caller
+    builds read-only FeatureRows, plus the subject's counters."""
+    rows, stats = featurize(_loaded(load), config)
+    keys = [(r.window_id, r.subject_id, r.modality, r.label) for r in rows]
+    return keys, np.array([r.values for r in rows]).reshape(-1, len(FEATURE_NAMES)), stats
+
+
+def _worker_count(n_subjects: int) -> int:
+    """Processes to featurize n_subjects in: one per usable CPU, at most one
+    per subject.  One where the platform cannot say which CPUs are usable
+    (macOS, Windows), since fork is unsafe or missing there."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, n_subjects)
+
+
+@contextlib.contextmanager
+def _subject_map(n_subjects: int):
+    """A map(fn, iterable) whose results come in order: the map of a pool of
+    _worker_count(n_subjects) forked worker processes when that is at least
+    two, else the builtin map.  When the body raises, the subjects no worker
+    has started are cancelled.  Either way the pool waits for the subjects
+    running and joins its workers, so no worker outlives the body.  A worker
+    that dies fails the map with BrokenProcessPool instead of hanging it."""
+    workers = _worker_count(n_subjects)
+    if workers < 2:
+        yield map
+        return
+    import multiprocessing  # here, so the in-process path never pays for these imports
+    from concurrent.futures import ProcessPoolExecutor
+    from scipy import signal  # noqa: F401  before the fork, so no worker imports it again
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            yield pool.map
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
-    """Featurize the subjects the config names; returns rows plus counters."""
-    subjects, scheme = load_subjects(config)
-    rows, stats = featurize(subjects, config)
+    """Featurize the subjects the config names; returns rows sorted by
+    (subject, window, modality) plus counters.  Each subject is one
+    _subject_features call, made in a worker process when _subject_map has
+    workers, so this process holds no raw signal.  Results are read in
+    manifest order, so the error raised is the first failing subject's."""
+    loaders, scheme = load_subjects(config)
+    rows: list[FeatureRow] = []
+    stats = _new_stats()
+    with _subject_map(len(loaders)) as map_subjects:
+        for keys, block, counts in map_subjects(partial(_subject_features, config=config), loaders):
+            rows += [FeatureRow(*key, values) for key, values in zip(keys, block)]
+            _add_counts(stats, counts)
+    rows.sort(key=_row_order)
     stats["label_scheme"] = scheme.value
     return rows, stats
 

@@ -131,9 +131,14 @@ class DecodeError(ValueError):
     at fault, or None for the document itself."""
 
     def __init__(self, path: tuple, message: str):
+        self.path = tuple(path)
         self.key = path[0] if path else None
+        self.reason = message
         where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
         super().__init__(f"{where.lstrip('.')} {message}" if path else message)
+
+    def __reduce__(self):
+        return type(self), (self.path, self.reason)
 
 
 def decode(cls, doc, default=None, path: tuple = ()):

@@ -683,7 +683,9 @@ def test_failed_extract_leaves_no_stale_features_to_read(tmp_path):
 def test_bad_file_in_the_last_subject_fails_after_the_others(tmp_path, monkeypatch):
     """Subjects load one at a time: a bad ECG file in the last of three fails
     extract after the first two are featurized, naming the file and line, and
-    out_dir keeps the last good run."""
+    out_dir keeps the last good run.  One worker, so that the filter calls
+    are made, and seen, in this process."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: 1)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(FLAG_SPEC))
     spec = ingest.load_synthetic_spec(spec_path)
@@ -999,7 +1001,9 @@ def test_raw_ecg_is_freed_before_ppg_is_filtered(tmp_path, monkeypatch, source):
     exists, so the raw samples are gone when the PPG filter starts, and the
     last subject's filtered records are gone when the next subject loads.
     A list of subjects passed to featurize keeps the raw ones, which shows
-    the check bites."""
+    the check bites.  One worker, so that the loads and filters are made,
+    and seen, in this process."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: 1)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(FLAG_SPEC))
     spec = ingest.load_synthetic_spec(spec_path)

@@ -1,0 +1,219 @@
+"""extract featurizes a manifest's subjects in a fork pool when there are at
+least two subjects and two usable CPUs.  These tests pin the worker count
+through pipeline._worker_count and require the pool to change nothing a
+caller can see: the bytes of out_dir, the error of the first failing subject,
+read-only feature values, and no worker left running.  Errors cross the pool
+pickled, so every library exception must survive a pickle round trip."""
+
+import errno
+import hashlib
+import importlib
+import inspect
+import json
+import multiprocessing
+import pickle
+import pkgutil
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import hrvaffect
+from hrvaffect import ingest, pipeline
+from helpers import package_env
+
+SPEC = ingest.SyntheticSpec(
+    duration_s=30.0,
+    ecg_rate_hz=350.0,
+    ppg_rate_hz=64.0,
+    states=(ingest.StateSpec("baseline", 65.0, 10.0, 15.0), ingest.StateSpec("stress", 90.0, 10.0, 15.0)),
+    respiratory_rr_modulation_ms=30.0,
+    noise_std=0.02,
+    seed=11,
+)
+
+# Run the CLI with the worker count of argv[1] and the CLI arguments after it;
+# print how many child processes are left when it exits.
+CLI_WITH_WORKERS = """
+import multiprocessing, sys
+from hrvaffect import cli, pipeline
+workers = int(sys.argv[1])
+pipeline._worker_count = lambda n_subjects: min(workers, n_subjects)
+try:
+    cli.main(sys.argv[2:], prog_name="hrvaffect")
+finally:
+    print(len(multiprocessing.active_children()))
+"""
+
+
+def _pin_workers(monkeypatch, workers: int):
+    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: min(workers, n_subjects))
+
+
+def _digests(root: Path) -> dict:
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            if path.is_file() else None for path in root.rglob("*")}
+
+
+@pytest.fixture
+def three_subjects(tmp_path) -> Path:
+    """A manifest of three subjects, one more than the two workers."""
+    subjects = [ingest.generate_synthetic(replace(SPEC, seed=i), f"S{i}")[0] for i in (1, 2, 3)]
+    return ingest.write_canonical(subjects, "three", tmp_path / "data")
+
+
+def _config(manifest: Path, out: Path) -> pipeline.PipelineConfig:
+    return pipeline.config_from_dict({"manifest_path": str(manifest), "out_dir": str(out)})
+
+
+def test_outputs_are_byte_identical_with_one_and_two_workers(three_subjects, tmp_path, monkeypatch):
+    """One worker loads every subject in this process; two load none of them
+    here, and write the same features.csv and extract_stats.json."""
+    loaded = []
+
+    def load_dataset(manifest, base_dir, original=ingest.load_dataset):
+        loaded.append(manifest.subjects[0].subject_id)
+        return original(manifest, base_dir)
+
+    monkeypatch.setattr(ingest, "load_dataset", load_dataset)
+    outputs, here = {}, {}
+    for workers in (1, 2):
+        _pin_workers(monkeypatch, workers)
+        loaded.clear()
+        out = tmp_path / f"run{workers}"
+        pipeline.stage_extract(_config(three_subjects, out))
+        assert multiprocessing.active_children() == []
+        outputs[workers] = [(out / name).read_bytes()
+                            for name in (pipeline.FEATURES_CSV, pipeline.EXTRACT_STATS_JSON)]
+        here[workers] = list(loaded)
+    assert outputs[1] == outputs[2]
+    assert json.loads(outputs[2][1])["n_subjects"] == 3
+    assert here == {1: ["S1", "S2", "S3"], 2: []}
+
+
+def test_rows_built_from_worker_results_are_read_only(three_subjects, tmp_path, monkeypatch):
+    config = _config(three_subjects, tmp_path / "run")
+    _pin_workers(monkeypatch, 1)
+    want, want_stats = pipeline.extract_features(config)
+    _pin_workers(monkeypatch, 2)
+    got, got_stats = pipeline.extract_features(config)
+    assert multiprocessing.active_children() == []
+    assert got_stats == want_stats
+    assert [(r.window_id, r.subject_id, r.modality, r.label, r.values.tobytes()) for r in got] == [
+        (r.window_id, r.subject_id, r.modality, r.label, r.values.tobytes()) for r in want
+    ]
+    assert not any(r.values.flags.writeable for r in got)
+
+
+def test_bad_last_subject_is_the_same_error_with_one_and_two_workers(three_subjects, tmp_path):
+    """A bad line in the last subject's ECG file is the same Parse error with
+    one worker and with two, out_dir keeps the last good run, and no worker
+    outlives the command.  The CLI runs in a child process, so a hang fails
+    this test at its timeout instead of hanging the suite."""
+    run = tmp_path / "run"
+    args = ["extract", "--manifest", str(three_subjects), "--out", str(run)]
+    ok = subprocess.run([sys.executable, "-c", CLI_WITH_WORKERS, "2", *args],
+                        env=package_env(), capture_output=True, text=True, timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines() == [str(run / pipeline.FEATURES_CSV), "0"]
+    before = _digests(run)
+    ecg = three_subjects.parent / "S3_ecg.csv"
+    lines = ecg.read_text().splitlines(keepends=True)
+    lines[5] = "4,x\n"
+    ecg.write_text("".join(lines))
+    for workers in ("1", "2"):
+        failed = subprocess.run([sys.executable, "-c", CLI_WITH_WORKERS, workers, *args],
+                                env=package_env(), capture_output=True, text=True, timeout=120)
+        assert failed.returncode == 1
+        assert json.loads(failed.stderr) == {
+            "error": "Parse", "message": f"{ecg}:6: non-numeric value 'x'",
+        }
+        assert failed.stdout.splitlines() == ["0"]
+        assert _digests(run) == before
+        assert not list(run.glob(".stage-*"))
+
+
+# Run extract with two workers on the manifest of argv[1] into argv[2]; the
+# worker that loads S2 dies at once.  Print what extract raised and how many
+# child processes are left.
+WORKER_DIES = """
+import multiprocessing, os, signal, sys
+from hrvaffect import pipeline
+load = pipeline._load_subject
+
+def load_or_die(manifest, base_dir):
+    if manifest.subjects[0].subject_id == "S2":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return load(manifest, base_dir)
+
+pipeline._load_subject = load_or_die
+pipeline._worker_count = lambda n_subjects: min(2, n_subjects)
+config = pipeline.config_from_dict({"manifest_path": sys.argv[1], "out_dir": sys.argv[2]})
+try:
+    pipeline.extract_features(config)
+except Exception as exc:
+    print(type(exc).__name__)
+print(len(multiprocessing.active_children()))
+"""
+
+
+def test_a_worker_that_dies_fails_extract_instead_of_hanging_it(three_subjects, tmp_path):
+    """A worker killed mid-subject, as the out-of-memory killer would, ends
+    extract with BrokenProcessPool and leaves no worker behind."""
+    done = subprocess.run([sys.executable, "-c", WORKER_DIES, str(three_subjects), str(tmp_path / "run")],
+                          env=package_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["BrokenProcessPool", "0"]
+
+
+# Constructor arguments of the library exceptions that take more than a message.
+EXCEPTION_ARGS = {
+    "NonFiniteSampleError": (7,),
+    "ValueOutOfRangeError": (3, 9.5),
+    "ParseError": (Path("data/S3_ecg.csv"), 6, "non-numeric value 'x'"),
+    "DecodeError": (("window", "overlap_s"), "must be a number"),
+    "MissingInputError": ("features.csv",),
+    "ConfigInvalidError": ("box_feature", "unknown feature 'x'"),
+}
+
+
+def _library_exceptions() -> list[type]:
+    found = set()
+    for info in pkgutil.iter_modules(hrvaffect.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"hrvaffect.{info.name}")
+        found.update(cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                     if issubclass(cls, Exception) and cls.__module__ == module.__name__)
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+def _instance(cls) -> Exception:
+    args = EXCEPTION_ARGS.get(cls.__name__)
+    if args is None:
+        # Only a class whose __init__ is Exception's may be built from a message.
+        assert not any("__init__" in vars(base) for base in cls.__mro__
+                       if base.__module__.startswith("hrvaffect")), cls
+        args = ("something went wrong",)
+    return cls(*args)
+
+
+@pytest.mark.parametrize("exc", [
+    *(_instance(cls) for cls in _library_exceptions()),
+    FileNotFoundError(errno.ENOENT, "No such file or directory", "data/S3_ecg.csv"),
+], ids=lambda exc: type(exc).__name__)
+def test_exception_survives_a_pickle_round_trip(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)
+    if isinstance(exc, OSError):
+        assert (back.filename, back.strerror) == (exc.filename, exc.strerror)
+    if hasattr(exc, "payload"):
+        assert back.payload() == exc.payload()
+
+
+def test_every_exception_with_its_own_arguments_is_in_the_table():
+    assert {cls.__name__ for cls in _library_exceptions()} >= EXCEPTION_ARGS.keys()

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hrvaffect import pipeline
 from hrvaffect.adapters import adapt_case, adapt_wesad
 from hrvaffect.ingest import (
     StateSpec,
@@ -107,6 +108,23 @@ def test_run_wesad_script_end_to_end(tmp_path, capsys):
         assert report["metrics"]["modalities"][modality]["holdout_accuracy"] >= 0.8
 
 
+def test_run_wesad_script_into_a_run_of_another_config_is_one_json_error(tmp_path, capsys):
+    """A second run into the same --out with another --n-trees ends in the
+    CLI's ConfigHashMismatch JSON object and exit status 1, not a traceback.
+    On two or more CPUs the export's two subjects go through the worker pool."""
+    out = tmp_path / "wesad_run"
+    argv = ["--raw", str(synthetic_wesad_export(tmp_path / "raw")), "--out", str(out),
+            "--max-instances", "2"]
+    assert run_wesad.main([*argv, "--n-trees", "10"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run_wesad.main([*argv, "--n-trees", "12"])
+    assert exit_info.value.code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigHashMismatch"
+    assert payload["message"].startswith(f"{out / 'run' / 'config.json'} holds outputs for config ")
+
+
 def test_subject_wise_split_through_pipeline(tmp_path):
     raw_subjects = []
     for i in range(6):
@@ -166,11 +184,11 @@ def test_features_csv_round_trip(tmp_path):
         np.testing.assert_allclose(a.values, b.values, rtol=1e-8, atol=0)
 
 
-def test_extract_peak_memory_follows_one_subject(tmp_path):
-    """A manifest's subjects are loaded one at a time, so extract's traced peak
-    on 8 subjects exceeds that on 2 by less than one subject's arrays.  The
-    subjects are shaped like the wearable-stress recordings: 240 s of ECG at
-    700 Hz, PPG at 64 Hz and int64 labels at 700 Hz."""
+def _wearable_stress_manifests(folder):
+    """(one subject's array bytes, config of n subjects) for a subject shaped
+    like the wearable-stress recordings: 240 s of ECG at 700 Hz, PPG at 64 Hz
+    and int64 labels at 700 Hz.  Every subject reads the same files under its
+    own id."""
     states = (("baseline", 70.0), ("stress", 88.0), ("amusement", 75.0), ("meditation", 66.0))
     subject, _ = generate_synthetic(SyntheticSpec(
         duration_s=240.0, ecg_rate_hz=700.0, ppg_rate_hz=64.0,
@@ -179,26 +197,45 @@ def test_extract_peak_memory_follows_one_subject(tmp_path):
     ))
     one_subject = sum(a.nbytes for a in (subject.ecg.samples, subject.ppg.samples,
                                          subject.annotations.values))
-    manifest = load_manifest(write_canonical([subject], "cohort", tmp_path))
+    manifest = load_manifest(write_canonical([subject], "cohort", folder))
     entry = manifest.subjects[0]
 
     def config(n_subjects):
-        # Every subject reads the same files under its own id.
-        path = tmp_path / f"manifest_{n_subjects}.json"
+        path = folder / f"manifest_{n_subjects}.json"
         write_manifest(replace(manifest, subjects=tuple(
             replace(entry, subject_id=f"S{i}") for i in range(n_subjects)
         )), path)
-        return config_from_dict({"manifest_path": str(path), "out_dir": str(tmp_path / "run")})
+        return config_from_dict({"manifest_path": str(path), "out_dir": str(folder / "run")})
 
-    def traced_peak(n_subjects):
-        tracemalloc.start()
-        try:
-            _, stats = extract_features(config(n_subjects))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert stats["n_subjects"] == n_subjects
-        return peak
+    return one_subject, config
 
+
+def _traced_peak(config, n_subjects):
+    """extract's traced peak in this process on n subjects."""
+    tracemalloc.start()
+    try:
+        _, stats = extract_features(config(n_subjects))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["n_subjects"] == n_subjects
+    return peak
+
+
+def test_extract_peak_memory_follows_one_subject(tmp_path, monkeypatch):
+    """A manifest's subjects are loaded one at a time, so extract's traced peak
+    on 8 subjects exceeds that on 2 by less than one subject's arrays.  One
+    worker, so that the subjects are loaded, and traced, in this process."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: 1)
+    one_subject, config = _wearable_stress_manifests(tmp_path)
     extract_features(config(1))  # lazy imports and caches fill, untraced
-    assert traced_peak(8) - traced_peak(2) < one_subject
+    assert _traced_peak(config, 8) - _traced_peak(config, 2) < one_subject
+
+
+def test_extract_peak_memory_in_the_pool_is_below_one_subject(tmp_path, monkeypatch):
+    """With two workers the subjects are loaded in the workers, so extract's
+    traced peak in this process on 8 subjects stays below one subject's arrays."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: min(2, n_subjects))
+    one_subject, config = _wearable_stress_manifests(tmp_path)
+    extract_features(config(2))  # the pool's imports fill, untraced
+    assert _traced_peak(config, 8) < one_subject
