@@ -12,9 +12,14 @@ starts in a fresh process and reads its own tree's perfbench and sources.
 
 Writes the per-pair end-to-end values to --out under workloads[W], with each
 side's median and quartiles, the number of pairs the change wins, the failed
-operations against all attempted, and a verdict per metric.  An existing
---out keeps its other workloads, so the rows of several workloads share one
-file.  The verdicts, in this order:
+operations against all attempted, and a verdict per metric.  Each run also
+keeps the raw (unscaled) medians of its pass times and set-up times from
+perfbench's info line, as raw_pass_wall_s and raw_setup_s, and the summary
+gives each side's median of them under raw_medians, with no verdict: the
+scaled metrics divide by a kernel timed in the benchmark's own process, so a
+change that moves work to other processes can move them further than the raw
+times.  An existing --out keeps its other workloads, so the rows of several
+workloads share one file.  The verdicts, in this order:
 
     gain              the change is better in at least nine tenths of the
                       pairs (ties count for neither side) and its median is
@@ -49,6 +54,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 3600
+# Lists of raw seconds in perfbench's info line, kept per run as their median.
+RAW_TIMES = ("pass_wall_s", "setup_s")
 
 
 def git(*args) -> bytes:
@@ -71,9 +78,18 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if done.returncode != 0:
         raise RuntimeError(f"perfbench in {tree.name} exited {done.returncode}:\n{done.stderr[-2000:]}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return parse_run(done.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """The end-to-end values and counts of a perfbench run's last line, and the
+    raw medians of its info line, the line before."""
+    *_, info_line, result_line = stdout.strip().splitlines()
+    info = json.loads(info_line.removeprefix("# "))
+    result = json.loads(result_line)
     values = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
-    return {**values, "attempted": result["attempted"], "failed": result["failed"]}
+    raw = {f"raw_{key}": round(statistics.median(info[key]), 4) for key in RAW_TIMES}
+    return {**values, **raw, "attempted": result["attempted"], "failed": result["failed"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -165,6 +181,11 @@ def main(argv=None) -> int:
         m["name"]: summarize([p["parent"][m["name"]] for p in pairs],
                              [p["change"][m["name"]] for p in pairs], m["better"], m["bound"])
         for m in metrics
+    }
+    summary["raw_medians"] = {
+        f"raw_{key}": {side: round(statistics.median(p[side][f"raw_{key}"] for p in pairs), 4)
+                       for side in ("parent", "change")}
+        for key in RAW_TIMES
     }
     summary["failed"] = {
         side: f"{sum(p[side]['failed'] for p in pairs)} of {sum(p[side]['attempted'] for p in pairs)}"

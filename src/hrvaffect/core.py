@@ -3,12 +3,15 @@
 All types live on a per-subject shared clock: sample ``i`` of a stream sits at
 ``start_time_s + i / sample_rate_hz`` seconds.  Everything is immutable after
 construction, so records, tracks and windows can be handed to parallel workers
-without synchronization.
+without synchronization.  ordered_map is the one way the package hands work to
+such workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,3 +237,34 @@ STREAM_FOLDS = 3
 STREAM_TREES = 4
 STREAM_EXPLAIN = 5
 STREAM_BACKGROUND = 6
+
+
+def worker_count(n_tasks: int) -> int:
+    """Processes to run n_tasks in: one per usable CPU, at most one per task.
+    One where the platform cannot say which CPUs are usable (macOS, Windows),
+    since fork is unsafe or missing there."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, n_tasks)
+
+
+@contextlib.contextmanager
+def ordered_map(n_tasks: int):
+    """A map(fn, *iterables) whose results come in order: the map of a pool of
+    worker_count(n_tasks) forked worker processes when that is at least two,
+    else the builtin map.  When the body raises, the tasks no worker has
+    started are cancelled.  Either way the pool waits for the tasks running
+    and joins its workers, so no worker outlives the body.  A worker that
+    dies fails the map with BrokenProcessPool instead of hanging it."""
+    workers = worker_count(n_tasks)
+    if workers < 2:
+        yield map
+        return
+    import multiprocessing  # here, so the in-process path never pays for these imports
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            yield pool.map
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

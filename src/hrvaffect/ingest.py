@@ -32,6 +32,7 @@ from .core import (
     Modality,
     SignalRecord,
     derive_rng,
+    ordered_map,
 )
 from .serialize import DecodeError, decode
 
@@ -106,6 +107,8 @@ class DatasetManifest:
     subjects: tuple[SubjectFiles, ...]
 
     def __post_init__(self):
+        if not self.subjects:
+            raise ValueError("a manifest lists at least one subject")
         # Each subject's CSV files and derived rows are keyed by its id.
         seen = set()
         for entry in self.subjects:
@@ -419,9 +422,13 @@ def _write_table(path: Path, header: str, values: np.ndarray):
 def write_canonical(
     subjects: list[SubjectData], dataset_name: str, out_dir: str | Path
 ) -> Path:
-    """Write subjects in the canonical format; returns the manifest path."""
-    # The manifest, and so every entry, is built and checked before anything is written.
-    manifest = DatasetManifest(dataset_name, subjects[0].annotations.scheme, tuple(
+    """Write subjects in the canonical format; returns the manifest path.  The
+    tables are written by ordered_map's workers and read back in manifest
+    order, so the error raised is the first failing table's."""
+    # The manifest, and so every entry, is built and checked before anything
+    # is written; an empty list fails there, before its scheme is looked at.
+    scheme = subjects[0].annotations.scheme if subjects else None
+    manifest = DatasetManifest(dataset_name, scheme, tuple(
         SubjectFiles(s.subject_id, f"{s.subject_id}_ecg.csv", f"{s.subject_id}_ppg.csv",
                      f"{s.subject_id}_annotations.csv", s.ecg.sample_rate_hz,
                      s.ppg.sample_rate_hz, s.annotations.sample_rate_hz)
@@ -429,11 +436,14 @@ def write_canonical(
     ))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for subject, entry in zip(subjects, manifest.subjects):
-        _write_table(out_dir / entry.ecg_file, _HEADERS["signal"], subject.ecg.samples)
-        _write_table(out_dir / entry.ppg_file, _HEADERS["signal"], subject.ppg.samples)
-        _write_table(out_dir / entry.annotation_file, _HEADERS[subject.annotations.scheme],
-                     subject.annotations.values)
+    paths, headers, tables = [], [], []
+    for s, entry in zip(subjects, manifest.subjects):
+        paths += [out_dir / entry.ecg_file, out_dir / entry.ppg_file, out_dir / entry.annotation_file]
+        headers += [_HEADERS["signal"], _HEADERS["signal"], _HEADERS[s.annotations.scheme]]
+        tables += [s.ecg.samples, s.ppg.samples, s.annotations.values]
+    with ordered_map(len(paths)) as map_tables:
+        for _ in map_tables(_write_table, paths, headers, tables):
+            pass
     manifest_path = out_dir / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explain as explain_mod
-from . import ingest, svgplot
+from . import core, ingest, svgplot
 from .core import LabelScheme, Modality
 from .dsp import (
     DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER, FilterSpec, WindowSpec, covered_seconds, filter_signal,
@@ -424,48 +424,18 @@ def _subject_features(load, config: PipelineConfig) -> tuple[list[tuple], np.nda
     return keys, np.array([r.values for r in rows]).reshape(-1, len(FEATURE_NAMES)), stats
 
 
-def _worker_count(n_subjects: int) -> int:
-    """Processes to featurize n_subjects in: one per usable CPU, at most one
-    per subject.  One where the platform cannot say which CPUs are usable
-    (macOS, Windows), since fork is unsafe or missing there."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, n_subjects)
-
-
-@contextlib.contextmanager
-def _subject_map(n_subjects: int):
-    """A map(fn, iterable) whose results come in order: the map of a pool of
-    _worker_count(n_subjects) forked worker processes when that is at least
-    two, else the builtin map.  When the body raises, the subjects no worker
-    has started are cancelled.  Either way the pool waits for the subjects
-    running and joins its workers, so no worker outlives the body.  A worker
-    that dies fails the map with BrokenProcessPool instead of hanging it."""
-    workers = _worker_count(n_subjects)
-    if workers < 2:
-        yield map
-        return
-    import multiprocessing  # here, so the in-process path never pays for these imports
-    from concurrent.futures import ProcessPoolExecutor
-    from scipy import signal  # noqa: F401  before the fork, so no worker imports it again
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            yield pool.map
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
     """Featurize the subjects the config names; returns rows sorted by
     (subject, window, modality) plus counters.  Each subject is one
-    _subject_features call, made in a worker process when _subject_map has
+    _subject_features call, made in a worker process when core.ordered_map has
     workers, so this process holds no raw signal.  Results are read in
     manifest order, so the error raised is the first failing subject's."""
     loaders, scheme = load_subjects(config)
     rows: list[FeatureRow] = []
     stats = _new_stats()
-    with _subject_map(len(loaders)) as map_subjects:
+    if core.worker_count(len(loaders)) > 1:
+        from scipy import signal  # noqa: F401  before the fork, so no worker imports it again
+    with core.ordered_map(len(loaders)) as map_subjects:
         for keys, block, counts in map_subjects(partial(_subject_features, config=config), loaders):
             rows += [FeatureRow(*key, values) for key, values in zip(keys, block)]
             _add_counts(stats, counts)

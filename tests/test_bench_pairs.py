@@ -2,7 +2,7 @@
 
 import pytest
 
-from bench_pairs import summarize
+from bench_pairs import parse_run, summarize
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
 
@@ -29,3 +29,15 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # Every change run below every parent run, by less than the spread: no
     # gain, but no longer unresolved.
     assert summarize(parent, [0.9, 0.95, 0.9, 0.95], "lower", 0.25)["verdict"] == "within bound"
+
+
+def test_a_run_keeps_its_scaled_values_and_raw_medians():
+    stdout = (
+        '# {"pass_wall_s": [0.9, 0.7, 0.8, 1.5], "setup_s": [2.0, 1.0, 3.0], "seed": 0}\n'
+        '{"correct": true, "attempted": 40, "failed": 0, "metrics": {'
+        '"wall_s": {"value": 0.512345, "unit": "s"}, "setup_s": {"value": 1.25, "unit": "s"}}}\n'
+    )
+    assert parse_run(stdout) == {
+        "wall_s": 0.5123, "setup_s": 1.25, "raw_pass_wall_s": 0.85, "raw_setup_s": 2.0,
+        "attempted": 40, "failed": 0,
+    }

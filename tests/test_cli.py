@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hrvaffect import ingest, pipeline, serialize
+from hrvaffect import core, ingest, pipeline, serialize
 from hrvaffect.cli import main
 from hrvaffect.core import LabelScheme, Modality
 from hrvaffect.dsp import DEFAULT_ECG_FILTER, DEFAULT_PPG_FILTER
@@ -248,6 +248,18 @@ class TestErrorPaths:
         assert payload["error"] == "Parse"
         assert "subject_id" in payload["message"]
         assert not (tmp_path / "run" / "features.csv").exists()
+
+    def test_manifest_with_no_subjects_is_a_parse_error(self, tmp_path):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(
+            {"dataset_name": "x", "label_scheme": "discrete_state", "subjects": []}))
+        result = run_cli("extract", "--manifest", str(manifest_path), "--out", str(tmp_path / "run"))
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "error": "Parse",
+            "message": f"{manifest_path}:1: manifest field error: a manifest lists at least one subject",
+        }
+        assert not (tmp_path / "run").exists()
 
     def test_annotation_label_outside_int64_is_a_parse_error(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -685,7 +697,7 @@ def test_bad_file_in_the_last_subject_fails_after_the_others(tmp_path, monkeypat
     extract after the first two are featurized, naming the file and line, and
     out_dir keeps the last good run.  One worker, so that the filter calls
     are made, and seen, in this process."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: 1)
+    monkeypatch.setattr(core, "worker_count", lambda n_tasks: 1)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(FLAG_SPEC))
     spec = ingest.load_synthetic_spec(spec_path)
@@ -1003,7 +1015,7 @@ def test_raw_ecg_is_freed_before_ppg_is_filtered(tmp_path, monkeypatch, source):
     A list of subjects passed to featurize keeps the raw ones, which shows
     the check bites.  One worker, so that the loads and filters are made,
     and seen, in this process."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: 1)
+    monkeypatch.setattr(core, "worker_count", lambda n_tasks: 1)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(FLAG_SPEC))
     spec = ingest.load_synthetic_spec(spec_path)

@@ -1,9 +1,10 @@
-"""extract featurizes a manifest's subjects in a fork pool when there are at
-least two subjects and two usable CPUs.  These tests pin the worker count
-through pipeline._worker_count and require the pool to change nothing a
-caller can see: the bytes of out_dir, the error of the first failing subject,
-read-only feature values, and no worker left running.  Errors cross the pool
-pickled, so every library exception must survive a pickle round trip."""
+"""extract featurizes a manifest's subjects, and write_canonical writes a
+dataset's tables, in a fork pool when there are at least two tasks and two
+usable CPUs.  These tests pin the worker count through core.worker_count and
+require the pool to change nothing a caller can see: the bytes written, the
+error of the first failing subject or table, read-only feature values, and no
+worker left running.  Errors cross the pool pickled, so every library
+exception must survive a pickle round trip."""
 
 import errno
 import hashlib
@@ -21,8 +22,8 @@ from pathlib import Path
 import pytest
 
 import hrvaffect
-from hrvaffect import ingest, pipeline
-from helpers import package_env
+from hrvaffect import core, ingest, pipeline
+from helpers import package_env, readme_json_blocks
 
 SPEC = ingest.SyntheticSpec(
     duration_s=30.0,
@@ -38,9 +39,9 @@ SPEC = ingest.SyntheticSpec(
 # print how many child processes are left when it exits.
 CLI_WITH_WORKERS = """
 import multiprocessing, sys
-from hrvaffect import cli, pipeline
+from hrvaffect import cli, core
 workers = int(sys.argv[1])
-pipeline._worker_count = lambda n_subjects: min(workers, n_subjects)
+core.worker_count = lambda n_tasks: min(workers, n_tasks)
 try:
     cli.main(sys.argv[2:], prog_name="hrvaffect")
 finally:
@@ -49,7 +50,7 @@ finally:
 
 
 def _pin_workers(monkeypatch, workers: int):
-    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: min(workers, n_subjects))
+    monkeypatch.setattr(core, "worker_count", lambda n_tasks: min(workers, n_tasks))
 
 
 def _digests(root: Path) -> dict:
@@ -140,7 +141,7 @@ def test_bad_last_subject_is_the_same_error_with_one_and_two_workers(three_subje
 # child processes are left.
 WORKER_DIES = """
 import multiprocessing, os, signal, sys
-from hrvaffect import pipeline
+from hrvaffect import core, pipeline
 load = pipeline._load_subject
 
 def load_or_die(manifest, base_dir):
@@ -149,7 +150,7 @@ def load_or_die(manifest, base_dir):
     return load(manifest, base_dir)
 
 pipeline._load_subject = load_or_die
-pipeline._worker_count = lambda n_subjects: min(2, n_subjects)
+core.worker_count = lambda n_tasks: min(2, n_tasks)
 config = pipeline.config_from_dict({"manifest_path": sys.argv[1], "out_dir": sys.argv[2]})
 try:
     pipeline.extract_features(config)
@@ -217,3 +218,113 @@ def test_exception_survives_a_pickle_round_trip(exc):
 
 def test_every_exception_with_its_own_arguments_is_in_the_table():
     assert {cls.__name__ for cls in _library_exceptions()} >= EXCEPTION_ARGS.keys()
+
+
+def _three(folder: Path) -> list[ingest.SubjectData]:
+    return ingest.load_dataset(ingest.load_manifest(folder / "manifest.json"), folder)
+
+
+def test_write_canonical_is_byte_identical_with_one_and_two_workers(three_subjects, tmp_path,
+                                                                    monkeypatch):
+    subjects = _three(three_subjects.parent)
+    written = {}
+    for workers in (1, 2):
+        _pin_workers(monkeypatch, workers)
+        out = tmp_path / f"data{workers}"
+        assert ingest.write_canonical(subjects, "three", out) == out / "manifest.json"
+        assert multiprocessing.active_children() == []
+        written[workers] = _digests(out)
+    assert len(written[1]) == 10  # three tables per subject, and the manifest
+    assert written[1] == written[2] == _digests(three_subjects.parent)
+
+
+def test_a_table_that_cannot_be_written_is_the_same_error_with_one_and_two_workers(
+        three_subjects, tmp_path, monkeypatch):
+    """Two table targets are directories; the error is the one of the first in
+    manifest order, with one worker and with two, and no manifest is written."""
+    subjects = _three(three_subjects.parent)
+    errors = {}
+    for workers in (1, 2):
+        _pin_workers(monkeypatch, workers)
+        out = tmp_path / f"data{workers}"
+        (out / "S2_ecg.csv").mkdir(parents=True)
+        (out / "S3_annotations.csv").mkdir()
+        with pytest.raises(OSError) as err:
+            ingest.write_canonical(subjects, "three", out)
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
+        errors[workers] = type(err.value), err.value.filename
+    assert errors[1] == (IsADirectoryError, str(tmp_path / "data1" / "S2_ecg.csv"))
+    assert errors[2] == (IsADirectoryError, str(tmp_path / "data2" / "S2_ecg.csv"))
+
+
+def test_write_canonical_refuses_no_subjects_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="^a manifest lists at least one subject$"):
+        ingest.write_canonical([], "none", tmp_path / "data")
+    assert not (tmp_path / "data").exists()
+
+
+# Write the dataset of argv[1] into argv[2] through write_dataset with two
+# workers; the worker that writes S2's ECG table dies at once.  Print what
+# write_dataset raised and how many child processes are left.
+WRITER_DIES = """
+import multiprocessing, os, signal, sys
+from pathlib import Path
+from hrvaffect import core, ingest, pipeline
+write = ingest._write_table
+
+def write_or_die(path, header, values):
+    if path.name == "S2_ecg.csv":
+        os.kill(os.getpid(), signal.SIGKILL)
+    write(path, header, values)
+
+ingest._write_table = write_or_die
+core.worker_count = lambda n_tasks: min(2, n_tasks)
+source = Path(sys.argv[1])
+subjects = ingest.load_dataset(ingest.load_manifest(source / "manifest.json"), source)
+try:
+    pipeline.write_dataset(lambda _, staging: ingest.write_canonical(subjects, "three", staging),
+                           source, sys.argv[2])
+except Exception as exc:
+    print(type(exc).__name__)
+print(len(multiprocessing.active_children()))
+"""
+
+
+def test_a_writer_that_dies_fails_the_write_instead_of_hanging_it(three_subjects, tmp_path):
+    """A writer killed mid-table ends the write with BrokenProcessPool, leaves
+    no worker behind, and leaves --out as it was, with no staging directory."""
+    out = tmp_path / "out"
+    pipeline.write_dataset(lambda _, staging: ingest.write_canonical(
+        _three(three_subjects.parent)[:1], "one", staging), None, out)
+    before = _digests(out)
+    done = subprocess.run([sys.executable, "-c", WRITER_DIES, str(three_subjects.parent), str(out)],
+                          env=package_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["BrokenProcessPool", "0"]
+    assert _digests(out) == before
+    assert not list(out.glob(".stage-*"))
+
+
+# Import the pipeline, note which pool modules it loaded, then run synth on the
+# spec of argv[1] into argv[2] with two writers and note what that loaded.
+IMPORTS = """
+import sys
+import hrvaffect.pipeline
+print(sorted({"multiprocessing", "concurrent.futures"} & sys.modules.keys()))
+from hrvaffect import core, pipeline
+core.worker_count = lambda n_tasks: min(2, n_tasks)
+pipeline.stage_synth(sys.argv[1], sys.argv[2])
+print(sorted({"concurrent.futures", "scipy.signal"} & sys.modules.keys()))
+"""
+
+
+def test_the_pool_is_imported_only_to_run_and_the_write_never_loads_scipy_signal(tmp_path):
+    """perfbench's set-up times `import hrvaffect.pipeline`, which loads no
+    pool module; synth writes its tables in the pool without scipy.signal."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(readme_json_blocks()[0])
+    done = subprocess.run([sys.executable, "-c", IMPORTS, str(spec), str(tmp_path / "data")],
+                          env=package_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "['concurrent.futures']"]

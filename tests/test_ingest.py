@@ -268,6 +268,15 @@ class TestCanonicalRoundTrip:
             f"{path}:1: manifest field error: subject_id 'S2' is listed more than once"
         )
 
+    def test_manifest_lists_at_least_one_subject(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(dict(manifest_doc("S2"), subjects=[])))
+        with pytest.raises(ParseError) as err:
+            load_manifest(path)
+        assert str(err.value) == (
+            f"{path}:1: manifest field error: a manifest lists at least one subject"
+        )
+
     def test_write_canonical_refuses_a_repeated_subject_id_before_writing(self, tmp_path):
         spec = simple_spec(duration_s=20.0, states=(StateSpec("baseline", 70.0, 10.0, 20.0),))
         a, _ = generate_synthetic(spec, subject_id="S2")

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hrvaffect import pipeline
+from hrvaffect import core, pipeline
 from hrvaffect.adapters import adapt_case, adapt_wesad
 from hrvaffect.ingest import (
     StateSpec,
@@ -226,7 +226,7 @@ def test_extract_peak_memory_follows_one_subject(tmp_path, monkeypatch):
     """A manifest's subjects are loaded one at a time, so extract's traced peak
     on 8 subjects exceeds that on 2 by less than one subject's arrays.  One
     worker, so that the subjects are loaded, and traced, in this process."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: 1)
+    monkeypatch.setattr(core, "worker_count", lambda n_tasks: 1)
     one_subject, config = _wearable_stress_manifests(tmp_path)
     extract_features(config(1))  # lazy imports and caches fill, untraced
     assert _traced_peak(config, 8) - _traced_peak(config, 2) < one_subject
@@ -235,7 +235,7 @@ def test_extract_peak_memory_follows_one_subject(tmp_path, monkeypatch):
 def test_extract_peak_memory_in_the_pool_is_below_one_subject(tmp_path, monkeypatch):
     """With two workers the subjects are loaded in the workers, so extract's
     traced peak in this process on 8 subjects stays below one subject's arrays."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda n_subjects: min(2, n_subjects))
+    monkeypatch.setattr(core, "worker_count", lambda n_tasks: min(2, n_tasks))
     one_subject, config = _wearable_stress_manifests(tmp_path)
     extract_features(config(2))  # the pool's imports fill, untraced
     assert _traced_peak(config, 8) < one_subject
