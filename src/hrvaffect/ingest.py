@@ -427,6 +427,9 @@ def write_canonical(
     order, so the error raised is the first failing table's."""
     # The manifest, and so every entry, is built and checked before anything
     # is written; an empty list fails there, before its scheme is looked at.
+    schemes = sorted({s.annotations.scheme.value for s in subjects})
+    if len(schemes) > 1:
+        raise ValueError(f"a dataset holds one label scheme, got {' and '.join(schemes)}")
     scheme = subjects[0].annotations.scheme if subjects else None
     manifest = DatasetManifest(dataset_name, scheme, tuple(
         SubjectFiles(s.subject_id, f"{s.subject_id}_ecg.csv", f"{s.subject_id}_ppg.csv",

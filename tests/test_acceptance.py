@@ -24,7 +24,7 @@ from hrvaffect.dsp import (
     filter_signal,
     segment_windows,
 )
-from hrvaffect.experiments import run_twin, twin_spec
+from hrvaffect.experiments import holdout_gap, run_spec, twin_spec
 from hrvaffect.explain import sample_background, shapley_explain
 from hrvaffect.hrv import FEATURE_NAMES, compute_features, detect_beats
 from hrvaffect.ingest import StateSpec, SyntheticSpec, generate_synthetic
@@ -338,26 +338,24 @@ def test_criterion_08_pipeline_determinism(tmp_path):
            f"{n_compared} files byte-compared" + (f"; differ: {mismatched}" if mismatched else ""))
 
 
-def test_criterion_09_fidelity_twins():
+def test_criterion_09_fidelity_twins(tmp_path):
     start = time.perf_counter()
-    high_var, high = run_twin(twin_spec("high"))
-    low_var, low = run_twin(twin_spec("low"))
+    high, low = (run_spec(twin_spec(name), tmp_path / name) for name in ("high", "low"))
     elapsed = time.perf_counter() - start
 
-    a_ok = low_var.mean_normalized() > high_var.mean_normalized()
-    high_gap = high["ECG"].holdout_accuracy - high["PPG"].holdout_accuracy
-    low_gap = low["ECG"].holdout_accuracy - low["PPG"].holdout_accuracy
+    high_var, low_var = (twin["variance"]["mean_normalized_variance"] for twin in (high, low))
+    a_ok = low_var > high_var
+    high_gap, low_gap = holdout_gap(high), holdout_gap(low)
     b_ok = low_gap > high_gap
     c_ok = all(
-        twin[modality].roc["stress"].auc
-        > max(curve.auc for label, curve in twin[modality].roc.items() if label != "stress")
+        aucs["stress"] > max(auc for label, auc in aucs.items() if label != "stress")
         for twin in (high, low)
-        for modality in ("ECG", "PPG")
+        for aucs in (twin["metrics"]["modalities"][modality]["roc_auc"] for modality in ("ECG", "PPG"))
     )
     report(
         9, "fidelity twins directional reproduction",
         a_ok and b_ok and c_ok and elapsed < 180.0,
-        f"norm var {high_var.mean_normalized():.3f}->{low_var.mean_normalized():.3f}, "
+        f"norm var {high_var:.3f}->{low_var:.3f}, "
         f"gap {high_gap:+.3f}->{low_gap:+.3f}, distinct-state AUC dominant={c_ok}, "
         f"{elapsed:.0f}s",
     )

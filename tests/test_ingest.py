@@ -286,6 +286,21 @@ class TestCanonicalRoundTrip:
             write_canonical([a, b], "twice", out)
         assert not out.exists()
 
+    def test_write_canonical_refuses_mixed_label_schemes_before_writing(self, tmp_path):
+        discrete, _ = generate_synthetic(
+            simple_spec(duration_s=20.0, states=(StateSpec("baseline", 70.0, 10.0, 20.0),)),
+            subject_id="a",
+        )
+        av, _ = generate_synthetic(
+            simple_spec(duration_s=20.0, states=(StateSpec("LAHV", 70.0, 10.0, 20.0),)),
+            subject_id="b",
+        )
+        out = tmp_path / "data"
+        message = "^a dataset holds one label scheme, got arousal_valence and discrete_state$"
+        with pytest.raises(ValueError, match=message):
+            write_canonical([discrete, av], "mixed", out)
+        assert not out.exists()
+
 
 def manifest_doc(subject_id, **rates):
     """A one-subject manifest document, written by hand: SubjectFiles refuses
