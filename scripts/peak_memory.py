@@ -5,8 +5,9 @@ Run in a fresh process, it builds the fidelity twin of hrvaffect.experiments
 named by --fidelity (high: 1000/1000 Hz, low: 700/64 Hz) over --duration
 seconds and reads ru_maxrss after each step: the imports (scipy.signal
 included), the generation, each filter_signal call featurize makes, and
-featurize.  The subject reaches featurize through a generator, as extract
-passes it, so each raw record can be dropped once it is filtered.
+featurize.  The subject reaches featurize through a lazy one-subject
+iterable, as extract passes it, so each raw record can be dropped once it is
+filtered.
 
 Prints one JSON object; ru_maxrss is the peak so far, so the numbers only
 rise, and each step's cost is its rise over the step before.

@@ -20,6 +20,7 @@ from hrvaffect.adapters import adapt_wesad
 from hrvaffect.cli import _run_stage
 from hrvaffect.learn import DEFAULT_N_TREES
 from hrvaffect.pipeline import (
+    PipelineConfig,
     config_from_dict,
     stage_extract,
     stage_importance,
@@ -34,7 +35,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--raw", required=True, help="raw export root (contains S2/, S3/, ...)")
     parser.add_argument("--out", default="wesad_run", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=PipelineConfig.seed)
     parser.add_argument("--n-trees", type=int, default=DEFAULT_N_TREES)
     parser.add_argument("--max-instances", type=int, default=50,
                         help="instances explained by the importance stage")

@@ -23,13 +23,12 @@ from pathlib import Path
 
 from . import pipeline
 from .ingest import StateSpec, SyntheticSpec
-from .learn import LearnConfig
+from .learn import DEFAULT_N_TREES, LearnConfig
 
 STATES = (("baseline", 65.0), ("amusement", 67.0), ("meditation", 69.0), ("stress", 90.0))
 SEED = 22
 DURATION_S = 2400.0
 JITTER_MS = 50.0
-N_TREES = 100
 EVAL_SEED = 7
 # (ECG rate, PPG rate, noise_std) of each twin.
 FIDELITY = {"high": (1000.0, 1000.0, 0.01), "low": (700.0, 64.0, 0.3)}
@@ -76,7 +75,7 @@ def planted_spec(name: str, seed: int = SEED, duration_s: float = DURATION_S) ->
 TABLES = {"twins": (twin_spec, FIDELITY), "planted": (planted_spec, PLANTED)}
 
 
-def run_spec(spec: SyntheticSpec, work_dir, n_trees: int = N_TREES) -> dict:
+def run_spec(spec: SyntheticSpec, work_dir, n_trees: int = DEFAULT_N_TREES) -> dict:
     """Write spec as work_dir/spec.json, run the five model stages on it into
     work_dir/run with Extra-Trees alone, and return the report.json document."""
     work_dir = Path(work_dir)
@@ -116,7 +115,7 @@ def main(argv=None):
     parser.add_argument("table", choices=TABLES)
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--duration", type=float, default=DURATION_S)
-    parser.add_argument("--n-trees", type=int, default=N_TREES)
+    parser.add_argument("--n-trees", type=int, default=DEFAULT_N_TREES)
     args = parser.parse_args(argv)
     start = time.perf_counter()
     build, names = TABLES[args.table]

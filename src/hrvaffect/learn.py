@@ -737,6 +737,9 @@ def evaluate(
     else:
         train_ids, holdout_ids = holdout_split(y, config.holdout_fraction, seed)
         fold_of = stratified_kfold(y[train_ids], folds, seed)
+    unseen = sorted(set(y[holdout_ids].tolist()) - set(y[train_ids].tolist()))
+    if unseen:
+        raise ValueError(f"no training row has the held-out class {', '.join(map(repr, unseen))}")
     X_train, y_train = X[train_ids], y[train_ids]
     X_hold, y_hold = X[holdout_ids], y[holdout_ids]
 

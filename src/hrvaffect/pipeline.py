@@ -308,41 +308,58 @@ def _generate_subject(spec: ingest.SyntheticSpec) -> ingest.SubjectData:
 
 
 def load_subjects(config: PipelineConfig) -> tuple[list, LabelScheme]:
-    """One loader per subject the config names, in manifest order, and their
-    label scheme.  A loader is a picklable callable that loads or generates
-    its subject when called; nothing is loaded until then."""
+    """One source per subject the config names, in manifest order, and their
+    label scheme.  A source is a picklable iterable that loads or generates
+    its one subject when iterated, and does not keep it."""
     if config.manifest_path is not None:
         manifest_path = Path(config.manifest_path)
         manifest = ingest.load_manifest(manifest_path)
-        loaders = [
-            partial(_load_subject, replace(manifest, subjects=(entry,)), manifest_path.parent)
+        sources = [
+            map(_load_subject, [replace(manifest, subjects=(entry,))], [manifest_path.parent])
             for entry in manifest.subjects
         ]
-        return loaders, manifest.label_scheme
+        return sources, manifest.label_scheme
     spec = ingest.load_synthetic_spec(config.synthetic_spec_path)
-    return [partial(_generate_subject, spec)], ingest.synthetic_label_scheme(spec)
+    return [map(_generate_subject, [spec])], ingest.synthetic_label_scheme(spec)
 
 
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureRow:
-    window_id: int
-    subject_id: str
-    modality: str
-    label: str
-    values: np.ndarray  # FEATURE_NAMES order, read-only; NaN throughout when detection failed
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Featurized windows, one row per window and modality: four key columns
+    of plain Python values and one read-only (rows, 13) block of values in
+    FEATURE_NAMES order, NaN throughout a row whose beat detection failed."""
+
+    window_id: tuple[int, ...]
+    subject_id: tuple[str, ...]
+    modality: tuple[str, ...]
+    label: tuple[str, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         self.values.flags.writeable = False
 
 
-def _window_rows(pairs, stats: dict) -> list[FeatureRow]:
-    """Featurize one subject's aligned windows, adding to stats' counters."""
+def _table(keys: list[tuple], values: np.ndarray) -> FeatureTable:
+    """The table of (window_id, subject_id, modality, label) keys, each with its row of values."""
+    columns = [tuple(column) for column in zip(*keys)] or [()] * 4
+    return FeatureTable(*columns, values.reshape(-1, len(FEATURE_NAMES)))
+
+
+def _sorted_table(keys: list[tuple], blocks: list[np.ndarray]) -> FeatureTable:
+    """The table of keys and the stacked rows of blocks, sorted by
+    (subject_id, window_id, modality)."""
+    values = np.concatenate([np.empty((0, len(FEATURE_NAMES))), *blocks])
+    order = sorted(range(len(keys)), key=lambda i: (keys[i][1], keys[i][0], keys[i][2]))
+    return _table([keys[i] for i in order], values[order])
+
+
+def _window_rows(pairs, stats: dict, keys: list[tuple], blocks: list[np.ndarray]):
+    """Featurize one subject's aligned windows into keys and blocks, adding to stats' counters."""
     stats["windows_labeled"] += len(pairs)
-    rows = []
     for segments in zip(*pairs):  # the ECG windows, then the PPG windows
         beats = []
         chosen = choose_peaks([s.samples for s in segments], segments[0].sample_rate_hz)
@@ -357,11 +374,8 @@ def _window_rows(pairs, stats: dict) -> list[FeatureRow]:
         counters["detect_failures"] += failed
         counters["too_few_beats"] += int(np.isnan(block).all(axis=1).sum()) - failed
         counters["rows"] += len(segments)
-        rows += [
-            FeatureRow(s.window_id, s.subject_id, s.modality.value, s.label, values)
-            for s, values in zip(segments, block)
-        ]
-    return rows
+        keys += [(s.window_id, s.subject_id, s.modality.value, s.label) for s in segments]
+        blocks.append(block)
 
 
 def _new_stats() -> dict:
@@ -384,18 +398,14 @@ def _add_counts(total: dict, counts: dict):
             total[key] += value
 
 
-def _row_order(row: FeatureRow):
-    return row.subject_id, row.window_id, row.modality
-
-
 def featurize(
     subjects: Iterable[ingest.SubjectData], config: PipelineConfig
-) -> tuple[list[FeatureRow], dict]:
+) -> tuple[FeatureTable, dict]:
     """Filter, window and featurize subjects, one at a time as the iterable
-    yields them; returns rows sorted by (subject, window, modality) plus
-    counters.  Each raw record is dropped once its filtered record exists,
-    unless the caller keeps the subject (as a list of subjects does)."""
-    rows: list[FeatureRow] = []
+    yields them; returns their table, sorted by (subject_id, window_id,
+    modality), plus counters.  Each raw record is dropped once its filtered
+    record exists, unless the caller keeps the subject (as a list does)."""
+    keys, blocks = [], []
     stats = _new_stats()
     for subject in subjects:
         stats["n_subjects"] += 1
@@ -404,89 +414,74 @@ def featurize(
         covered_seconds(ecg, ppg, annotations, config.window)
         ecg = filter_signal(ecg, config.ecg_filter)
         ppg = filter_signal(ppg, config.ppg_filter)
-        rows += _window_rows(segment_windows(ecg, ppg, annotations, config.window), stats)
+        _window_rows(segment_windows(ecg, ppg, annotations, config.window), stats, keys, blocks)
         del ecg, ppg, annotations  # freed before the iterator loads the next subject
-    rows.sort(key=_row_order)
-    return rows, stats
+    return _sorted_table(keys, blocks), stats
 
 
-def _loaded(load):
-    yield load()  # not kept here once yielded
-
-
-def _subject_features(load, config: PipelineConfig) -> tuple[list[tuple], np.ndarray, dict]:
-    """The unit of work extract maps over a config's subjects: load(),
-    featurized.  Its rows come back as their (window_id, subject_id, modality,
-    label) keys and one (rows, 13) block of values, from which the caller
-    builds read-only FeatureRows, plus the subject's counters."""
-    rows, stats = featurize(_loaded(load), config)
-    keys = [(r.window_id, r.subject_id, r.modality, r.label) for r in rows]
-    return keys, np.array([r.values for r in rows]).reshape(-1, len(FEATURE_NAMES)), stats
-
-
-def extract_features(config: PipelineConfig) -> tuple[list[FeatureRow], dict]:
-    """Featurize the subjects the config names; returns rows sorted by
-    (subject, window, modality) plus counters.  Each subject is one
-    _subject_features call, made in a worker process when core.ordered_map has
+def extract_features(config: PipelineConfig) -> tuple[FeatureTable, dict]:
+    """Featurize the subjects the config names; returns their table, sorted by
+    (subject_id, window_id, modality), plus counters.  Each subject is one
+    featurize call, made in a worker process when core.ordered_map has
     workers, so this process holds no raw signal.  Results are read in
     manifest order, so the error raised is the first failing subject's."""
-    loaders, scheme = load_subjects(config)
-    rows: list[FeatureRow] = []
+    sources, scheme = load_subjects(config)
+    keys, blocks = [], []
     stats = _new_stats()
-    if core.worker_count(len(loaders)) > 1:
+    if core.worker_count(len(sources)) > 1:
         from scipy import signal  # noqa: F401  before the fork, so no worker imports it again
-    with core.ordered_map(len(loaders)) as map_subjects:
-        for keys, block, counts in map_subjects(partial(_subject_features, config=config), loaders):
-            rows += [FeatureRow(*key, values) for key, values in zip(keys, block)]
+    with core.ordered_map(len(sources)) as map_subjects:
+        for table, counts in map_subjects(partial(featurize, config=config), sources):
+            keys += zip(table.window_id, table.subject_id, table.modality, table.label)
+            blocks.append(table.values)
             _add_counts(stats, counts)
-    rows.sort(key=_row_order)
     stats["label_scheme"] = scheme.value
-    return rows, stats
+    return _sorted_table(keys, blocks), stats
 
 
 @_stage
 def stage_extract(config: PipelineConfig, out: Path, staging: Path, h: str) -> Path:
-    rows, stats = extract_features(config)
-    FEATURES.write(staging, [
-        [r.window_id, r.subject_id, r.modality, r.label, *r.values.tolist()] for r in rows
-    ], h)
+    table, stats = extract_features(config)
+    FEATURES.write(staging, zip(
+        table.window_id, table.subject_id, table.modality, table.label, *table.values.T.tolist()
+    ), h)
     write_json(staging / EXTRACT_STATS_JSON, stats, h)
     return out / FEATURES_CSV
 
 
-def read_feature_rows(out_dir: str | Path, h: str) -> list[FeatureRow]:
-    """The rows of out_dir's features.csv, which must be stamped with h and
-    hold each (subject_id, window_id, modality) once."""
-    rows, seen = [], set()
-    for line, (window_id, subject_id, modality, label, *values) in FEATURES.read(Path(out_dir), h):
+def read_feature_rows(out_dir: str | Path, h: str) -> FeatureTable:
+    """The table out_dir's features.csv holds, in file order; the file must be
+    stamped with h and hold each (subject_id, window_id, modality) once."""
+    keys, values, seen = [], [], set()
+    for line, (window_id, subject_id, modality, label, *cells) in FEATURES.read(Path(out_dir), h):
         if (subject_id, window_id, modality) in seen:
             raise PipelineError(
                 f"{Path(out_dir) / FEATURES_CSV}:{line}: repeated {modality} row for window "
                 f"{window_id} of subject {subject_id!r}"
             )
         seen.add((subject_id, window_id, modality))
-        rows.append(FeatureRow(window_id, subject_id, modality, label, np.array(values)))
-    return rows
+        keys.append((window_id, subject_id, modality, label))
+        values.append(cells)
+    return _table(keys, np.array(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
 # variance
 # ---------------------------------------------------------------------------
 
-def feature_variance(rows: list[FeatureRow]):
-    """Inter-signal variance of the featurized windows, keyed (subject_id, window_id);
+def feature_variance(table: FeatureTable):
+    """Inter-signal variance of the table's windows, keyed (subject_id, window_id);
     a window whose beat detection failed holds no key."""
     by_modality: dict[str, dict] = {"ECG": {}, "PPG": {}}
-    for r in rows:
-        if not np.isnan(r.values).all():
-            by_modality[r.modality][(r.subject_id, r.window_id)] = r.values
+    for i in np.flatnonzero(~np.isnan(table.values).all(axis=1)).tolist():
+        by_modality[table.modality[i]][(table.subject_id[i], table.window_id[i])] = table.values[i]
     return inter_signal_variance(by_modality["ECG"], by_modality["PPG"])
 
 
 @_stage
 def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> dict:
-    rows = read_feature_rows(out, h)
-    isv = feature_variance(rows)
+    table = read_feature_rows(out, h)
+    isv = feature_variance(table)
     VARIANCE.write(staging, [
         [window_id, subject_id, feature, diff]
         for (subject_id, window_id), diffs in zip(isv.keys, isv.abs_diff.tolist())
@@ -495,7 +490,7 @@ def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> 
     ], h)
     VARIANCE_SUMMARY.write(staging, map(astuple, isv.summary), h)
 
-    stats = state_feature_stats([(r.modality, r.label, r.values) for r in rows])
+    stats = state_feature_stats(list(zip(table.modality, table.label, table.values)))
     STATE_STATS.write(staging, map(astuple, stats), h)
 
     # Charts: the headline absolute-difference series and one state boxplot.
@@ -548,26 +543,25 @@ def stage_variance(config: PipelineConfig, out: Path, staging: Path, h: str) -> 
 # train / evaluate
 # ---------------------------------------------------------------------------
 
-def modality_matrix(rows: list[FeatureRow], modality: str):
+def modality_matrix(table: FeatureTable, modality: str):
     """Feature matrix for one modality, dropping rows with any missing value."""
-    mine = [r for r in rows if r.modality == modality]
-    X = np.array([r.values for r in mine]).reshape(-1, len(FEATURE_NAMES))  # 0 x 13 when none
-    finite = np.isfinite(X).all(axis=1)
-    kept = [r for r, ok in zip(mine, finite) if ok]
-    y = np.array([r.label for r in kept])
-    ids = [f"{r.subject_id}:{r.window_id}" for r in kept]
-    subjects = np.array([r.subject_id for r in kept])
-    return X[finite], y, ids, subjects, len(mine) - len(kept)
+    mine = np.array([m == modality for m in table.modality], dtype=bool)
+    kept = mine & np.isfinite(table.values).all(axis=1)
+    index = np.flatnonzero(kept).tolist()
+    y = np.array([table.label[i] for i in index])
+    ids = [f"{table.subject_id[i]}:{table.window_id[i]}" for i in index]
+    subjects = np.array([table.subject_id[i] for i in index])
+    return table.values[kept], y, ids, subjects, int(mine.sum()) - len(index)
 
 
 @_stage
 def stage_train_eval(config: PipelineConfig, out: Path, staging: Path, h: str) -> dict:
-    rows = read_feature_rows(out, h)
+    table = read_feature_rows(out, h)
     metrics: dict = {"seed": config.seed, "modalities": {}}
     models_doc: dict = {"modalities": {}}
     roc_rows = []
     for modality in ("ECG", "PPG"):
-        X, y, ids, subjects, dropped = modality_matrix(rows, modality)
+        X, y, ids, subjects, dropped = modality_matrix(table, modality)
         report, fitted = evaluate(X, y, FEATURE_NAMES, config.learn, config.seed, subjects)
         metrics["modalities"][modality] = {
             "n_rows": int(X.shape[0]),
@@ -648,13 +642,13 @@ def _model_entry(models_doc, modality: str, ids: list[str]):
 
 @_stage
 def stage_importance(config: PipelineConfig, out: Path, staging: Path, h: str) -> dict:
-    rows = read_feature_rows(out, h)
+    table = read_feature_rows(out, h)
     models_doc = _read_object(out / MODEL_JSON, h)
     importance_rows = []
     point_rows = []
     summary: dict = {}
     for modality in ("ECG", "PPG"):
-        X, y, ids, _, _ = modality_matrix(rows, modality)
+        X, y, ids, _, _ = modality_matrix(table, modality)
         model, train_ids, holdout_ids = _model_entry(models_doc, modality, ids)
         report = explain_mod.global_importance(
             model, X[holdout_ids], y[holdout_ids], [ids[i] for i in holdout_ids], X[train_ids],

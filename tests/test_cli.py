@@ -692,6 +692,38 @@ def test_failed_extract_leaves_no_stale_features_to_read(tmp_path):
     assert _snapshot(run) == before
 
 
+def test_subject_wise_holdout_of_a_class_no_training_subject_has_is_one_json_error(tmp_path):
+    """S0-S4 hold baseline and amusement, S5 stress alone; at seed 3 the
+    subject-wise holdout takes S5, so train-eval fails with one JSON error
+    naming stress, and out_dir stays as extract left it."""
+    def subject(states, seed):
+        spec = ingest.SyntheticSpec(
+            duration_s=100.0 * len(states), ecg_rate_hz=250.0, ppg_rate_hz=64.0,
+            states=tuple(ingest.StateSpec(label, bpm, 25.0, 100.0) for label, bpm in states),
+            seed=seed,
+        )
+        return ingest.generate_synthetic(spec, f"S{seed}")[0]
+
+    subjects = [subject((("baseline", 65.0), ("amusement", 75.0)), i) for i in range(5)]
+    subjects.append(subject((("stress", 92.0),), 5))
+    manifest = ingest.write_canonical(subjects, "six", tmp_path / "data")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "manifest_path": str(manifest), "out_dir": str(tmp_path / "run"), "seed": 3,
+        "learn": {"subject_wise": True, "cv_folds": 2, "n_trees": 5},
+    }))
+    assert run_cli("extract", "--config", str(config)).exit_code == 0
+    before = _snapshot(tmp_path / "run")
+    result = run_cli("train-eval", "--config", str(config))
+    assert result.exit_code == 1
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert json.loads(result.stderr) == {
+        "error": "Value",
+        "message": "no training row has the held-out class 'stress'",
+    }
+    assert _snapshot(tmp_path / "run") == before
+
+
 def test_bad_file_in_the_last_subject_fails_after_the_others(tmp_path, monkeypatch):
     """Subjects load one at a time: a bad ECG file in the last of three fails
     extract after the first two are featurized, naming the file and line, and

@@ -177,7 +177,7 @@ class TestRecordings:
             assert feature_block(beats).tobytes() == oracle_block(want).tobytes()
 
     def test_featurize_counts_what_the_per_window_path_counts(self, recording, recording_windows):
-        rows, stats = featurize([recording], PipelineConfig())
+        table, stats = featurize([recording], PipelineConfig())
         for segments in recording_windows:
             beats = [detect_or_none(per_window_detect, seg) for seg in segments]
             too_few = sum(b is not None and b.accepted.sum() < 4 for b in beats)
@@ -185,7 +185,7 @@ class TestRecordings:
             assert counters["detect_failures"] == beats.count(None)
             assert counters["too_few_beats"] == too_few
             assert counters["rows"] == len(segments)
-            got = np.stack([r.values for r in rows if r.modality == segments[0].modality.value])
+            got = table.values[np.array(table.modality) == segments[0].modality.value]
             assert got.tobytes() == oracle_block(beats).tobytes()
 
 
@@ -321,8 +321,8 @@ def test_featurize_at_one_and_many_windows_per_block():
         respiratory_rate_hz=0.25, respiratory_rr_modulation_ms=30.0, noise_std=0.02, seed=4,
     )
     subject, _ = generate_synthetic(spec)
-    rows, stats = featurize([subject], PipelineConfig())
-    assert len(rows) == 2 * stats["windows_labeled"] == 12
+    table, stats = featurize([subject], PipelineConfig())
+    assert len(table.window_id) == 2 * stats["windows_labeled"] == 12
     ecg = filter_signal(subject.ecg, DEFAULT_ECG_FILTER)
     ppg = filter_signal(subject.ppg, DEFAULT_PPG_FILTER)
     want = {}
@@ -333,7 +333,7 @@ def test_featurize_at_one_and_many_windows_per_block():
             except (NoPlausiblePeaksError, TooFewBeatsError):
                 values = np.full(len(FEATURE_NAMES), np.nan)
             want[(seg.window_id, seg.modality.value)] = values
-    got = {(row.window_id, row.modality): row.values for row in rows}
+    got = dict(zip(zip(table.window_id, table.modality), table.values))
     assert got.keys() == want.keys()
     for key, values in want.items():
         np.testing.assert_array_equal(got[key], values)
@@ -613,13 +613,13 @@ def test_featurize_chooses_in_chunks_of_the_peak_bound(monkeypatch):
     # 640-sample PPG windows all fit in one.
     assert calls == [9, 4, 13]
     assert got_stats == want_stats
-    assert [r.values.tobytes() for r in got] == [r.values.tobytes() for r in want]
+    assert got.values.tobytes() == want.values.tobytes()
     calls.clear()
     monkeypatch.setattr(hrv, "BLOCK_SAMPLES", 1)
     got, got_stats = featurize([subject], PipelineConfig())
     assert calls == [1] * want_stats["windows_labeled"] * 2
     assert got_stats == want_stats
-    assert [r.values.tobytes() for r in got] == [r.values.tobytes() for r in want]
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_extract_detects_each_window_once(monkeypatch):

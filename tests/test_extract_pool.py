@@ -102,10 +102,33 @@ def test_rows_built_from_worker_results_are_read_only(three_subjects, tmp_path, 
     got, got_stats = pipeline.extract_features(config)
     assert multiprocessing.active_children() == []
     assert got_stats == want_stats
-    assert [(r.window_id, r.subject_id, r.modality, r.label, r.values.tobytes()) for r in got] == [
-        (r.window_id, r.subject_id, r.modality, r.label, r.values.tobytes()) for r in want
-    ]
-    assert not any(r.values.flags.writeable for r in got)
+    assert (got.window_id, got.subject_id, got.modality, got.label) == (
+        want.window_id, want.subject_id, want.modality, want.label,
+    )
+    assert got.values.tobytes() == want.values.tobytes()
+    assert not got.values.flags.writeable
+
+
+def test_table_and_features_csv_sort_by_the_subject_id_string(tmp_path, monkeypatch):
+    """A manifest listing S3, S10, S2 gives, with one worker and with two, a
+    table and a features.csv ordered by subject_id as a string (S10, S2, S3),
+    then window_id, then ECG before PPG: not in manifest order."""
+    subjects = [ingest.generate_synthetic(replace(SPEC, seed=i), f"S{i}")[0] for i in (3, 10, 2)]
+    config = _config(ingest.write_canonical(subjects, "unsorted", tmp_path / "data"), tmp_path / "run")
+    written = {}
+    for workers in (1, 2):
+        _pin_workers(monkeypatch, workers)
+        table, _ = pipeline.extract_features(config)
+        keys = list(zip(table.subject_id, table.window_id, table.modality))
+        assert keys == sorted(keys)
+        assert list(dict.fromkeys(table.subject_id)) == ["S10", "S2", "S3"]
+        pipeline.stage_extract(config, force=True)
+        rows = pipeline.FEATURES.read(Path(config.out_dir), pipeline.run_hash(config))
+        assert [tuple(cells[:4]) for _, cells in rows] == list(
+            zip(table.window_id, table.subject_id, table.modality, table.label)
+        )
+        written[workers] = (Path(config.out_dir) / pipeline.FEATURES_CSV).read_bytes()
+    assert written[1] == written[2]
 
 
 def test_bad_last_subject_is_the_same_error_with_one_and_two_workers(three_subjects, tmp_path):

@@ -171,17 +171,16 @@ def test_features_csv_round_trip(tmp_path):
     stage_extract(config)
     direct, _ = extract_features(config)
     loaded = read_feature_rows(tmp_path / "run", run_hash(config))
-    assert len(loaded) == len(direct)
-    missing = [np.isnan(b.values) for b in direct]
-    assert any(m.all() for m in missing) and any(m.any() and not m.all() for m in missing)
-    for a, b in zip(loaded, direct):
-        assert (a.window_id, a.subject_id, a.modality, a.label) == (
-            b.window_id, b.subject_id, b.modality, b.label,
-        )
-        # All 13 values survive the 9-significant-digit serialization, and
-        # NaN stays where it was.
-        assert np.array_equal(np.isnan(a.values), np.isnan(b.values))
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-8, atol=0)
+    assert loaded.values.shape == direct.values.shape
+    missing = np.isnan(direct.values)
+    assert missing.all(axis=1).any() and (missing.any(axis=1) & ~missing.all(axis=1)).any()
+    assert (loaded.window_id, loaded.subject_id, loaded.modality, loaded.label) == (
+        direct.window_id, direct.subject_id, direct.modality, direct.label,
+    )
+    # All 13 values survive the 9-significant-digit serialization, and NaN
+    # stays where it was.
+    assert np.array_equal(np.isnan(loaded.values), missing)
+    np.testing.assert_allclose(loaded.values, direct.values, rtol=1e-8, atol=0)
 
 
 def _wearable_stress_manifests(folder):

@@ -494,6 +494,22 @@ class TestEvaluate:
         for i, c in enumerate(report.confusion_labels):
             assert report.confusion_matrix[i].sum() == per_class[c]
 
+    def test_held_out_class_without_a_training_row_fails_before_training(self, monkeypatch):
+        """A subject-wise holdout can take every row of a class; evaluate then
+        names that class before it trains any model."""
+        def train_family(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(learn_mod, "train_family", train_family)
+        subjects = np.repeat(["S0", "S1", "S2", "S3"], 20)
+        y = np.array([f"state{s[1]}" for s in subjects])
+        config = LearnConfig(n_trees=5, cv_folds=2, subject_wise=True)
+        _, held = subject_holdout_split(y, subjects, config.holdout_fraction, seed=3)
+        (unseen,) = set(y[held])
+        X = np.random.default_rng(0).normal(size=(y.size, len(FEATURES)))
+        with pytest.raises(ValueError, match=f"^no training row has the held-out class '{unseen}'$"):
+            evaluate(X, y, FEATURES, config, seed=3, subjects=subjects)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fold_tree_streams_never_reuse_a_refit_stream(self, seed, monkeypatch):
         """Refit trees draw from (seed, STREAM_TREES, t); no CV fold model may

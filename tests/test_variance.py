@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import readme_json_blocks
 from hrvaffect.hrv import FEATURE_NAMES, FeatureVector
 from hrvaffect.pipeline import (
-    STATE_STATS, VARIANCE, VARIANCE_SUMMARY, FeatureRow, config_from_dict, feature_variance,
+    STATE_STATS, VARIANCE, VARIANCE_SUMMARY, FeatureTable, config_from_dict, feature_variance,
     read_feature_rows, run_hash, stage_extract, stage_variance,
 )
 from hrvaffect.serialize import fmt9
@@ -103,11 +103,14 @@ class TestInterSignalVariance:
         key; one where only br is NaN keeps its key and counts as missing br."""
         failed = np.full(len(FEATURE_NAMES), np.nan)
         sides = {0: (fv(), fv()), 1: (failed, fv()), 2: (fv(), failed), 3: (fv(br=math.nan), fv())}
-        rows = [
-            FeatureRow(window_id, "s", modality, "baseline", values)
+        window_ids, modalities, values = zip(*(
+            (window_id, modality, values)
             for window_id, pair in sides.items() for modality, values in zip(("ECG", "PPG"), pair)
-        ]
-        isv = feature_variance(rows)
+        ))
+        n = len(window_ids)
+        isv = feature_variance(
+            FeatureTable(window_ids, ("s",) * n, modalities, ("baseline",) * n, np.array(values))
+        )
         assert finite_keys(isv, "bpm") == (("s", 0), ("s", 3))
         assert summary_of(isv, "bpm").missing_count == 0
         assert finite_keys(isv, "br") == (("s", 0),)
@@ -285,7 +288,8 @@ def test_state_stats_rows_read_back_as_group_stats(tmp_path, monkeypatch):
     stage_variance(config)
     out, h = Path(config.out_dir), run_hash(config)
     read_back = [GroupStats(*cells) for _, cells in STATE_STATS.read(out, h)]
-    computed = state_feature_stats([(r.modality, r.label, r.values) for r in read_feature_rows(out, h)])
+    table = read_feature_rows(out, h)
+    computed = state_feature_stats(list(zip(table.modality, table.label, table.values)))
     assert [(g.feature, g.state, g.modality, g.n) for g in read_back] == [
         (g.feature, g.state, g.modality, g.n) for g in computed
     ]
